@@ -24,6 +24,15 @@ code stays 0 — because CI benchmark machines are noisy; the trajectory
 exists so a real drift is visible across several PRs, not to gate a
 single one.
 
+The collector also reads ``repro-perfbench/v1`` result files, which
+``perfbench/run.py`` writes to ``.perfbench/results``.  For every
+untraced (``--trace 0``) result it indexes the end-to-end metric values
+under ``perfbench`` with the run's seed and machine signature, and a
+trajectory entry carries that index next to the speedups:
+
+    python benchmarks/collect.py .perfbench/results \
+        --trajectory benchmarks/BENCH_TRAJECTORY.json --label LABEL
+
 The collector is deliberately forgiving — a missing results directory
 yields an empty summary and unparsable files are recorded as errors
 instead of failing the job — because benchmark jobs are non-blocking
@@ -42,6 +51,7 @@ import sys
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SUMMARY_NAME = "BENCH_SUMMARY.json"
 TRAJECTORY_FORMAT = "repro-bench-trajectory/v1"
+PERFBENCH_FORMAT = "repro-perfbench/v1"
 
 
 def machine_signature() -> dict:
@@ -59,12 +69,14 @@ def collect(results_dir: pathlib.Path = RESULTS_DIR) -> dict:
 
     Returns a ``repro-bench-summary/v1`` dict: the full per-benchmark
     payloads plus a ``speedups`` index of every benchmark that reports
-    a ``speedup`` (and whether it met its ``target_speedup``).
+    a ``speedup`` (and whether it met its ``target_speedup``) and a
+    ``perfbench`` index of the untraced perfbench results by workload.
     """
     summary: dict = {
         "format": "repro-bench-summary/v1",
         "benchmarks": {},
         "speedups": {},
+        "perfbench": {},
         "caches": {},
         "errors": {},
     }
@@ -87,6 +99,21 @@ def collect(results_dir: pathlib.Path = RESULTS_DIR) -> dict:
                     payload["speedup"] >= payload["target_speedup"]
                 )
             summary["speedups"][path.stem] = entry
+        if (
+            isinstance(payload, dict)
+            and payload.get("format") == PERFBENCH_FORMAT
+            and not payload.get("trace")
+        ):
+            # Traced runs report per-layer metrics; the end-to-end ones
+            # are measured with tracing off.
+            summary["perfbench"][payload["workload"]] = {
+                "seed": payload["seed"],
+                "machine": payload["machine"],
+                "metrics": {
+                    name: metric["value"]
+                    for name, metric in sorted(payload["metrics"].items())
+                },
+            }
         if isinstance(payload, dict) and isinstance(
             payload.get("cache"), dict
         ):
@@ -160,14 +187,16 @@ def append_trajectory(
     summary: dict, path: pathlib.Path, label: str,
     machine: dict | None = None,
 ) -> dict:
-    """Append the summary's speedup index as one trajectory entry,
-    stamped with the machine signature it was measured on."""
+    """Append the summary's speedup and perfbench indexes as one
+    trajectory entry, stamped with the machine signature it was
+    measured on."""
     trajectory = load_trajectory(path)
     trajectory["entries"].append(
         {
             "label": label,
             "machine": machine or machine_signature(),
             "speedups": summary["speedups"],
+            "perfbench": summary.get("perfbench", {}),
         }
     )
     path.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
@@ -210,6 +239,11 @@ def main(argv: list[str] | None = None) -> int:
                   else f" (BELOW {target:.1f}x target)")
         )
         print(f"  {name}: {entry['speedup']:.2f}x{status}")
+    for workload, entry in sorted(summary["perfbench"].items()):
+        metrics = ", ".join(
+            f"{name} {value:.4g}" for name, value in entry["metrics"].items()
+        )
+        print(f"  perfbench {workload} (seed {entry['seed']}): {metrics}")
     for name, entry in sorted(summary["caches"].items()):
         if {"hits", "misses"} <= set(entry):
             print(

@@ -278,15 +278,14 @@ class BatchedAggregateSimulation:
 
         The inner loop applies at most one active event per replication
         per iteration, so its Python-level iteration count matches one
-        scalar run.  Event rates are maintained incrementally (an event
-        touches exactly one dark count, so only the affected lightening
-        term is recomputed), and the event *type* and the first colour
-        are fused into a single categorical draw over the ``2k`` masses
+        scalar run.  The event *type* and the first colour are fused
+        into a single categorical draw over the ``2k`` masses
         ``[a_i * total_dark | A_i (A_i - 1) lighten_i]`` — class
-        ``c < k`` is an adopt event lightening colour ``c``, class
-        ``c >= k`` a lighten event of colour ``c - k``.  The update is
-        then branch-free: every event moves one agent between the light
-        and dark blocks with a ±1 delta pair.
+        ``c < k`` is an adopt event of a light agent of colour ``c``,
+        class ``c >= k`` a lighten event of colour ``c - k``.  The update
+        is then branch-free: every event moves one agent between the
+        light and dark blocks with a ±1 delta pair (see
+        :func:`advance_event_driven`).
         """
         if steps < 0:
             raise ValueError("steps must be non-negative")
@@ -434,19 +433,21 @@ class BatchedAggregateSimulation:
         k = self.weights.k
         dark = ckpt.as_array(data["dark"], INT64)
         light = ckpt.as_array(data["light"], INT64)
-        if dark.shape != (self.replications, k) or dark.shape != light.shape:
+        rows = self.replications
+        if dark.shape != (rows, k) or dark.shape != light.shape:
             raise ValueError(
-                f"count shape {dark.shape} does not match "
-                f"({self.replications}, {k})"
+                f"count shape {dark.shape} does not match ({rows}, {k})"
             )
+        times = ckpt.as_row_vector(data["times"], INT64, rows, "times")
+        pending = ckpt.as_row_vector(data["pending"], INT64, rows, "pending")
+        self._streams.restore(data["streams"])
         self._state = bk.from_host(HOST.xp.concatenate([dark, light], axis=1))
         self._dark = self._state[:, :k]
         self._light = self._state[:, k:]
         self._lighten = bk.from_host(ckpt.as_array(data["lighten"], FLOAT64))
-        self._times = bk.from_host(ckpt.as_array(data["times"], INT64))
-        self._pending = bk.from_host(ckpt.as_array(data["pending"], INT64))
+        self._times = bk.from_host(times)
+        self._pending = bk.from_host(pending)
         self._n = ckpt.as_int(data["n"])
-        self._streams.restore(data["streams"])
         ckpt.set_rng_state(self.rng, data["rng"])
         return self
 
@@ -545,7 +546,45 @@ def advance_event_driven(
     sequence is therefore a pure function of its own event history, so
     splitting a horizon (including *per-row* splits through the
     heterogeneous engine's ``run_to``) reproduces the uninterrupted
-    trajectory bit-for-bit.
+    trajectory bit-for-bit.  Arrivals are only ever carried *into* a
+    call, so only its first iteration looks for them; after that every
+    active row draws a fresh gap.
+
+    Working layout.  One iteration advances every active row by one
+    event, and what it costs is the number of NumPy calls it makes on
+    arrays of at most B columns, not their arithmetic.  To keep that
+    number small the loop runs on :class:`_ActiveRows`, a colour-major
+    working copy of the active rows: column ``c`` is engine row
+    ``act[c]``, a contiguous ``(2k, ·)`` int64 block stacks the dark
+    counts over the light counts, and a preallocated ``(3k, ·)``
+    float64 buffer receives the masses through ``out=`` ufunc calls
+    and is cumulated in place along axis 0.  Each class pick is then a
+    column sum of one comparison, and each event's ±1 pair is two
+    one-hot updates of the count block.  Every array spans exactly the
+    active rows: when rows retire, the copy writes them back to the
+    engine arrays and compacts once, instead of gathering by ``act``
+    on every iteration.  The rows still active are written back in a
+    ``finally`` (so an exception leaves the counts consistent with
+    ``times`` and ``pending``) and before every ``tap`` call, since
+    taps read the engine arrays.
+
+    Bit identity.  Trajectories are fixed functions of the seed
+    (``tests/unit/test_event_loop_digest.py`` pins them), which
+    constrains three choices:
+
+    * the gap and the event uniforms are two ``take`` calls, in that
+      order: one pooled take would refill a row's pool earlier and,
+      once an intervention clears ``pending``, discard its partial
+      pool at a different point;
+    * the masses are rebuilt from the counts on every iteration —
+      ``a_i * total_dark`` and ``float(A_i (A_i - 1)) * lighten_i``,
+      whose integer products stay below 2**53, so rebuilding gives the
+      same floats as updating only the term an event changed — and
+      cumulated by a sequential sum in class order; keeping the
+      cumulative sum up to date incrementally would round differently;
+    * a class pick counts the cumulative masses at or below its
+      threshold, which is the index of the first strict exceedance
+      because cumulative masses never decrease.
 
     ``tap(rows)`` — if given — is called after each batch of applied
     events with the absolute indices of the rows that just changed
@@ -557,100 +596,194 @@ def advance_event_driven(
     the CPU on every backend).
     """
     xp = backend.xp
-    row_lighten = lighten.ndim == 2
-    total_dark = dark.sum(axis=1)
-    terms = (dark * (dark - 1)).astype(FLOAT64) * lighten
-    # Index array of rows still short of the horizon; rows retire when
-    # they are absorbed or their next jump overshoots.
     act = xp.flatnonzero(times < horizon)
-    while act.size:
-        # Row-wise cumulative masses over 3k classes: the first 2k
-        # (adopt per light colour, scaled by the dark total, then the
-        # lighten terms) form the active-event distribution — their
-        # running total at column 2k-1 *is* the event rate — and the
-        # last k hold the dark counts for the partner pick.
-        td = total_dark[act]
-        cum = xp.cumsum(
-            xp.concatenate(
-                [light[act] * td[:, None], terms[act], dark[act]],
-                axis=1,
-            ),
-            axis=1,
-        )
-        rate = cum[:, 2 * k - 1]
-        # Rows with no active events left (single colour, all dark,
-        # w = 1 edge cases) coast to the horizon.  An absorbed row can
-        # hold no pending arrival: rates only change through events and
-        # interventions, and interventions clear ``pending``.
-        alive = rate > 0.0
-        if not alive.all():
-            dead = act[~alive]
-            times[dead] = horizon[dead]
-            act, cum, rate = act[alive], cum[alive], rate[alive]
-            td = td[alive]
-            if act.size == 0:
-                break
-        # Rows without a carried-over arrival draw a fresh gap from
-        # their own substream; held rows reuse their stored arrival
-        # without consuming any draws.
-        fresh = pending[act] < 0
-        if fresh.any():
-            rows_f = act[fresh]
-            u_gap = backend.from_host(
-                streams.take(backend.to_numpy(rows_f), 1)
-            )[:, 0]
-            p = xp.minimum(rate[fresh] / denom[rows_f], 1.0)
-            pending[rows_f] = times[rows_f] + geometric_from_uniform(
-                u_gap, p, xp=xp
+    if act.size == 0:
+        return
+    rows = _ActiveRows.gather(
+        act, times, horizon, dark, light, lighten, denom, k, xp
+    )
+    # Count-block row of every class: dark colours, then light colours.
+    classes = xp.arange(2 * k)[:, None]
+    carried = True
+    try:
+        while rows.size:
+            r = rows
+            # Cumulative masses over 3k classes: the first 2k (adopt per
+            # light colour, scaled by the dark total, then the lighten
+            # terms) form the active-event distribution — their running
+            # total at class 2k-1 *is* the event rate — and the last k
+            # hold the dark counts for the partner pick.
+            xp.multiply(r.light, r.total_dark, out=r.adopt)
+            xp.multiply(r.dark, r.dark - 1, out=r.terms)
+            xp.multiply(r.terms, r.lighten, out=r.terms)
+            r.partner[...] = r.dark
+            r.mass.cumsum(axis=0, out=r.mass)
+            # Rows with no active events left (single colour, all dark,
+            # w = 1 edge cases) coast to the horizon.  An absorbed row
+            # can hold no pending arrival: rates only change through
+            # events and interventions, and interventions clear
+            # ``pending``.
+            if xp.count_nonzero(r.rate) < r.size:
+                rows = r = r.retire(r.rate > 0.0, times, dark, light)
+                if not r.size:
+                    break
+            # Rows without a carried-over arrival draw a fresh gap from
+            # their own substream; held rows reuse their stored arrival
+            # without consuming any draws.
+            if carried:
+                carried = False
+                arrival = pending[r.act]
+                fresh = arrival < 0
+                if xp.count_nonzero(fresh):
+                    arrival[fresh] = r.clock[fresh] + _gaps(
+                        streams, r.act[fresh], r.rate[fresh],
+                        r.denom[fresh], backend,
+                    )
+                pending[r.act] = -1
+            else:
+                arrival = r.clock + _gaps(
+                    streams, r.act, r.rate, r.denom, backend
+                )
+            # A jump past the horizon means the remaining steps are
+            # no-ops: stop that row at the horizon and keep the arrival
+            # pending for the next call (memorylessness makes keeping
+            # and redrawing equal in distribution; keeping is also
+            # split-invariant bit-for-bit).  The event uniforms are only
+            # drawn on consumption, so nothing else is buffered.
+            reach = arrival >= r.horizon
+            landing = xp.count_nonzero(reach)
+            if landing:
+                over = arrival > r.horizon
+                overshoot = xp.count_nonzero(over)
+                if overshoot:
+                    pending[r.act[over]] = arrival[over]
+                    keep = ~over
+                    rows = r = r.retire(keep, times, dark, light)
+                    if not r.size:
+                        break
+                    arrival, reach = arrival[keep], reach[keep]
+                    landing -= overshoot
+            r.clock = arrival
+            # One active event per remaining row; two uniforms per row
+            # (fused type/colour pick, then the dark-partner pick, which
+            # lighten events simply discard).  Each pick is the count of
+            # cumulative masses at or below its threshold.
+            u = backend.from_host(streams.take(backend.to_numpy(r.act), 2))
+            cls = (r.event <= _below(u[:, 0] * r.rate, r.rate, xp)).sum(
+                axis=0
             )
-        arrival = pending[act]
-        # A jump past the horizon means the remaining steps are no-ops:
-        # stop that row at the horizon and keep the arrival pending for
-        # the next call (memorylessness makes keeping and redrawing
-        # equal in distribution; keeping is also split-invariant
-        # bit-for-bit).  The event uniforms are only drawn on
-        # consumption, so nothing else is buffered.
-        over = arrival > horizon[act]
-        if over.any():
-            done = act[over]
-            times[done] = horizon[done]
-            keep = ~over
-            act, cum, td, arrival = (
-                act[keep], cum[keep], td[keep], arrival[keep]
-            )
-            if act.size == 0:
-                break
-        times[act] = arrival
-        pending[act] = -1
-        # One active event per remaining row; two uniforms per row
-        # (fused type/colour pick, then the dark-partner pick, which
-        # lighten events simply discard).
-        u = backend.from_host(streams.take(backend.to_numpy(act), 2)).T
-        event_pick = _below(u[0] * cum[:, 2 * k - 1], cum[:, 2 * k - 1], xp)
-        cls = xp.argmax(cum[:, : 2 * k] > event_pick[:, None], axis=1)
-        adopt = cls < k
-        # Adopt moves light i -> dark j; lighten moves dark i ->
-        # light i — one ±1 delta pair per event.  The partner pick
-        # thresholds inside the third block of the shared cumsum.
-        light_col = xp.where(adopt, cls, cls - k)
-        partner_pick = _below(
-            cum[:, 2 * k - 1] + u[1] * td, cum[:, 3 * k - 1], xp
+            partner = u[:, 1] * r.total_dark
+            partner += r.rate
+            j = (r.partner <= _below(partner, r.total, xp)).sum(axis=0)
+            # Adopt moves light i -> dark j; lighten moves dark i ->
+            # light i: the source class loses one agent, the destination
+            # class gains it.
+            adopt = cls < k
+            step = xp.where(adopt, 1, -1)
+            r.counts -= classes == cls + k * step
+            r.counts += classes == xp.where(adopt, j, cls)
+            r.total_dark += step
+            if tap is not None:
+                r.store(times, dark, light)
+                tap(r.act)
+            if landing:
+                rows = r.retire(~reach, times, dark, light)
+    finally:
+        rows.store(times, dark, light)
+
+
+class _ActiveRows:
+    """The event loop's colour-major working copy of its active rows.
+
+    Column ``c`` holds engine row ``act[c]``: ``counts`` is a contiguous
+    ``(2k, ·)`` int64 block, dark counts (``dark``) over light counts
+    (``light``), and ``mass`` the ``(3k, ·)`` float64 buffer the
+    cumulative event masses are built in, whose blocks and rows the
+    remaining array attributes view.  ``lighten`` is ``(k, ·)`` for
+    per-row tables and ``(k, 1)`` for a shared one.
+    """
+
+    __slots__ = (
+        "act", "size", "counts", "dark", "light", "total_dark", "clock",
+        "horizon", "denom", "lighten", "mass", "adopt", "terms",
+        "partner", "event", "rate", "total",
+    )
+
+    def __init__(
+        self, act, counts, total_dark, clock, horizon, denom, lighten, mass
+    ):
+        k = counts.shape[0] // 2
+        self.act = act
+        self.size = act.shape[0]
+        self.counts = counts
+        self.dark = counts[:k]
+        self.light = counts[k:]
+        self.total_dark = total_dark
+        self.clock = clock
+        self.horizon = horizon
+        self.denom = denom
+        self.lighten = lighten
+        self.mass = mass
+        self.adopt = mass[:k]
+        self.terms = mass[k : 2 * k]
+        self.partner = mass[2 * k :]
+        self.event = mass[: 2 * k]
+        self.rate = mass[2 * k - 1]
+        self.total = mass[3 * k - 1]
+
+    @classmethod
+    def gather(cls, act, times, horizon, dark, light, lighten, denom, k, xp):
+        """Copy the engine rows ``act`` into a fresh working set."""
+        size = act.shape[0]
+        counts = xp.empty((2 * k, size), dtype=INT64)
+        counts[:k] = dark[act].T
+        counts[k:] = light[act].T
+        return cls(
+            act,
+            counts,
+            counts[:k].sum(axis=0),
+            times[act],
+            horizon[act],
+            denom[act],
+            lighten[act].T.copy() if lighten.ndim == 2 else lighten[:, None],
+            xp.empty((3 * k, size), dtype=FLOAT64),
         )
-        j = xp.argmax(cum[:, 2 * k:] > partner_pick[:, None], axis=1)
-        dark_col = xp.where(adopt, j, light_col)
-        delta = xp.where(adopt, -1, 1)
-        light[act, light_col] += delta
-        dark[act, dark_col] -= delta
-        total_dark[act] -= delta
-        d = dark[act, dark_col].astype(FLOAT64)
-        terms[act, dark_col] = d * (d - 1.0) * (
-            lighten[act, dark_col] if row_lighten else lighten[dark_col]
+
+    def retire(self, keep, times, dark, light) -> "_ActiveRows":
+        """Write the rows outside the ``keep`` mask back, their clocks
+        at their horizons, and return the working set of the rest."""
+        gone = ~keep
+        rows = self.act[gone]
+        times[rows] = self.horizon[gone]
+        dark[rows] = self.dark[:, gone].T
+        light[rows] = self.light[:, gone].T
+        lighten = self.lighten
+        if lighten.shape[1] == self.size:  # per-row tables
+            lighten = lighten[:, keep]
+        return _ActiveRows(
+            self.act[keep],
+            self.counts[:, keep],
+            self.total_dark[keep],
+            self.clock[keep],
+            self.horizon[keep],
+            self.denom[keep],
+            lighten,
+            self.mass[:, keep],
         )
-        if tap is not None:
-            tap(act)
-        finished = arrival >= horizon[act]
-        if finished.any():
-            act = act[~finished]
+
+    def store(self, times, dark, light) -> None:
+        """Write every row's clock and counts back to the engine."""
+        times[self.act] = self.clock
+        dark[self.act] = self.dark.T
+        light[self.act] = self.light.T
+
+
+def _gaps(streams: RowStreams, rows, rate, denom, backend: Backend):
+    """Steps to each row's next active event, ``Geometric(rate /
+    denom)``, from one fresh uniform of the row's own stream."""
+    xp = backend.xp
+    u = backend.from_host(streams.take(backend.to_numpy(rows), 1))[:, 0]
+    return geometric_from_uniform(u, xp.minimum(rate / denom, 1.0), xp=xp)
 
 
 def _pick_rows(masses, uniforms, xp=None):

@@ -130,6 +130,18 @@ def as_array(value, dtype):
     return np.array(value, dtype=dtype)
 
 
+def as_row_vector(value, dtype, rows: int, name: str):
+    """:func:`as_array` for a per-row field, which must have shape
+    ``(rows,)``: broadcasting would otherwise let a truncated vector
+    restore without complaint and corrupt the next run."""
+    array = as_array(value, dtype)
+    if array.shape != (rows,):
+        raise ValueError(
+            f"checkpoint {name} has shape {array.shape}, expected ({rows},)"
+        )
+    return array
+
+
 def as_int(value) -> int:
     return int(value)
 

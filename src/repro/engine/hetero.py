@@ -545,19 +545,22 @@ class HeterogeneousAggregateBatch:
             raise ValueError(
                 f"checkpoint matrices disagree on shape: {shapes}"
             )
+        times = ckpt.as_row_vector(data["times"], INT64, rows, "times")
+        pending = ckpt.as_row_vector(data["pending"], INT64, rows, "pending")
+        n = ckpt.as_row_vector(data["n"], INT64, rows, "n")
+        self._streams.restore(data["streams"])
         self._weights = bk.from_host(weights)
         self._ks = bk.from_host(ks)
         self._state = bk.from_host(HOST.xp.concatenate([dark, light], axis=1))
         self._dark = self._state[:, :k_max]
         self._light = self._state[:, k_max:]
         self._lighten = bk.from_host(lighten)
-        self._times = bk.from_host(ckpt.as_array(data["times"], INT64))
-        self._pending = bk.from_host(ckpt.as_array(data["pending"], INT64))
-        self._n = bk.from_host(ckpt.as_array(data["n"], INT64))
+        self._times = bk.from_host(times)
+        self._pending = bk.from_host(pending)
+        self._n = bk.from_host(n)
         self._denom = self._n.astype(FLOAT64) * (
             self._n - 1
         ).astype(FLOAT64)
-        self._streams.restore(data["streams"])
         ckpt.set_rng_state(self.rng, data["rng"])
         return self
 

@@ -22,7 +22,19 @@ per ``block`` draws.
 The pool, cursors and per-row bit-generator states round-trip through
 :meth:`RowStreams.snapshot`/:meth:`RowStreams.restore` as plain arrays
 (no pickling), so engine checkpoints capture buffered-but-unconsumed
-uniforms exactly.
+uniforms exactly.  ``restore`` rejects cursors outside ``[0, block]``.
+
+The event loop calls :meth:`RowStreams.take` twice and
+:func:`geometric_from_uniform` once per iteration, so both keep their
+NumPy call count low.  ``take`` tests for refills with one max-reduce
+over the selected cursors and reads the draws through a flat view of
+the pool (row ``r``'s cursor ``c`` is element ``r * block + c``) in one
+gather; ``geometric_from_uniform`` skips its mask when every
+``p < 1``.  Neither changes a draw: a row still refills exactly when
+its pool cannot serve the request, whatever other rows share the
+call.  The loop keeps its gap and event draws in two separate
+``take`` calls for the same reason (see
+:func:`repro.engine.batched.advance_event_driven`).
 
 Streams are host-resident on every backend: the per-row PCG64 states
 *are* the split-invariance contract, so draws happen on the CPU and
@@ -59,13 +71,20 @@ def geometric_from_uniform(uniforms, p, xp=None):
         xp = np
     p = xp.asarray(p, dtype=FLOAT64)
     uniforms = xp.asarray(uniforms, dtype=FLOAT64)
-    out = xp.ones(p.shape, dtype=INT64)
     rest = p < 1.0
-    gaps = 1.0 + xp.floor(
-        xp.log1p(-uniforms[rest]) / xp.log1p(-p[rest])
-    )
-    out[rest] = xp.minimum(gaps, float(2**62)).astype(INT64)
+    if xp.count_nonzero(rest) == rest.size:
+        # Every p < 1 (the event loop's case): the same arithmetic on
+        # the whole arrays, without the masked gather and scatter.
+        return _jumps(uniforms, p, xp)
+    out = xp.ones(p.shape, dtype=INT64)
+    out[rest] = _jumps(uniforms[rest], p[rest], xp)
     return out
+
+
+def _jumps(uniforms, p, xp):
+    """``1 + floor(log1p(-U) / log1p(-p))`` for ``p < 1``, clamped."""
+    gaps = 1.0 + xp.floor(xp.log1p(-uniforms) / xp.log1p(-p))
+    return xp.minimum(gaps, float(2**62)).astype(INT64)
 
 
 class RowStreams:
@@ -79,6 +98,9 @@ class RowStreams:
             raise ValueError("block must hold at least one event's draws")
         self._block = int(block)
         self._pool = np.zeros((len(self._gens), self._block), dtype=FLOAT64)
+        # Row r's pool is _flat[r * block : (r + 1) * block]; refills and
+        # restore() write the pool in place, so the view stays valid.
+        self._flat = self._pool.reshape(-1)
         # Cursors start exhausted; the first take() refills on demand.
         self._pos = np.full(len(self._gens), self._block, dtype=INT64)
 
@@ -126,19 +148,24 @@ class RowStreams:
         point is a pure function of the row's own take sequence).
 
         Both the index argument and the returned block are host arrays;
-        device engines convert at the call site.
+        device engines convert at the call site.  The block is a
+        transposed view, so each of its columns is contiguous.
         """
         rows = np.asarray(rows, dtype=INT64)
-        exhausted = self._pos[rows] + m > self._block
-        if exhausted.any():
-            for row in rows[exhausted]:
+        pos = self._pos[rows]
+        end = pos + m
+        if rows.size and end.max() > self._block:
+            for row in rows[end > self._block]:
                 row = int(row)
                 self._pool[row] = self._gens[row].random(self._block)
                 self._pos[row] = 0
-        base = self._pos[rows]
-        out = self._pool[rows[:, None], base[:, None] + np.arange(m)]
-        self._pos[rows] = base + m
-        return out
+            pos = self._pos[rows]
+            end = pos + m
+        self._pos[rows] = end
+        # Gathered draw-major, an (m, len(rows)) block, and returned
+        # transposed: each column of the result is one contiguous row.
+        start = rows * self._block + pos
+        return self._flat[start + np.arange(m)[:, None]].T
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -185,6 +212,17 @@ class RowStreams:
             raise ValueError(
                 f"stream pool shape {pool.shape} does not match "
                 f"({self.rows}, {self._block})"
+            )
+        # take() reads row r's draws at r * block + cursor, so a cursor
+        # outside [0, block] would serve another row's draws.
+        if pos.shape != (self.rows,):
+            raise ValueError(
+                f"stream cursors have shape {pos.shape}, expected "
+                f"({self.rows},)"
+            )
+        if pos.min() < 0 or pos.max() > self._block:
+            raise ValueError(
+                f"stream cursors must lie in [0, {self._block}]"
             )
         self._pool[...] = pool
         self._pos[...] = pos

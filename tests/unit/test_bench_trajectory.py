@@ -200,6 +200,65 @@ class TestCompare:
         assert len(doc["entries"]) == 2
 
 
+def perfbench_result(workload, seed, trace, metrics):
+    """A ``repro-perfbench/v1`` result file's fields that matter here."""
+    return {
+        "format": "repro-perfbench/v1",
+        "workload": workload,
+        "seed": seed,
+        "trace": trace,
+        "machine": {"cpu_count": 2, "platform": "Linux-x86_64"},
+        "metrics": {
+            name: {"value": value, "unit": "s"}
+            for name, value in metrics.items()
+        },
+    }
+
+
+class TestPerfbench:
+    def write_results(self, results):
+        (results / "perfbench-replicas.json").write_text(json.dumps(
+            perfbench_result("replicas", 3, 0,
+                             {"wall_s": 1.0, "interactions_per_s": 3e6})
+        ))
+        # Traced runs hold per-layer metrics only: never indexed.
+        (results / "perfbench-replicas-traced.json").write_text(json.dumps(
+            perfbench_result("replicas", 3, 1, {"engine.batched.self_s": 0.5})
+        ))
+        (results / "e13_batched_timing.json").write_text(
+            json.dumps({"speedup": 6.0, "target_speedup": 5.0})
+        )
+
+    def test_untraced_results_are_indexed_by_workload(
+        self, collect_module, tmp_path
+    ):
+        self.write_results(tmp_path)
+        summary = collect_module.collect(tmp_path)
+        assert summary["perfbench"] == {
+            "replicas": {
+                "seed": 3,
+                "machine": {"cpu_count": 2, "platform": "Linux-x86_64"},
+                "metrics": {"interactions_per_s": 3e6, "wall_s": 1.0},
+            }
+        }
+        assert list(summary["speedups"]) == ["e13_batched_timing"]
+
+    def test_trajectory_entry_carries_perfbench_next_to_speedups(
+        self, collect_module, tmp_path, capsys
+    ):
+        results = tmp_path / "results"
+        results.mkdir()
+        self.write_results(results)
+        traj = tmp_path / "traj.json"
+        assert collect_module.main(
+            [str(results), "--trajectory", str(traj), "--label", "x"]
+        ) == 0
+        (entry,) = collect_module.load_trajectory(traj)["entries"]
+        assert entry["speedups"]["e13_batched_timing"]["speedup"] == 6.0
+        assert entry["perfbench"]["replicas"]["metrics"]["wall_s"] == 1.0
+        assert "perfbench replicas (seed 3)" in capsys.readouterr().out
+
+
 class TestCacheCounters:
     def test_collect_indexes_cache_counters(self, collect_module, tmp_path):
         (tmp_path / "e19_cache_timing.json").write_text(
