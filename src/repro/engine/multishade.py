@@ -20,6 +20,32 @@ steps are skipped in geometrically-distributed jumps, which keeps the
 simulation exact in distribution.  Analysing this protocol is an open
 problem of the paper (Sec 3); this engine makes the empirical study
 (experiment E9) feasible at large ``n``.
+
+Incremental totals
+------------------
+The event rates only need four integer totals: ``Z``, the positive
+counts ``P_i`` with their sum ``P``, and the decrement total
+``D = Σ_i P_i (P_i − 1)`` (the sum of every decrement rate; colours with
+``P_i < 2`` contribute 0).  Each ``run``/``step`` call rebuilds them
+from the shade table once, and every event updates them in O(1): an
+adopt into colour ``j`` does ``Z -= 1, P_j += 1`` and adds ``2 P_j`` (the
+old ``P_j``) to ``D``; a decrement at shade 1 of colour ``i`` does
+``P_i -= 1, Z += 1`` and subtracts ``2 (P_i − 1)``; a decrement at a
+higher shade changes no total.  The totals live in the call, not on the
+engine, so the checkpoint payload is the shade table alone.
+
+Draw-order contract
+-------------------
+For a fixed seed the trajectory is a fixed function of the generator.
+``run`` draws each gap as ``geometric(min((Z·P + D) / (n (n − 1)),
+1.0))``; ``step`` draws one uniform per step against that probability.
+Each event then draws one uniform scaled by ``float(Z·P + D)`` to pick
+its type and, for an adopt, one uniform per :func:`_pick`, over the
+zero-shade counts and then over the positive counts.  Every rate is an
+exact integer below 2**53, so the float arguments and each comparison
+of a uniform against a partial sum are exact, and any split of a
+horizon into ``run`` calls replays the same draws
+(``tests/unit/test_scalar_loop_digest.py`` pins them).
 """
 
 from __future__ import annotations
@@ -111,43 +137,16 @@ class MultiShadeAggregate:
     # ------------------------------------------------------------------
     # Dynamics
 
-    def _rates(self):
-        """Per-event unnormalised rates (scaled by n(n-1)).
-
-        Returns (decrement_terms, positive_totals, adopt_total,
-        decrement_total) where decrement_terms[i][s] is the rate of the
-        decrement event at (colour i, shade s).
-        """
-        positive = [sum(row[1:]) for row in self._shades]
-        zero_total = sum(row[0] for row in self._shades)
-        decrement_terms: list[list[float]] = []
-        decrement_total = 0.0
-        for colour, row in enumerate(self._shades):
-            partner = positive[colour] - 1
-            terms = [0.0] * len(row)
-            if partner > 0:
-                for shade in range(1, len(row)):
-                    rate = row[shade] * partner
-                    terms[shade] = rate
-                    decrement_total += rate
-            decrement_terms.append(terms)
-        adopt_total = zero_total * sum(positive)
-        return decrement_terms, positive, adopt_total, decrement_total
-
     def step(self) -> bool:
         """One faithful time-step; True if the configuration changed."""
         self._pending = None  # per-step mode re-examines every step
         self.time += 1
-        decrement_terms, positive, adopt_total, decrement_total = (
-            self._rates()
-        )
-        denom = self.n * (self.n - 1)
-        p_active = (adopt_total + decrement_total) / denom
-        if self.rng.random() >= p_active:
+        shades = self._shades
+        positive, zero, total, decrement = _totals(shades)
+        n = zero + total
+        if self.rng.random() >= (zero * total + decrement) / (n * (n - 1)):
             return False
-        self._apply_event(
-            decrement_terms, positive, adopt_total, decrement_total
-        )
+        _apply_event(shades, positive, zero, total, decrement, self.rng)
         return True
 
     def run(self, steps: int) -> "MultiShadeAggregate":
@@ -160,28 +159,28 @@ class MultiShadeAggregate:
         """
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        horizon = self.time + steps
+        time, pending = self.time, self._pending
+        horizon = time + steps
+        shades = self._shades
+        positive, zero, total, decrement = _totals(shades)
+        n = zero + total
+        pairs = n * (n - 1)
         rng = self.rng
-        while self.time < horizon:
-            decrement_terms, positive, adopt_total, decrement_total = (
-                self._rates()
-            )
-            denom = self.n * (self.n - 1)
-            p_active = (adopt_total + decrement_total) / denom
-            if p_active <= 0.0:
-                self.time = horizon
+        while time < horizon:
+            rate = zero * total + decrement
+            if not rate:
+                time = horizon
                 break
-            if self._pending is None:
-                gap = int(rng.geometric(min(p_active, 1.0)))
-                self._pending = self.time + gap
-            if self._pending > horizon:
-                self.time = horizon
+            if pending is None:
+                pending = time + int(rng.geometric(min(rate / pairs, 1.0)))
+            if pending > horizon:
+                time = horizon
                 break
-            self.time = self._pending
-            self._pending = None
-            self._apply_event(
-                decrement_terms, positive, adopt_total, decrement_total
+            time, pending = pending, None
+            zero, total, decrement = _apply_event(
+                shades, positive, zero, total, decrement, rng
             )
+        self.time, self._pending = time, pending
         return self
 
     # ------------------------------------------------------------------
@@ -208,71 +207,132 @@ class MultiShadeAggregate:
         )
 
     def restore(self, data: dict) -> "MultiShadeAggregate":
-        """Restore a :meth:`snapshot` payload in place."""
+        """Restore a :meth:`snapshot` payload in place.
+
+        Raises:
+            ValueError: if the shade table does not match the weights,
+                holds a negative count or fewer than two agents, the
+                clock is negative, or the pending arrival is neither
+                ``-1`` (none) nor later than the clock.
+        """
         ckpt.check(data, "MultiShadeAggregate")
         ckpt.restore_weight_table(self.weights, data["weights"])
         flat = ckpt.as_array(data["shades"], INT64)
         offsets = ckpt.as_array(data["offsets"], INT64)
         if offsets.shape != (self.weights.k + 1,):
             raise ValueError("shade offsets do not match the colour count")
-        self._shades = [
+        shades = [
             [int(c) for c in flat[offsets[i]:offsets[i + 1]]]
             for i in range(self.weights.k)
         ]
-        for colour, row in enumerate(self._shades):
+        for colour, row in enumerate(shades):
             if len(row) != int(self.weights.weight(colour)) + 1:
                 raise ValueError(
                     f"colour {colour} shade row length {len(row)} does "
                     f"not match weight {self.weights.weight(colour)}"
                 )
-        self.time = ckpt.as_int(data["time"])
+        if any(count < 0 for row in shades for count in row):
+            raise ValueError("checkpoint shade counts must be non-negative")
+        if sum(sum(row) for row in shades) < 2:
+            raise ValueError("checkpoint holds fewer than two agents")
+        time = ckpt.as_int(data["time"])
+        if time < 0:
+            raise ValueError(f"checkpoint time {time} is negative")
         pending = ckpt.as_int(data["pending"])
-        self._pending = None if pending < 0 else pending
+        if pending != -1 and pending <= time:
+            raise ValueError(
+                f"checkpoint pending arrival {pending} is neither -1 nor "
+                f"after time {time}"
+            )
+        self._shades = shades
+        self.time = time
+        self._pending = None if pending == -1 else pending
         ckpt.set_rng_state(self.rng, data["rng"])
         return self
-
-    def _apply_event(
-        self, decrement_terms, positive, adopt_total, decrement_total
-    ) -> None:
-        rng = self.rng
-        pick = rng.random() * (adopt_total + decrement_total)
-        if pick < adopt_total:
-            # Adopt: a shade-0 agent (colour i ∝ Z_i) joins colour j
-            # (∝ P_j) at full shade.
-            zeros = [row[0] for row in self._shades]
-            source = _pick(zeros, rng)
-            target = _pick(positive, rng)
-            self._shades[source][0] -= 1
-            full = int(self.weights.weight(target))
-            self._shades[target][full] += 1
-        else:
-            # Decrement: pick (colour, shade) ∝ term.
-            pick -= adopt_total
-            acc = 0.0
-            for colour, terms in enumerate(decrement_terms):
-                for shade in range(1, len(terms)):
-                    acc += terms[shade]
-                    if pick < acc:
-                        self._shades[colour][shade] -= 1
-                        self._shades[colour][shade - 1] += 1
-                        return
-            # Numerical edge: apply to the last positive term.
-            for colour in reversed(range(self.k)):
-                terms = decrement_terms[colour]
-                for shade in reversed(range(1, len(terms))):
-                    if terms[shade] > 0:
-                        self._shades[colour][shade] -= 1
-                        self._shades[colour][shade - 1] += 1
-                        return
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MultiShadeAggregate(n={self.n}, k={self.k}, t={self.time})"
 
 
-def _pick(masses: Sequence[float], rng: Generator) -> int:
-    total = float(sum(masses))
-    pick = rng.random() * total
-    acc = 0.0
+def _totals(shades: list[list[int]]) -> tuple[list[int], int, int, int]:
+    """``(P_i per colour, Z, P, D)`` of a shade table (see the module
+    docstring)."""
+    positive = [sum(row[1:]) for row in shades]
+    zero = sum(row[0] for row in shades)
+    decrement = sum(count * (count - 1) for count in positive)
+    return positive, zero, sum(positive), decrement
+
+
+def _apply_event(
+    shades: list[list[int]],
+    positive: list[int],
+    zero: int,
+    total: int,
+    decrement: int,
+    rng: Generator,
+) -> tuple[int, int, int]:
+    """Draw and apply one active event; returns the updated
+    ``(Z, P, D)``.  ``shades`` and ``positive`` are updated in place."""
+    adopt = zero * total
+    pick = rng.random() * float(adopt + decrement)
+    if pick < adopt:
+        # Adopt: a shade-0 agent (colour i ∝ Z_i) joins colour j (∝ P_j)
+        # at full shade.
+        source = _pick([row[0] for row in shades], zero, rng)
+        target = _pick(positive, total, rng)
+        shades[source][0] -= 1
+        shades[target][-1] += 1
+        old = positive[target]
+        positive[target] = old + 1
+        return zero - 1, total + 1, decrement + 2 * old
+    # Decrement: pick (colour, shade) ∝ S_i[s] (P_i − 1).
+    pick -= adopt
+    acc = 0
+    for colour, row in enumerate(shades):
+        partner = positive[colour] - 1
+        if partner > 0:
+            for shade in range(1, len(row)):
+                acc += row[shade] * partner
+                if pick < acc:
+                    return _decrement(
+                        shades, positive, colour, shade,
+                        zero, total, decrement,
+                    )
+    # Numerical edge: apply to the last positive term.
+    colour = max(i for i, count in enumerate(positive) if count > 1)
+    row = shades[colour]
+    shade = max(s for s in range(1, len(row)) if row[s] > 0)
+    return _decrement(
+        shades, positive, colour, shade, zero, total, decrement
+    )
+
+
+def _decrement(
+    shades: list[list[int]],
+    positive: list[int],
+    colour: int,
+    shade: int,
+    zero: int,
+    total: int,
+    decrement: int,
+) -> tuple[int, int, int]:
+    """Move one agent of ``colour`` down from ``shade``; returns the
+    updated ``(Z, P, D)``."""
+    row = shades[colour]
+    row[shade] -= 1
+    row[shade - 1] += 1
+    if shade > 1:
+        return zero, total, decrement
+    old = positive[colour]
+    positive[colour] = old - 1
+    return zero + 1, total - 1, decrement - 2 * (old - 1)
+
+
+def _pick(masses: Sequence[int], total: int, rng: Generator) -> int:
+    """Index drawn with probability ``masses[i] / total``, where
+    ``total`` is the (positive) sum of the integer ``masses``."""
+    pick = rng.random() * float(total)
+    acc = 0
     for index, mass in enumerate(masses):
         acc += mass
         if pick < acc:

@@ -1,11 +1,16 @@
 """Mutable population container with incremental count maintenance.
 
-The container stores one :class:`~repro.core.state.AgentState` per agent
-(as parallel colour/shade lists for speed) and maintains the aggregate
-statistics the analysis needs — per-colour totals ``C_i``, dark counts
-``A_i`` (shade > 0) and light counts ``a_i`` (shade == 0) — updated in
-O(1) per state change.  Agents may be *added* at run time (the paper's
-adversary model); they are never removed.
+The container stores one immutable :class:`~repro.core.state.AgentState`
+per agent, mirrored in parallel colour/shade lists for the bulk views,
+and maintains the aggregate statistics the analysis needs — per-colour
+totals ``C_i``, dark counts ``A_i`` (shade > 0) and light counts ``a_i``
+(shade == 0) — updated in O(1) per state change.  Agents may be *added*
+at run time (the paper's adversary model); they are never removed.
+
+:meth:`Population.state_of` hands out the stored value itself, never a
+fresh object, so the agent-level loop reads states without allocating:
+states are immutable, and agents restored from plain colour/shade
+arrays share one value per ``(colour, shade)``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ class Population:
         states = list(states)
         if not states:
             raise ValueError("population must contain at least one agent")
+        self._states: list[AgentState] = states
         self._colours: list[int] = [s.colour for s in states]
         self._shades: list[int] = [s.shade for s in states]
         observed_k = max(self._colours) + 1
@@ -69,8 +75,8 @@ class Population:
         return self._k
 
     def state_of(self, agent: int) -> AgentState:
-        """Current state of one agent."""
-        return AgentState(self._colours[agent], self._shades[agent])
+        """Current (immutable, shared) state of one agent."""
+        return self._states[agent]
 
     def colour_of(self, agent: int) -> int:
         """Current colour of one agent."""
@@ -82,9 +88,7 @@ class Population:
 
     def states(self) -> list[AgentState]:
         """Snapshot of all agent states (new list)."""
-        return [
-            AgentState(c, s) for c, s in zip(self._colours, self._shades)
-        ]
+        return list(self._states)
 
     def colour_counts(self):
         """``C_i``: agents per colour, shape ``(k,)``."""
@@ -113,10 +117,9 @@ class Population:
         """Replace an agent's state; returns the previous state."""
         if new_state.colour >= self._k:
             self._grow_colours(new_state.colour + 1)
-        old_colour = self._colours[agent]
-        old_shade = self._shades[agent]
-        old = AgentState(old_colour, old_shade)
-        self._bump_counts(old_colour, old_shade, -1)
+        old = self._states[agent]
+        self._bump_counts(old.colour, old.shade, -1)
+        self._states[agent] = new_state
         self._colours[agent] = new_state.colour
         self._shades[agent] = new_state.shade
         self._bump_counts(new_state.colour, new_state.shade, +1)
@@ -126,6 +129,7 @@ class Population:
         """Append a new agent; returns its index."""
         if state.colour >= self._k:
             self._grow_colours(state.colour + 1)
+        self._states.append(state)
         self._colours.append(state.colour)
         self._shades.append(state.shade)
         self._bump_counts(state.colour, state.shade, +1)
@@ -154,6 +158,8 @@ class Population:
             raise ValueError(f"k={k} is inconsistent with the states")
         if any(c < 0 for c in colours) or any(s < 0 for s in shades):
             raise ValueError("colours and shades must be non-negative")
+        shared = {key: AgentState(*key) for key in set(zip(colours, shades))}
+        self._states = [shared[key] for key in zip(colours, shades)]
         self._colours = colours
         self._shades = shades
         self._k = k

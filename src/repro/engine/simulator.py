@@ -31,6 +31,24 @@ scheduler) past the executed horizon; the buffer is discarded whenever
 the population grows, so interventions that add agents re-anchor the
 stream.  For the *vectorised* agent-level engine with the same
 transition semantics see :mod:`repro.engine.array_engine`.
+
+Within a block the generator is called in a fixed order: on an explicit
+topology, the ``arity`` ``sample_neighbour`` draws of a step precede its
+transition's own draws (its coin, if any); on the complete graph the
+partners come from the buffer.  ``tests/unit/test_scalar_loop_digest.py``
+pins the resulting trajectories.
+
+The loop
+--------
+Each step does O(1) interpreter work and builds no state object of its
+own: the consumed slice of the buffer is converted to Python lists once,
+and
+:meth:`~repro.engine.population.Population.state_of` returns the stored
+immutable :class:`~repro.core.state.AgentState` of an agent.  A
+transition that changes nothing returns its input state, so the loop
+tests ``new is old`` before the structural ``new == old``.  The clock
+and change counter are written back before each ``on_change`` (the
+observers read them) and at the end of each slice.
 """
 
 from __future__ import annotations
@@ -38,7 +56,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ..core.protocol import Protocol
-from ..core.state import AgentState
 from ..core.weights import WeightTable
 from . import checkpoint as ckpt
 from .backend import HOST, INT64, Generator
@@ -50,16 +67,6 @@ from .scheduler import Scheduler, UniformScheduler
 np = HOST.xp  # host namespace: the agent-level loop is scalar/CPU
 
 _BLOCK = 4096
-
-
-def _partner_index(draw: int, u: int) -> int:
-    """Map a draw from ``[0, n - 1)`` onto ``[0, n) \\ {u}``.
-
-    Sampling "one of the other n - 1 agents" draws from the smaller
-    range and shifts the indices at or above the initiator up by one,
-    which is uniform over the population minus ``u``.
-    """
-    return draw + 1 if draw >= u else draw
 
 
 class Simulation:
@@ -155,33 +162,50 @@ class Simulation:
     def _execute(self, steps: int) -> None:
         remaining = steps
         arity = self.protocol.arity
+        transition = self.protocol.transition
         population = self.population
+        state_of = population.state_of
+        set_state = population.set_state
+        observers = self.observers
+        rng = self.rng
         complete = self.topology is None
+        sample = None if complete else self.topology.sample_neighbour
         while remaining > 0:
             if self._buf_pos >= _BLOCK or self._buf_n != population.n:
                 self._refill(population.n, arity, complete)
-            take = min(remaining, _BLOCK - self._buf_pos)
             start = self._buf_pos
-            initiators = self._buf_initiators
-            partners = self._buf_partners
-            for index in range(start, start + take):
-                u = int(initiators[index])
+            stop = start + min(remaining, _BLOCK - start)
+            initiators = self._buf_initiators[start:stop].tolist()
+            partners = (
+                self._buf_partners[start:stop].tolist() if complete
+                else None
+            )
+            now = self.time
+            for offset, u in enumerate(initiators):
                 if complete:
-                    row = partners[index]
+                    # Partner draws lie in [0, n - 1): shifting those at
+                    # or above u up by one is uniform over the others.
                     sampled = [
-                        population.state_of(_partner_index(int(v), u))
-                        for v in row
+                        state_of(v + 1 if v >= u else v)
+                        for v in partners[offset]
                     ]
                 else:
                     sampled = [
-                        population.state_of(
-                            self.topology.sample_neighbour(u, self.rng)
-                        )
-                        for _ in range(arity)
+                        state_of(sample(u, rng)) for _ in range(arity)
                     ]
-                self._apply(u, sampled)
-            self._buf_pos += take
-            remaining -= take
+                now += 1
+                old = state_of(u)
+                new = transition(old, sampled, rng)
+                if new is old or new == old:
+                    continue
+                set_state(u, new)
+                self.time = now
+                self.changes += 1
+                for observer in observers:
+                    observer.on_change(self, u, old, new)
+            self.time = now
+            self._buf_pos = stop
+            remaining -= stop - start
 
     # ------------------------------------------------------------------
 
@@ -245,8 +269,39 @@ class Simulation:
         return ckpt.payload("Simulation", **fields)
 
     def restore(self, data: dict) -> "Simulation":
-        """Restore a :meth:`snapshot` payload in place."""
+        """Restore a :meth:`snapshot` payload in place.
+
+        Raises:
+            ValueError: if the buffer cursor lies outside
+                ``[0, _BLOCK]``, or a buffered block is not shaped
+                ``(_BLOCK,)`` (initiators) and ``(_BLOCK, arity)``
+                (partners, required on the complete graph); nothing is
+                restored then.
+        """
         ckpt.check(data, "Simulation")
+        buf_pos = ckpt.as_int(data["buf_pos"])
+        if not 0 <= buf_pos <= _BLOCK:
+            raise ValueError(
+                f"checkpoint buf_pos {buf_pos} is outside [0, {_BLOCK}]"
+            )
+        initiators = partners = None
+        if ckpt.as_int(data["buffered"]):
+            initiators = ckpt.as_row_vector(
+                data["buf_initiators"], INT64, _BLOCK, "buf_initiators"
+            )
+            if "buf_partners" in data:
+                partners = ckpt.as_array(data["buf_partners"], INT64)
+                expected = (_BLOCK, self.protocol.arity)
+                if partners.shape != expected:
+                    raise ValueError(
+                        f"checkpoint buf_partners has shape "
+                        f"{partners.shape}, expected {expected}"
+                    )
+            elif self.topology is None:
+                raise ValueError(
+                    "checkpoint lacks the buffered partner draws a "
+                    "complete-graph run needs"
+                )
         weights = getattr(self.protocol, "weights", None)
         if isinstance(weights, WeightTable) and "weights" in data:
             ckpt.restore_weight_table(weights, data["weights"])
@@ -257,35 +312,13 @@ class Simulation:
         )
         self.time = ckpt.as_int(data["time"])
         self.changes = ckpt.as_int(data["changes"])
-        if ckpt.as_int(data["buffered"]):
-            self._buf_initiators = ckpt.as_array(
-                data["buf_initiators"], INT64
-            )
-            self._buf_partners = (
-                ckpt.as_array(data["buf_partners"], INT64)
-                if "buf_partners" in data
-                else None
-            )
-        else:
-            self._buf_initiators = None
-            self._buf_partners = None
-        self._buf_pos = ckpt.as_int(data["buf_pos"])
+        self._buf_initiators = initiators
+        self._buf_partners = partners
+        self._buf_pos = buf_pos
         self._buf_n = ckpt.as_int(data["buf_n"])
         self.scheduler.load_state(data["scheduler"])
         ckpt.set_rng_state(self.rng, data["rng"])
         return self
-
-    def _apply(self, u: int, sampled: list[AgentState]) -> bool:
-        self.time += 1
-        old = self.population.state_of(u)
-        new = self.protocol.transition(old, sampled, self.rng)
-        if new == old:
-            return False
-        self.population.set_state(u, new)
-        self.changes += 1
-        for observer in self.observers:
-            observer.on_change(self, u, old, new)
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -28,7 +28,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.ablations import UnweightedLightening
 from ..core.diversification import Diversification
@@ -87,6 +86,10 @@ def summarise(
     values: Sequence[float], *, confidence: float = 0.95
 ) -> Summary:
     """Mean, deviation and a Student-t confidence interval."""
+    # Imported here: scipy.stats takes most of a second to load, and
+    # only this function needs it.
+    from scipy import stats
+
     data = np.asarray(list(values), dtype=np.float64)
     if data.size == 0:
         raise ValueError("cannot summarise an empty sample")

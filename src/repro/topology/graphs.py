@@ -3,18 +3,22 @@
 All graphs are stored as adjacency lists in a flat numpy layout
 (CSR-like) so neighbour sampling is two array reads plus one random
 draw.  Construction helpers lean on :mod:`networkx` for the non-trivial
-generators and then freeze the result.
+generators and then freeze the result; they import it themselves, so
+importing the package does not pay for loading networkx.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..engine.rng import make_rng
 from .base import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class AdjacencyTopology(Topology):
@@ -45,6 +49,8 @@ class AdjacencyTopology(Topology):
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "AdjacencyTopology":
         """Freeze a networkx graph (nodes must be 0..n-1)."""
+        import networkx as nx
+
         n = graph.number_of_nodes()
         if sorted(graph.nodes) != list(range(n)):
             graph = nx.convert_node_labels_to_integers(graph)
@@ -107,6 +113,8 @@ def random_regular(
     n: int, degree: int, seed: int | np.random.Generator | None = None
 ) -> AdjacencyTopology:
     """Connected random ``degree``-regular graph (expander-like)."""
+    import networkx as nx
+
     rng = make_rng(seed)
     for _ in range(64):
         graph = nx.random_regular_graph(
@@ -134,6 +142,8 @@ def stochastic_block_model(
     across communities with ``p_out < p_in``.  Resampled until
     connected.
     """
+    import networkx as nx
+
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ValueError("need 0 <= p_out < p_in <= 1")
     rng = make_rng(seed)
@@ -160,6 +170,8 @@ def erdos_renyi(
 ) -> AdjacencyTopology:
     """Connected Erdős–Rényi ``G(n, p)`` sample (resampled until
     connected; choose ``p`` comfortably above ``ln(n)/n``)."""
+    import networkx as nx
+
     rng = make_rng(seed)
     for _ in range(64):
         graph = nx.gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))

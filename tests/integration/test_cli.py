@@ -1,10 +1,32 @@
 """Integration tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def test_cli_import_leaves_heavy_dependencies_unloaded():
+    """``import repro.cli`` must not load scipy or networkx: only the
+    confidence interval and the sparse-graph constructors use them, and
+    loading them takes most of a second of every CLI start."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    script = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestParser:
