@@ -8,13 +8,16 @@ representative of a colour.  Interventions apply to every engine:
 * the agent-level :class:`~repro.engine.simulator.Simulation` (between
   ``run`` calls), via the per-agent :meth:`Intervention.apply_to_simulation`;
 * the count-API engines — the scalar
-  :class:`~repro.engine.aggregate.AggregateSimulation`, the fused
-  :class:`~repro.engine.batched.BatchedAggregateSimulation` and the
+  :class:`~repro.engine.aggregate.AggregateSimulation`, the row-batched
+  :class:`~repro.engine.hetero.HeterogeneousAggregateBatch` with its
+  replicated special case
+  :class:`~repro.engine.batched.BatchedAggregateSimulation`, and the
   vectorised :class:`~repro.engine.array_engine.ArraySimulation` — via
   :meth:`Intervention.apply_to_aggregate`, which calls their shared
   ``add_agents`` / ``add_colour`` / ``recolour`` interface.  On the
-  batched engines one intervention applies to every replication at
-  once, matching the scalar loop's shared deterministic schedule.
+  batched engines one intervention applies to every row at once
+  (``rows=None``), matching the scalar loop's shared deterministic
+  schedule.
 """
 
 from __future__ import annotations

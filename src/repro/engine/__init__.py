@@ -8,11 +8,13 @@
   registered kernel;
 * :class:`AggregateSimulation` — count-based engine (complete graph,
   Diversification family);
-* :class:`BatchedAggregateSimulation` — R aggregate replications as one
-  ``(R, 2k)`` count matrix;
-* :class:`HeterogeneousAggregateBatch` — B rows with *different* weight
-  tables, populations and horizons (padded ``(B, k_max)`` state) in one
-  event loop, the engine behind mega-batched scenario sweeps.
+* :class:`HeterogeneousAggregateBatch` — the row-batched count engine:
+  B rows with their own weight tables, populations and horizons
+  (padded ``(B, k_max)`` state) in one event loop, the engine behind
+  mega-batched scenario sweeps;
+* :class:`BatchedAggregateSimulation` — R replications of one
+  configuration: a thin constructor over the row-batched engine whose
+  R identical rows share one weight table.
 """
 
 from . import checkpoint

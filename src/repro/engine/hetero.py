@@ -1,50 +1,58 @@
-"""Heterogeneous mega-batch aggregate engine: B rows with *different*
-weight tables, population sizes and horizons in one event loop.
+"""Row-batched aggregate engine: B rows with their own weight tables,
+population sizes and horizons in one vectorised event loop.
 
-:class:`~repro.engine.batched.BatchedAggregateSimulation` fuses R
-replications of *one* configuration — one shared
-:class:`~repro.core.weights.WeightTable`, one lighten vector, one
-population size — so a parameter sweep still pays one Python-level
-event loop per grid cell.  This engine removes that restriction: every
-row carries its own weight table (stored as a zero-padded ``(B, k_max)``
-matrix), its own lightening probabilities, its own population size and
-its own step horizon, so ``B = cells x replications`` rows of an entire
-sweep advance through a *single* vectorised event loop.
+On the complete graph Diversification is a Markov chain on the per-colour
+dark and light counts ``(A_i, a_i)``.  :class:`HeterogeneousAggregateBatch`
+advances B such chains at once.  Every row carries its own weight table
+(stored as a zero-padded ``(B, k_max)`` matrix), its own lightening
+coins, its own population size and its own step horizon, so ``B = cells
+x replications`` rows of an entire sweep advance through a *single*
+Python-level loop.  R replications of one configuration are the special
+case of R identical rows:
+:class:`~repro.engine.batched.BatchedAggregateSimulation` is a thin
+constructor over this class that shares one
+:class:`~repro.core.weights.WeightTable` between its rows.
+
+Both of the scalar engine's modes are supported and exact in
+distribution (``tests/integration/test_batched_equivalence.py`` and
+``tests/integration/test_fused_equivalence.py`` check them with
+Kolmogorov-Smirnov tests against per-cell scalar runs):
+
+* **per-step** (:meth:`HeterogeneousAggregateBatch.step`,
+  :func:`apply_step_rows`) — one faithful time-step per row: the
+  scheduled agent's class and its partner's class are drawn by
+  row-wise categorical sampling over the ``2 k_max`` (dark, light)
+  classes, the scheduled agent excluded from the partner draw, and the
+  adopt/lighten rules apply through boolean masks;
+* **event-driven** (:meth:`HeterogeneousAggregateBatch.run_to`,
+  :func:`advance_event_driven`) — every row draws its own geometric
+  number of no-op steps until its next active event and jumps its clock
+  forward.  Rows that are absorbed, or whose next jump overshoots their
+  target, coast to the target and drop out of the update, and the loop
+  ends when every row has arrived.  One iteration advances every live
+  row by a full event, so the loop pays the interpreter about once per
+  event of the slowest row instead of once per row.
 
 Padding is safe by construction.  A row with ``k_r`` colours occupies
 columns ``0..k_r-1`` of the dark block and of the light block; the
 padding columns ``k_r..k_max-1`` hold zero mass, zero weight and zero
-lightening probability.  The row-wise categorical draws
-(:func:`~repro.engine.batched._pick_rows`) clamp their thresholds
-strictly below the row totals, so a zero-mass class is never selected —
-adopt partners, lighten targets and per-step class picks all stay
-inside the row's real colour set, and the event masses
-``a_i * total_dark`` and ``A_i (A_i - 1) * lighten_i`` vanish
-identically on padding columns.  The property suite
-(``tests/property/test_hetero_invariants.py``) checks that runs and
-row-targeted interventions never leak mass into padding.
-
-Per-row horizons use the same active-row retirement as the homogeneous
-engine's event mode: :meth:`HeterogeneousAggregateBatch.run_to` advances
-each row to its own target time, rows whose next geometric jump
-overshoots coast to their target and drop out of the update masks, and
-the loop ends when every row has arrived.  One loop iteration costs
-O(B k_max) NumPy work but advances every live row by a full event, so a
-whole sweep pays the Python interpreter once instead of once per cell
-(``benchmarks/bench_e17_fused_sweep.py`` measures the resulting
-speedup).
-
-Equivalence with the per-cell engines is distributional and is verified
-per cell with Kolmogorov-Smirnov tests in
-``tests/integration/test_fused_equivalence.py``, mirroring the
-established batched-vs-scalar precedent.
+lightening coin, and :meth:`~HeterogeneousAggregateBatch.restore`
+rejects a checkpoint that breaks this.  The row-wise categorical draws
+(:func:`_pick_rows`, and the pick of :func:`advance_event_driven`) clamp
+their thresholds strictly below the row totals, so a zero-mass class is
+never selected: adopt partners, lighten targets and per-step class picks
+all stay inside the row's real colour set, and the event masses
+``a_i * total_dark`` and ``A_i (A_i - 1) * lighten_i`` vanish on
+padding columns.  ``tests/property/test_hetero_invariants.py`` checks
+that runs and row-targeted interventions never leak mass into padding,
+and that R identical rows reproduce the batched engine bit for bit.
 
 Split invariance.  Every row owns an independent PCG64 substream
-(:class:`~repro.engine.streams.RowStreams`), and an arrival drawn past
-a row's target is carried in a per-row ``_pending`` slot instead of
-being discarded, so splitting any row's horizon — including *per-row*
-splits through :meth:`HeterogeneousAggregateBatch.run_to` — reproduces
-the uninterrupted trajectory bit-for-bit.  This backs the
+(:class:`~repro.engine.streams.RowStreams`), and an arrival drawn past a
+row's target is carried in a per-row ``_pending`` slot instead of being
+discarded, so splitting any row's horizon — including *per-row* splits
+through :meth:`HeterogeneousAggregateBatch.run_to` — reproduces the
+uninterrupted trajectory bit-for-bit.  This backs the
 ``snapshot()``/``restore()`` checkpoint contract; interventions change
 the event rates and therefore drop the pending arrivals of the rows
 they touch.
@@ -66,9 +74,8 @@ from .backend import (
     require_engine_loops,
     resolve_backend,
 )
-from .batched import advance_event_driven, apply_step_rows
 from .rng import make_rng
-from .streams import RowStreams
+from .streams import RowStreams, geometric_from_uniform
 
 
 class HeterogeneousAggregateBatch:
@@ -102,7 +109,7 @@ class HeterogeneousAggregateBatch:
         backend: str | Backend | None = None,
     ):
         self._backend = require_engine_loops(
-            resolve_backend(backend), "HeterogeneousAggregateBatch"
+            resolve_backend(backend), type(self).__name__
         )
         xp = self._backend.xp
         tables = [
@@ -111,48 +118,36 @@ class HeterogeneousAggregateBatch:
         ]
         if not tables:
             raise ValueError("need at least one row")
-        rows = len(tables)
-        self._ks = xp.asarray([table.k for table in tables], dtype=INT64)
-        k_max = int(self._ks.max())
-        self._weights = xp.zeros((rows, k_max), dtype=FLOAT64)
+        ks = xp.asarray([table.k for table in tables], dtype=INT64)
+        weights = xp.zeros((len(tables), int(ks.max())), dtype=FLOAT64)
         for r, table in enumerate(tables):
-            self._weights[r, : table.k] = table.as_array()
-        if (self._weights[self._mass_columns()] < MIN_WEIGHT).any():
-            raise ValueError(f"weights must be >= {MIN_WEIGHT}")
-        dark = self._rows_to_padded(dark_counts, "dark_counts", INT64)
+            weights[r, : table.k] = table.as_array()
+        dark = _padded(dark_counts, "dark_counts", INT64, ks, xp)
         if light_counts is None:
             light = xp.zeros(dark.shape, dtype=INT64)
         else:
-            light = self._rows_to_padded(
-                light_counts, "light_counts", INT64
-            )
-        if (dark < 0).any() or (light < 0).any():
-            raise ValueError("counts must be non-negative")
-        self._n = dark.sum(axis=1) + light.sum(axis=1)
-        if (self._n < 2).any():
-            raise ValueError("every row needs at least two agents")
-        # One contiguous (B, 2 k_max) state matrix; dark and light are
-        # views on the left and right blocks.
-        # repro-lint: disable=RL301 -- serialised via its _dark/_light views; restore() rebuilds it
-        self._state = xp.concatenate([dark, light], axis=1)
-        self._dark = self._state[:, :k_max]
-        self._light = self._state[:, k_max:]
+            light = _padded(light_counts, "light_counts", INT64, ks, xp)
         if lighten_rows is None:
-            self._lighten = xp.zeros((rows, k_max), dtype=FLOAT64)
-            mass = self._mass_columns()
-            self._lighten[mass] = 1.0 / self._weights[mass]
+            lighten = xp.zeros(weights.shape, dtype=FLOAT64)
+            mass = _mass_columns(ks, weights.shape[1], xp)
+            lighten[mass] = 1.0 / weights[mass]
         else:
-            self._lighten = self._rows_to_padded(
-                lighten_rows, "lighten_rows", FLOAT64
-            )
-            if (self._lighten < 0.0).any() or (self._lighten > 1.0).any():
-                raise ValueError("lighten probabilities must be in [0, 1]")
+            lighten = _padded(lighten_rows, "lighten_rows", FLOAT64, ks, xp)
+        self._init_rows(weights, ks, dark, light, lighten, rng)
+
+    def _init_rows(self, weights, ks, dark, light, lighten, rng) -> None:
+        """Validate padded ``(B, k_max)`` rows and assign every field.
+
+        Each public constructor parses its own inputs into these arrays
+        and calls this once, so building an engine enters exactly one
+        ``__init__``.
+        """
+        xp = self._backend.xp
+        n = _checked_rows(weights, ks, dark, light, lighten, xp)
+        self._set_rows(weights, ks, dark, light, lighten, n)
+        rows = ks.shape[0]
         self.rng = make_rng(rng)
         self._times = xp.zeros(rows, dtype=INT64)
-        # repro-lint: disable=RL301 -- derived from the serialised _n; restore() recomputes it
-        self._denom = (
-            self._n.astype(FLOAT64) * (self._n - 1).astype(FLOAT64)
-        )
         # Per-row substreams and pending arrivals: see the module
         # docstring's split-invariance paragraph.
         self._streams = RowStreams.from_generator(self.rng, rows)
@@ -160,43 +155,22 @@ class HeterogeneousAggregateBatch:
         # repro-lint: disable=RL3 -- observer callbacks, re-registered by the owner after restore()
         self._taps: list = []
 
-    def _mass_columns(self):
-        """Boolean ``(B, k_max)`` mask of the non-padding columns."""
+    def _set_rows(self, weights, ks, dark, light, lighten, n) -> None:
+        """Install validated rows: tables, counts, coins and sizes."""
         xp = self._backend.xp
-        return xp.arange(self.k_max)[None, :] < self._ks[:, None]
-
-    def _rows_to_padded(self, values, name: str, dtype):
-        """Zero-pad ragged per-row vectors to ``(B, k_max)``; validate a
-        pre-padded matrix instead when one is passed."""
-        xp = self._backend.xp
-        rows, k_max = self._ks.shape[0], self.k_max
-        if getattr(values, "ndim", None) == 2:
-            values = xp.asarray(values)
-            if values.shape != (rows, k_max):
-                raise ValueError(
-                    f"padded {name} must have shape ({rows}, {k_max}), "
-                    f"got {values.shape}"
-                )
-            out = values.astype(dtype, copy=True)
-            if out[~self._mass_columns()].any():
-                raise ValueError(
-                    f"{name} carries mass in padding columns"
-                )
-            return out
-        if len(values) != rows:
-            raise ValueError(
-                f"{name} has {len(values)} rows but the batch has {rows}"
-            )
-        out = xp.zeros((rows, k_max), dtype=dtype)
-        for r, row in enumerate(values):
-            row = xp.asarray(row, dtype=dtype)
-            if row.ndim != 1 or row.shape[0] != self._ks[r]:
-                raise ValueError(
-                    f"{name} row {r} must have length k_r={self._ks[r]}, "
-                    f"got shape {row.shape}"
-                )
-            out[r, : row.shape[0]] = row
-        return out
+        k_max = weights.shape[1]
+        self._weights = weights
+        self._ks = ks
+        # One contiguous (B, 2 k_max) state matrix; dark and light are
+        # views on the left and right blocks.
+        # repro-lint: disable=RL301 -- serialised via its _dark/_light views; restore() rebuilds it
+        self._state = xp.concatenate([dark, light], axis=1)
+        self._dark = self._state[:, :k_max]
+        self._light = self._state[:, k_max:]
+        self._lighten = lighten
+        self._n = n
+        # repro-lint: disable=RL301 -- derived from the serialised _n; restore() recomputes it
+        self._denom = n.astype(FLOAT64) * (n - 1).astype(FLOAT64)
 
     def _per_row(self, steps, name: str = "steps"):
         """Broadcast a scalar or per-row step count to ``(B,)``."""
@@ -303,9 +277,7 @@ class HeterogeneousAggregateBatch:
 
     def _step_rows(self, act):
         """One faithful step for the rows in ``act`` (returns per-``act``
-        changed mask) through the shared per-step transition
-        (:func:`~repro.engine.batched.apply_step_rows`), with the
-        lighten coin thresholds indexing the per-row table."""
+        changed mask) through :func:`apply_step_rows`."""
         self._pending[act] = -1  # per-step mode re-examines every step
         bk = self._backend
         uniforms = bk.from_host(self._streams.take(bk.to_numpy(act), 3)).T
@@ -330,15 +302,12 @@ class HeterogeneousAggregateBatch:
     def run_to(self, targets) -> "HeterogeneousAggregateBatch":
         """Advance every row to its own absolute target time.
 
-        Runs the shared event core
-        (:func:`~repro.engine.batched.advance_event_driven` — fused
-        event-type/colour categorical draw over ``2 k_max`` masses, a
-        three-block cumulative sum, branch-free ±1 updates) with its
-        three per-row generalisations: the lighten terms come from the
-        ``(B, k_max)`` table, the geometric jump probabilities use
-        per-row ``n_r (n_r - 1)`` denominators, and the horizon is a
-        per-row vector, so rows retire independently (absorbed, jumped
-        past their target, or arrived) while the rest keep advancing.
+        Runs :func:`advance_event_driven`: a fused event-type/colour
+        categorical draw over ``2 k_max`` masses whose lighten terms
+        come from the ``(B, k_max)`` coin table, geometric jumps with
+        per-row ``n_r (n_r - 1)`` denominators and branch-free ±1
+        updates.  Rows retire independently (absorbed, jumped past
+        their target, or arrived) while the rest keep advancing.
         """
         targets = self._per_row(targets, "targets")
         if (targets < self._times).any():
@@ -401,8 +370,8 @@ class HeterogeneousAggregateBatch:
         """
         if count < 0:  # validate before any widening takes effect
             raise ValueError("count must be non-negative")
-        if weight < MIN_WEIGHT:
-            raise ValueError(f"weights must be >= {MIN_WEIGHT}")
+        if not MIN_WEIGHT <= weight < float("inf"):
+            raise ValueError(f"weights must be finite and >= {MIN_WEIGHT}")
         sel = self._resolve_rows(rows)
         if sel.size == 0:
             return self._backend.xp.zeros(0, dtype=INT64)
@@ -520,19 +489,20 @@ class HeterogeneousAggregateBatch:
 
         Handles checkpoints taken after ``add_colour`` interventions:
         the padded matrices are re-widened to the snapshot's ``k_max``.
+        Every value is checked before anything is restored, so a
+        rejected payload leaves the engine as it was.
         """
         ckpt.check(data, "HeterogeneousAggregateBatch")
-        bk = self._backend
         weights = ckpt.as_array(data["weights"], FLOAT64)
         ks = ckpt.as_array(data["ks"], INT64)
         dark = ckpt.as_array(data["dark"], INT64)
         light = ckpt.as_array(data["light"], INT64)
         lighten = ckpt.as_array(data["lighten"], FLOAT64)
         rows = self.rows
-        if ks.shape != (rows,) or weights.shape[0] != rows:
+        if ks.shape != (rows,) or weights.ndim != 2 or len(weights) != rows:
             raise ValueError(
-                f"checkpoint has {ks.shape[0]} rows but the engine "
-                f"has {rows}"
+                f"checkpoint ks {ks.shape} and weights {weights.shape} do "
+                f"not match the engine's {rows} rows"
             )
         k_max = weights.shape[1]
         if k_max < self.k_max:
@@ -548,26 +518,443 @@ class HeterogeneousAggregateBatch:
         times = ckpt.as_row_vector(data["times"], INT64, rows, "times")
         pending = ckpt.as_row_vector(data["pending"], INT64, rows, "pending")
         n = ckpt.as_row_vector(data["n"], INT64, rows, "n")
+        totals = _checked_rows(weights, ks, dark, light, lighten, HOST.xp)
+        if (n != totals).any():
+            raise ValueError(
+                "checkpoint n does not match the rows' dark + light totals"
+            )
+        if (times < 0).any():
+            raise ValueError("checkpoint times must be non-negative")
+        if ((pending != -1) & (pending <= times)).any():
+            raise ValueError(
+                "checkpoint pending arrivals must be -1 or later than "
+                "their row's clock"
+            )
         self._streams.restore(data["streams"])
-        self._weights = bk.from_host(weights)
-        self._ks = bk.from_host(ks)
-        self._state = bk.from_host(HOST.xp.concatenate([dark, light], axis=1))
-        self._dark = self._state[:, :k_max]
-        self._light = self._state[:, k_max:]
-        self._lighten = bk.from_host(lighten)
+        bk = self._backend
+        self._set_rows(
+            bk.from_host(weights), bk.from_host(ks), bk.from_host(dark),
+            bk.from_host(light), bk.from_host(lighten), bk.from_host(n),
+        )
         self._times = bk.from_host(times)
         self._pending = bk.from_host(pending)
-        self._n = bk.from_host(n)
-        self._denom = self._n.astype(FLOAT64) * (
-            self._n - 1
-        ).astype(FLOAT64)
         ckpt.set_rng_state(self.rng, data["rng"])
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"HeterogeneousAggregateBatch(B={self.rows}, "
+            f"{type(self).__name__}(B={self.rows}, "
             f"k_max={self.k_max}, "
             f"n=[{int(self._n.min())}..{int(self._n.max())}], "
             f"t=[{int(self._times.min())}..{int(self._times.max())}])"
         )
+
+
+def _mass_columns(ks, k_max: int, xp):
+    """Boolean ``(B, k_max)`` mask of the non-padding columns."""
+    return xp.arange(k_max)[None, :] < ks[:, None]
+
+
+def _padded(values, name: str, dtype, ks, xp):
+    """Zero-pad ragged per-row vectors to ``(B, k_max)``; an already
+    padded matrix is checked for shape and copied (its padding columns
+    are checked by :func:`_checked_rows`)."""
+    rows, k_max = ks.shape[0], int(ks.max())
+    if getattr(values, "ndim", None) == 2:
+        values = xp.asarray(values)
+        if values.shape != (rows, k_max):
+            raise ValueError(
+                f"padded {name} must have shape ({rows}, {k_max}), "
+                f"got {values.shape}"
+            )
+        return values.astype(dtype, copy=True)
+    if len(values) != rows:
+        raise ValueError(
+            f"{name} has {len(values)} rows but the batch has {rows}"
+        )
+    out = xp.zeros((rows, k_max), dtype=dtype)
+    for r, row in enumerate(values):
+        row = xp.asarray(row, dtype=dtype)
+        if row.ndim != 1 or row.shape[0] != ks[r]:
+            raise ValueError(
+                f"{name} row {r} must have length k_r={ks[r]}, "
+                f"got shape {row.shape}"
+            )
+        out[r, : row.shape[0]] = row
+    return out
+
+
+def _checked_rows(weights, ks, dark, light, lighten, xp):
+    """Check padded ``(B, k_max)`` rows an engine can run from and
+    return their population sizes ``n_r``.
+
+    Every ``k_r`` lies in ``[1, k_max]``; weights on the ``k_r`` real
+    columns are at least ``MIN_WEIGHT``; padding columns hold zero
+    weight, count and coin; counts are non-negative, coins lie in
+    ``[0, 1]`` and every row has at least two agents.
+    """
+    k_max = weights.shape[1]
+    if ((ks < 1) | (ks > k_max)).any():
+        raise ValueError(f"ks must lie in [1, {k_max}]")
+    mass = _mass_columns(ks, k_max, xp)
+    if not (weights[mass] >= MIN_WEIGHT).all():
+        raise ValueError(f"weights must be >= {MIN_WEIGHT}")
+    for name, block in (
+        ("weights", weights), ("dark", dark), ("light", light),
+        ("lighten", lighten),
+    ):
+        if block[~mass].any():
+            raise ValueError(f"{name} carries values in padding columns")
+    if (dark < 0).any() or (light < 0).any():
+        raise ValueError("counts must be non-negative")
+    if not ((lighten >= 0.0) & (lighten <= 1.0)).all():
+        raise ValueError("lighten probabilities must be in [0, 1]")
+    n = dark.sum(axis=1) + light.sum(axis=1)
+    if (n < 2).any():
+        raise ValueError("every row needs at least two agents")
+    return n
+
+
+def apply_step_rows(
+    state,
+    dark,
+    light,
+    lighten,
+    rows,
+    uniforms,
+    xp=None,
+):
+    """Per-step transition of the row-batched engine: one faithful
+    time-step for the ``rows`` of a ``(B, 2k)`` state matrix, mutating
+    ``dark``/``light`` in place (``state`` is their concatenation).
+
+    The scheduled agent's class and its sampled partner's class are
+    drawn by vectorised categorical sampling over the ``2k`` (dark,
+    light) classes — class ``c < k`` is dark colour ``c``, class
+    ``c >= k`` light colour ``c - k`` — with the scheduled agent
+    excluded from the partner draw, then the adopt/lighten rules apply
+    through boolean masks.  ``uniforms`` holds the step's three
+    ``(len(rows),)`` draws and ``lighten`` the ``(B, k)`` per-row
+    coins.  Returns the per-``rows`` changed mask.  ``xp`` selects the
+    (NumPy-compatible) namespace; the default is the host.
+    """
+    if xp is None:
+        xp = HOST.xp
+    k = state.shape[1] // 2
+    # Fancy indexing yields a fresh copy, safe to mutate below.
+    masses = state[rows]
+    sub = xp.arange(rows.size)
+    u_cls = _pick_rows(masses, uniforms[0], xp)
+    # Exclude u from its own class before the partner draw.
+    masses[sub, u_cls] -= 1
+    v_cls = _pick_rows(masses, uniforms[1], xp)
+    coin = uniforms[2]
+    u_dark = u_cls < k
+    v_dark = v_cls < k
+    u_col = xp.where(u_dark, u_cls, u_cls - k)
+    v_col = xp.where(v_dark, v_cls, v_cls - k)
+    adopt = ~u_dark & v_dark
+    lightened = (
+        u_dark & v_dark & (u_col == v_col) & (coin < lighten[rows, u_col])
+    )
+    a_sel = xp.flatnonzero(adopt)
+    light[rows[a_sel], u_col[a_sel]] -= 1
+    dark[rows[a_sel], v_col[a_sel]] += 1
+    l_sel = xp.flatnonzero(lightened)
+    dark[rows[l_sel], u_col[l_sel]] -= 1
+    light[rows[l_sel], u_col[l_sel]] += 1
+    return adopt | lightened
+
+
+def advance_event_driven(
+    times,
+    horizon,
+    dark,
+    light,
+    lighten,
+    denom,
+    streams: RowStreams,
+    pending,
+    k: int,
+    tap=None,
+    backend: Backend = HOST,
+) -> None:
+    """Event-driven core of the row-batched engine: advance each row to
+    its own ``horizon[r]`` with per-row geometric event jumps, mutating
+    ``times``, ``dark``, ``light`` and ``pending`` in place.
+
+    ``lighten`` holds the ``(B, k)`` per-row coins and ``denom`` each
+    row's ``n_r (n_r - 1)`` jump denominator.  Rows retire
+    independently: absorbed rows (no active events left) and rows whose
+    next jump overshoots coast to their horizon, the rest keep
+    advancing, and the loop ends when every row has arrived.
+
+    Split invariance: every row draws from its *own* substream in
+    ``streams`` — one uniform for each arrival gap, two more only when
+    the arrival is accepted — and an arrival past the horizon is stored
+    in ``pending[r]`` (absolute step; -1 = none) instead of being
+    discarded, to be consumed by the next call.  A row's consumed draw
+    sequence is therefore a pure function of its own event history, so
+    splitting a horizon (including *per-row* splits through
+    :meth:`HeterogeneousAggregateBatch.run_to`) reproduces the uninterrupted
+    trajectory bit-for-bit.  Arrivals are only ever carried *into* a
+    call, so only its first iteration looks for them; after that every
+    active row draws a fresh gap.
+
+    Working layout.  One iteration advances every active row by one
+    event, and what it costs is the number of NumPy calls it makes on
+    arrays of at most B columns, not their arithmetic.  To keep that
+    number small the loop runs on :class:`_ActiveRows`, a colour-major
+    working copy of the active rows: column ``c`` is engine row
+    ``act[c]``, a contiguous ``(2k, ·)`` int64 block stacks the dark
+    counts over the light counts, and a preallocated ``(3k, ·)``
+    float64 buffer receives the masses through ``out=`` ufunc calls
+    and is cumulated in place along axis 0.  Each class pick is then a
+    column sum of one comparison, and each event's ±1 pair is two
+    one-hot updates of the count block.  Every array spans exactly the
+    active rows: when rows retire, the copy writes them back to the
+    engine arrays and compacts once, instead of gathering by ``act``
+    on every iteration.  The rows still active are written back in a
+    ``finally`` (so an exception leaves the counts consistent with
+    ``times`` and ``pending``) and before every ``tap`` call, since
+    taps read the engine arrays.
+
+    Bit identity.  Trajectories are fixed functions of the seed
+    (``tests/unit/test_event_loop_digest.py`` pins them), which
+    constrains three choices:
+
+    * the gap and the event uniforms are two ``take`` calls, in that
+      order: one pooled take would refill a row's pool earlier and,
+      once an intervention clears ``pending``, discard its partial
+      pool at a different point;
+    * the masses are rebuilt from the counts on every iteration —
+      ``a_i * total_dark`` and ``float(A_i (A_i - 1)) * lighten_i``,
+      whose integer products stay below 2**53, so rebuilding gives the
+      same floats as updating only the term an event changed — and
+      cumulated by a sequential sum in class order; keeping the
+      cumulative sum up to date incrementally would round differently;
+    * a class pick counts the cumulative masses at or below its
+      threshold, which is the index of the first strict exceedance
+      because cumulative masses never decrease.
+
+    ``tap(rows)`` — if given — is called after each batch of applied
+    events with the absolute indices of the rows that just changed
+    (their clocks already advanced), letting engines feed streaming
+    accumulators from inside the loop.
+
+    ``backend`` supplies the array namespace the loop computes in and
+    the host converters for the stream boundary (``streams`` draws on
+    the CPU on every backend).
+    """
+    xp = backend.xp
+    act = xp.flatnonzero(times < horizon)
+    if act.size == 0:
+        return
+    rows = _ActiveRows.gather(
+        act, times, horizon, dark, light, lighten, denom, k, xp
+    )
+    # Count-block row of every class: dark colours, then light colours.
+    classes = xp.arange(2 * k)[:, None]
+    carried = True
+    try:
+        while rows.size:
+            r = rows
+            # Cumulative masses over 3k classes: the first 2k (adopt per
+            # light colour, scaled by the dark total, then the lighten
+            # terms) form the active-event distribution — their running
+            # total at class 2k-1 *is* the event rate — and the last k
+            # hold the dark counts for the partner pick.
+            xp.multiply(r.light, r.total_dark, out=r.adopt)
+            xp.multiply(r.dark, r.dark - 1, out=r.terms)
+            xp.multiply(r.terms, r.lighten, out=r.terms)
+            r.partner[...] = r.dark
+            r.mass.cumsum(axis=0, out=r.mass)
+            # Rows with no active events left (single colour, all dark,
+            # w = 1 edge cases) coast to the horizon.  An absorbed row
+            # can hold no pending arrival: rates only change through
+            # events and interventions, and interventions clear
+            # ``pending``.
+            if xp.count_nonzero(r.rate) < r.size:
+                rows = r = r.retire(r.rate > 0.0, times, dark, light)
+                if not r.size:
+                    break
+            # Rows without a carried-over arrival draw a fresh gap from
+            # their own substream; held rows reuse their stored arrival
+            # without consuming any draws.
+            if carried:
+                carried = False
+                arrival = pending[r.act]
+                fresh = arrival < 0
+                if xp.count_nonzero(fresh):
+                    arrival[fresh] = r.clock[fresh] + _gaps(
+                        streams, r.act[fresh], r.rate[fresh],
+                        r.denom[fresh], backend,
+                    )
+                pending[r.act] = -1
+            else:
+                arrival = r.clock + _gaps(
+                    streams, r.act, r.rate, r.denom, backend
+                )
+            # A jump past the horizon means the remaining steps are
+            # no-ops: stop that row at the horizon and keep the arrival
+            # pending for the next call (memorylessness makes keeping
+            # and redrawing equal in distribution; keeping is also
+            # split-invariant bit-for-bit).  The event uniforms are only
+            # drawn on consumption, so nothing else is buffered.
+            reach = arrival >= r.horizon
+            landing = xp.count_nonzero(reach)
+            if landing:
+                over = arrival > r.horizon
+                overshoot = xp.count_nonzero(over)
+                if overshoot:
+                    pending[r.act[over]] = arrival[over]
+                    keep = ~over
+                    rows = r = r.retire(keep, times, dark, light)
+                    if not r.size:
+                        break
+                    arrival, reach = arrival[keep], reach[keep]
+                    landing -= overshoot
+            r.clock = arrival
+            # One active event per remaining row; two uniforms per row
+            # (fused type/colour pick, then the dark-partner pick, which
+            # lighten events simply discard).  Each pick is the count of
+            # cumulative masses at or below its threshold.
+            u = backend.from_host(streams.take(backend.to_numpy(r.act), 2))
+            cls = (r.event <= _below(u[:, 0] * r.rate, r.rate, xp)).sum(
+                axis=0
+            )
+            partner = u[:, 1] * r.total_dark
+            partner += r.rate
+            j = (r.partner <= _below(partner, r.total, xp)).sum(axis=0)
+            # Adopt moves light i -> dark j; lighten moves dark i ->
+            # light i: the source class loses one agent, the destination
+            # class gains it.
+            adopt = cls < k
+            step = xp.where(adopt, 1, -1)
+            r.counts -= classes == cls + k * step
+            r.counts += classes == xp.where(adopt, j, cls)
+            r.total_dark += step
+            if tap is not None:
+                r.store(times, dark, light)
+                tap(r.act)
+            if landing:
+                rows = r.retire(~reach, times, dark, light)
+    finally:
+        rows.store(times, dark, light)
+
+
+class _ActiveRows:
+    """The event loop's colour-major working copy of its active rows.
+
+    Column ``c`` holds engine row ``act[c]``: ``counts`` is a contiguous
+    ``(2k, ·)`` int64 block, dark counts (``dark``) over light counts
+    (``light``), and ``mass`` the ``(3k, ·)`` float64 buffer the
+    cumulative event masses are built in, whose blocks and rows the
+    remaining array attributes view; ``lighten`` holds the ``(k, ·)``
+    coins of the same rows.
+    """
+
+    __slots__ = (
+        "act", "size", "counts", "dark", "light", "total_dark", "clock",
+        "horizon", "denom", "lighten", "mass", "adopt", "terms",
+        "partner", "event", "rate", "total",
+    )
+
+    def __init__(
+        self, act, counts, total_dark, clock, horizon, denom, lighten, mass
+    ):
+        k = counts.shape[0] // 2
+        self.act = act
+        self.size = act.shape[0]
+        self.counts = counts
+        self.dark = counts[:k]
+        self.light = counts[k:]
+        self.total_dark = total_dark
+        self.clock = clock
+        self.horizon = horizon
+        self.denom = denom
+        self.lighten = lighten
+        self.mass = mass
+        self.adopt = mass[:k]
+        self.terms = mass[k : 2 * k]
+        self.partner = mass[2 * k :]
+        self.event = mass[: 2 * k]
+        self.rate = mass[2 * k - 1]
+        self.total = mass[3 * k - 1]
+
+    @classmethod
+    def gather(cls, act, times, horizon, dark, light, lighten, denom, k, xp):
+        """Copy the engine rows ``act`` into a fresh working set."""
+        size = act.shape[0]
+        counts = xp.empty((2 * k, size), dtype=INT64)
+        counts[:k] = dark[act].T
+        counts[k:] = light[act].T
+        return cls(
+            act,
+            counts,
+            counts[:k].sum(axis=0),
+            times[act],
+            horizon[act],
+            denom[act],
+            lighten[act].T.copy(),
+            xp.empty((3 * k, size), dtype=FLOAT64),
+        )
+
+    def retire(self, keep, times, dark, light) -> "_ActiveRows":
+        """Write the rows outside the ``keep`` mask back, their clocks
+        at their horizons, and return the working set of the rest."""
+        gone = ~keep
+        rows = self.act[gone]
+        times[rows] = self.horizon[gone]
+        dark[rows] = self.dark[:, gone].T
+        light[rows] = self.light[:, gone].T
+        return _ActiveRows(
+            self.act[keep],
+            self.counts[:, keep],
+            self.total_dark[keep],
+            self.clock[keep],
+            self.horizon[keep],
+            self.denom[keep],
+            self.lighten[:, keep],
+            self.mass[:, keep],
+        )
+
+    def store(self, times, dark, light) -> None:
+        """Write every row's clock and counts back to the engine."""
+        times[self.act] = self.clock
+        dark[self.act] = self.dark.T
+        light[self.act] = self.light.T
+
+
+def _gaps(streams: RowStreams, rows, rate, denom, backend: Backend):
+    """Steps to each row's next active event, ``Geometric(rate /
+    denom)``, from one fresh uniform of the row's own stream."""
+    xp = backend.xp
+    u = backend.from_host(streams.take(backend.to_numpy(rows), 1))[:, 0]
+    return geometric_from_uniform(u, xp.minimum(rate / denom, 1.0), xp=xp)
+
+
+def _pick_rows(masses, uniforms, xp=None):
+    """Row-wise weighted index: for each row r, the first index whose
+    cumulative mass exceeds ``uniforms[r]`` times the row total.
+
+    The threshold is clamped strictly below the row total (``uniform *
+    total`` can round up to the total when the uniform is within an ulp
+    of 1), so the selected index always carries positive mass: the
+    cumulative sum is flat over zero-mass entries, making the first
+    strict exceedance a positive increment.  This is the vectorised
+    counterpart of the scalar engine's last-non-empty fallback.  Rows
+    must have positive total mass.
+    """
+    if xp is None:
+        xp = HOST.xp
+    cum = xp.cumsum(masses, axis=1, dtype=FLOAT64)
+    picks = _below(uniforms * cum[:, -1], cum[:, -1], xp)
+    return xp.argmax(cum > picks[:, None], axis=1)
+
+
+def _below(picks, totals, xp=None):
+    """Clamp thresholds strictly below their row totals."""
+    if xp is None:
+        xp = HOST.xp
+    return xp.minimum(picks, xp.nextafter(totals, -xp.inf))

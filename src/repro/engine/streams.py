@@ -1,7 +1,8 @@
-"""Per-row uniform draw streams for the batched engines.
+"""Per-row uniform draw streams for the row-batched engine.
 
-The batched event loops (:func:`repro.engine.batched.advance_event_driven`)
-advance many rows through one Python-level loop, but rows retire at
+The row-batched event loop (:func:`repro.engine.hetero.advance_event_driven`,
+which also runs every :class:`~repro.engine.batched.BatchedAggregateSimulation`)
+advances many rows through one Python-level loop, but rows retire at
 *different* iterations — when they are absorbed, overshoot their
 horizon, or simply have an earlier target.  With a single shared
 generator the shape of every vectorised draw depends on which rows are
@@ -34,7 +35,7 @@ gather; ``geometric_from_uniform`` skips its mask when every
 its pool cannot serve the request, whatever other rows share the
 call.  The loop keeps its gap and event draws in two separate
 ``take`` calls for the same reason (see
-:func:`repro.engine.batched.advance_event_driven`).
+:func:`repro.engine.hetero.advance_event_driven`).
 
 Streams are host-resident on every backend: the per-row PCG64 states
 *are* the split-invariance contract, so draws happen on the CPU and

@@ -51,7 +51,6 @@ from .faults import (
     RetryPolicy,
     ShardOutcome,
     WorkerFailure,
-    run_attempt,
     run_pool_shards,
     run_serial_shards,
 )
@@ -271,31 +270,6 @@ class ShardError(RuntimeError):
         return cls(
             experiment, shard, outcome.error, attempts=outcome.attempts
         )
-
-
-def _run_shard(measure, task) -> tuple[dict | None, str | None, float]:
-    """Single-attempt worker body (kept as the executors' unit of
-    work; retries re-enter it with the same ``(params, seed)``)."""
-    params, seed = task[0], task[1]
-    return run_attempt(measure, params, seed)
-
-
-# Legacy ``multiprocessing.Pool`` initializer pair, kept for the slim
-# task-payload contract (the measurement travels once per worker, each
-# shard ships only ``(params, seed)`` — asserted in
-# ``tests/unit/test_fusion.py``).  The supervised pool of
-# :func:`repro.experiments.faults.run_pool_shards` keeps the same
-# payload shape: the measurement is passed once at worker spawn.
-_WORKER_MEASURE = None
-
-
-def _init_worker(measure) -> None:
-    global _WORKER_MEASURE
-    _WORKER_MEASURE = measure
-
-
-def _run_worker_shard(task):
-    return _run_shard(_WORKER_MEASURE, task)
 
 
 class SerialExecutor:

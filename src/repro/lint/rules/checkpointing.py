@@ -6,26 +6,34 @@ rots: someone adds a stateful ``self._x`` to ``__init__``, mutates it
 during stepping, and forgets to thread it through the checkpoint
 payload.  Nothing fails until a resumed run silently diverges.
 
-Detection, per class that defines both ``snapshot`` and ``restore``:
+Detection, per class that defines both ``snapshot`` and ``restore``.
+Each step works on a method's *closure*: the method plus every method
+of the same class it reaches through ``self.method()`` calls (or
+property reads), transitively.
 
-1. collect every underscore field directly assigned in ``__init__``
-   (``self._x = ...`` / annotated / unpacked);
-2. keep the *mutable* ones — fields also written outside
-   ``__init__``/``restore`` (rebind, ``+=``, subscript store, ``del``,
-   or a mutating method call such as ``.append``/``.update``/
-   ``.fill``).  Fields never touched after construction are static
-   configuration and need no serialisation;
-3. require each mutable field to be referenced in the transitive
-   closure of ``snapshot`` (else ``RL301``) and of ``restore`` (else
-   ``RL302``).  The closure follows ``self.method()`` calls defined on
-   the same class, so a snapshot that serialises ``_dark`` via
-   ``self.dark_counts()`` counts.
+1. collect every underscore field assigned in the closure of
+   ``__init__`` (``self._x = ...`` / annotated / unpacked), so an
+   engine that assigns its fields in a private initialiser is checked
+   like one that assigns them in ``__init__`` itself;
+2. keep the *mutable* ones — fields also written after construction
+   (rebind, ``+=``, subscript store, ``del``, or a mutating method
+   call such as ``.append``/``.update``/``.fill``): by any method
+   except ``__init__``, ``restore`` and the private helpers of the
+   ``__init__`` closure, or by a method one of those calls, so a
+   helper that both ``__init__`` and ``run`` call still counts.
+   Fields never touched after construction are static configuration
+   and need no serialisation;
+3. require each mutable field to be referenced in the closure of
+   ``snapshot`` (else ``RL301``) and of ``restore`` (else ``RL302``),
+   so a snapshot that serialises ``_dark`` via ``self.dark_counts()``
+   counts.
 
-Findings anchor at the field's ``__init__`` assignment — that is where
-the waiver belongs, next to the field it is justifying.  The analysis
-is single-file and inheritance-blind by design: an engine that splits
-``__init__`` and ``snapshot`` across a class hierarchy should carry a
-waiver explaining where the field is handled.
+Findings anchor at the field's first assignment in the ``__init__``
+closure — that is where the waiver belongs, next to the field it is
+justifying.  The analysis is single-file and inheritance-blind by
+design: an engine that splits ``__init__`` and ``snapshot`` across a
+class hierarchy should carry a waiver explaining where the field is
+handled.
 """
 
 from __future__ import annotations
@@ -64,13 +72,26 @@ def _check_class(module: SourceModule, cls: ast.ClassDef):
     if snapshot is None or restore is None or init is None:
         return
 
-    assigned = _init_assignments(init)
+    construction = _closure(init, methods)
+    assigned = _assignments(construction)
     if not assigned:
         return
 
-    mutated = _mutated_fields(methods)
-    snapshot_refs = _closure_references(snapshot, methods)
-    restore_refs = _closure_references(restore, methods)
+    # Methods that run after construction: all but __init__, restore
+    # and the private helpers of __init__, plus what they call.
+    built = {
+        method.name for method in construction if method.name.startswith("_")
+    }
+    runtime = {
+        reached.name: reached
+        for name, method in methods.items()
+        if name not in built and name != "restore"
+        for reached in _closure(method, methods)
+        if reached.name not in ("__init__", "restore")
+    }
+    mutated = _mutated_fields(runtime.values())
+    snapshot_refs = _references(_closure(snapshot, methods))
+    restore_refs = _references(_closure(restore, methods))
 
     for name, node in assigned.items():
         if name not in mutated:
@@ -103,8 +124,8 @@ def _check_class(module: SourceModule, cls: ast.ClassDef):
             )
 
 
-def _init_assignments(init: ast.FunctionDef) -> dict[str, ast.AST]:
-    """Underscore fields directly assigned in ``__init__``.
+def _assignments(methods) -> dict[str, ast.AST]:
+    """Underscore fields assigned in ``methods`` (in order).
 
     Maps field name -> first assignment node (the waiver anchor).
     """
@@ -115,25 +136,24 @@ def _init_assignments(init: ast.FunctionDef) -> dict[str, ast.AST]:
         if name is not None and name.startswith("_"):
             fields.setdefault(name, node)
 
-    for node in ast.walk(init):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, (ast.Tuple, ast.List)):
-                    for element in target.elts:
-                        record(element, node)
-                else:
-                    record(target, node)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            record(node.target, node)
+    for method in methods:
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, (ast.Tuple, ast.List)):
+                        for element in target.elts:
+                            record(element, node)
+                    else:
+                        record(target, node)
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                record(node.target, node)
     return fields
 
 
-def _mutated_fields(methods: dict[str, ast.FunctionDef]) -> set[str]:
-    """Fields written outside ``__init__``/``restore``."""
+def _mutated_fields(methods) -> set[str]:
+    """Fields written by ``methods``."""
     mutated: set[str] = set()
-    for name, method in methods.items():
-        if name in ("__init__", "restore"):
-            continue
+    for method in methods:
         for node in ast.walk(method):
             if isinstance(node, ast.Assign):
                 targets = []
@@ -166,22 +186,30 @@ def _mutated_fields(methods: dict[str, ast.FunctionDef]) -> set[str]:
     return mutated
 
 
-def _closure_references(
+def _closure(
     entry: ast.FunctionDef, methods: dict[str, ast.FunctionDef]
-) -> set[str]:
-    """``self._x`` names reachable from ``entry`` through self-calls."""
-    refs: set[str] = set()
-    visited: set[str] = set()
+) -> list[ast.FunctionDef]:
+    """``entry`` and the methods it reaches through self-calls (or
+    property reads), in visiting order."""
+    reached: dict[str, ast.FunctionDef] = {}
     queue = [entry]
     while queue:
         method = queue.pop()
-        if method.name in visited:
+        if method.name in reached:
             continue
-        visited.add(method.name)
+        reached[method.name] = method
         for node in ast.walk(method):
-            attr = self_attribute(node) if isinstance(node, ast.Attribute) else None
-            if attr is not None:
-                refs.add(attr)
-                if attr in methods:  # self.helper() / property access
-                    queue.append(methods[attr])
-    return refs
+            attr = self_attribute(node)
+            if attr in methods:  # self.helper() / property access
+                queue.append(methods[attr])
+    return list(reached.values())
+
+
+def _references(methods) -> set[str]:
+    """``self._x`` names referenced in ``methods``."""
+    return {
+        attr
+        for method in methods
+        for node in ast.walk(method)
+        if (attr := self_attribute(node)) is not None
+    }

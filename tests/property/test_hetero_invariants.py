@@ -1,7 +1,8 @@
 """Property-based tests for the heterogeneous mega-batch engine:
 padding columns never gain mass (runs *and* row-targeted
-interventions), per-row population conservation, per-row clocks, and
-seed reproducibility."""
+interventions), per-row population conservation, per-row clocks, seed
+reproducibility, and bit identity with the batched engine on R copies
+of one weight table."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.weights import WeightTable
+from repro.engine.batched import BatchedAggregateSimulation
 from repro.engine.hetero import HeterogeneousAggregateBatch
 
 
@@ -229,3 +231,131 @@ class TestValidation:
         engine.run(10)
         with pytest.raises(ValueError, match="precede"):
             engine.run_to(5)
+
+
+#: Row-stream snapshot fields: cursors, pooled uniforms and PCG64 states.
+STREAM_FIELDS = ("pool", "pos", "state", "inc", "has_uint32", "uinteger")
+
+
+@st.composite
+def homogeneous_programme(draw):
+    """One weight table replicated R times, optional lightening coins,
+    and a programme of runs, interventions and snapshot/restore hops."""
+    k = draw(st.integers(1, 4))
+    weights = draw(
+        st.lists(
+            st.floats(min_value=1.0, max_value=10.0, allow_nan=False),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    dark = draw(st.lists(st.integers(1, 20), min_size=k, max_size=k))
+    light = draw(st.lists(st.integers(0, 8), min_size=k, max_size=k))
+    if sum(dark) + sum(light) < 2:
+        dark[0] += 2
+    coins = draw(
+        st.none()
+        | st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=k, max_size=k
+        )
+    )
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "run", "run_per_step", "add_agents", "add_colour",
+                        "recolour", "restore",
+                    ]
+                ),
+                st.integers(0, 300),  # steps / count / colour
+                st.floats(min_value=1.0, max_value=5.0),  # weight
+                st.booleans(),  # dark shade
+                st.integers(0, 7),  # colour selector
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    replications = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return weights, dark, light, coins, ops, replications, seed
+
+
+class TestBatchedIsReplicatedHetero:
+    """``BatchedAggregateSimulation(table, counts, replications=R)``
+    and ``HeterogeneousAggregateBatch([table] * R, ...)`` built from
+    the same seed are the same chain, bit for bit, under any sequence
+    of runs, interventions and checkpoint hops."""
+
+    @staticmethod
+    def build(weights, dark, light, coins, replications, seed):
+        batched = BatchedAggregateSimulation(
+            WeightTable(weights), dark, light,
+            replications=replications, rng=seed,
+            lighten_probabilities=coins,
+        )
+        hetero = HeterogeneousAggregateBatch(
+            [WeightTable(weights)] * replications,
+            [dark] * replications,
+            [light] * replications,
+            rng=seed,
+            lighten_rows=None if coins is None else [coins] * replications,
+        )
+        return batched, hetero
+
+    @staticmethod
+    def assert_identical(batched, hetero):
+        np.testing.assert_array_equal(
+            batched.dark_counts(), hetero.dark_counts()
+        )
+        np.testing.assert_array_equal(
+            batched.light_counts(), hetero.light_counts()
+        )
+        np.testing.assert_array_equal(batched.times(), hetero.times())
+        np.testing.assert_array_equal(
+            np.tile(batched.weights.as_array(), (hetero.rows, 1)),
+            hetero.weights_matrix(),
+        )
+        ours, theirs = batched.snapshot(), hetero.snapshot()
+        np.testing.assert_array_equal(ours["pending"], theirs["pending"])
+        for field in STREAM_FIELDS:
+            np.testing.assert_array_equal(
+                ours["streams"][field], theirs["streams"][field]
+            )
+
+    @given(homogeneous_programme())
+    @settings(max_examples=40, deadline=None)
+    def test_same_trajectory_bit_for_bit(self, programme):
+        weights, dark, light, coins, ops, replications, seed = programme
+        batched, hetero = self.build(
+            weights, dark, light, coins, replications, seed
+        )
+        for kind, amount, weight, shade, selector in ops:
+            k = batched.k
+            if kind == "run":
+                batched.run(amount)
+                hetero.run(amount)
+            elif kind == "run_per_step":
+                batched.run_per_step(amount % 25)
+                hetero.run_per_step(amount % 25)
+            elif kind == "add_agents":
+                for engine in (batched, hetero):
+                    engine.add_agents(selector % k, amount % 10, dark=shade)
+            elif kind == "add_colour":
+                for engine in (batched, hetero):
+                    engine.add_colour(weight, amount % 10, dark=shade)
+            elif kind == "recolour":
+                for engine in (batched, hetero):
+                    engine.recolour(selector % k, amount % k)
+            else:
+                # Restore into fresh engines built from another seed.
+                snaps = batched.snapshot(), hetero.snapshot()
+                fresh = self.build(
+                    weights, dark, light, coins, replications, seed + 1
+                )
+                batched, hetero = (
+                    engine.restore(snap)
+                    for engine, snap in zip(fresh, snaps)
+                )
+            self.assert_identical(batched, hetero)

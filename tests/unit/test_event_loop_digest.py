@@ -1,11 +1,12 @@
-"""Bit-exact digests of the shared event loop.
+"""Bit-exact digests of the row-batched event loop.
 
-:func:`repro.engine.batched.advance_event_driven` drives both the
-batched and the heterogeneous engine, and every trajectory it produces
-is a fixed function of the seed.  Each case below runs one engine from
-a fixed seed through one path of the loop and hashes (SHA-256) the
-final counts, clocks, pending arrivals and row-stream state, plus the
-state of an attached streaming tap where there is one.
+:func:`repro.engine.hetero.advance_event_driven` drives the
+heterogeneous engine and its replicated special case, the batched
+engine, and every trajectory it produces is a fixed function of the
+seed.  Each case below runs one engine from a fixed seed through one
+path of the loop and hashes (SHA-256) the final counts, clocks,
+pending arrivals and row-stream state, plus the state of an attached
+streaming tap where there is one.
 
 The constants were recorded from the original loop, before it was
 restructured for speed, so they pin the exact draws and the exact

@@ -21,8 +21,6 @@ from repro.experiments.fusion import (
 from repro.experiments.pipeline import (
     ScenarioSpec,
     ShardError,
-    _init_worker,
-    _run_worker_shard,
     execute,
     plan,
 )
@@ -205,9 +203,9 @@ class TestSweepSpec:
 
 
 class TestSlimExecutorTasks:
-    """PR satellite: the process pool ships ``(params, seed)`` per
-    shard; the measurement callable travels once via the pool
-    initializer instead of once per task."""
+    """The supervised process pool ships ``(params, seed)`` per shard;
+    the measurement callable travels once per worker, at spawn, instead
+    of once per task."""
 
     def test_per_shard_payload_shrank(self):
         expanded = plan(spec_fused_sweep(replications=2))
@@ -222,19 +220,3 @@ class TestSlimExecutorTasks:
         expanded = plan(spec_fused_sweep(replications=2))
         task = (expanded.shards[0].params, expanded.shards[0].seed)
         assert b"measure_sweep_final_counts" not in pickle.dumps(task)
-
-    def test_worker_initializer_round_trip(self):
-        """The initializer + slim-task pair computes the same outcome
-        as the serial worker."""
-        spec = ScenarioSpec(
-            name="t", measure=_echo_measure, grid={"a": (7,)},
-            base_seed=3,
-        )
-        shard = plan(spec).shards[0]
-        _init_worker(_echo_measure)
-        value, error, _ = _run_worker_shard((shard.params, shard.seed))
-        assert error is None
-        assert value["cell"] == 7
-        assert value["draw"] == float(
-            np.random.default_rng(shard.seed).random()
-        )

@@ -1,11 +1,13 @@
 """RL3 acceptance: the checkpoint-completeness rule on real engines.
 
 The headline case required by the rule's contract: take a *real*
-engine module (``engine/batched.py``), rename its waived transient
+engine module (``engine/hetero.py``), rename its waived transient
 field to a synthetic ``_forgotten`` and strip the waiver comments —
-i.e. simulate a developer adding a mutable field to ``__init__`` and
-forgetting to thread it through ``snapshot()``/``restore()`` — and
-assert RL3 flags exactly that field at its ``__init__`` line.
+i.e. simulate a developer adding a mutable field to the engine's
+initialiser and forgetting to thread it through
+``snapshot()``/``restore()`` — and assert RL3 flags exactly that field
+at its assignment line, inside the private initialiser that
+``__init__`` calls.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ def test_real_engines_carry_justified_waivers():
 
 
 def test_synthetic_forgotten_field_is_flagged(tmp_path):
-    source = (ENGINE_DIR / "batched.py").read_text()
+    source = (ENGINE_DIR / "hetero.py").read_text()
     mutated = _strip_waivers(source).replace("_taps", "_forgotten")
-    target = tmp_path / "engine" / "batched.py"
+    target = tmp_path / "engine" / "hetero.py"
     target.parent.mkdir()
     target.write_text(mutated)
 

@@ -8,7 +8,12 @@ scalar engines had the same gaps: the agent-level ``Simulation`` took a
 negative draw-buffer cursor and replayed draws from the buffer's tail,
 and ``MultiShadeAggregate`` took a pending arrival before its clock (the
 clock then jumped backwards), a negative clock and negative shade
-counts.
+counts.  The batched and heterogeneous engines took any values in
+correctly shaped fields: negative counts (a row then lost agents), an
+``n`` that disagrees with the row totals or is below 2, ``ks`` pointing
+into padding, values in padding columns, coins outside ``[0, 1]``,
+negative clocks and pending arrivals before the clock (the row's clock
+then ran backwards).
 """
 
 import numpy as np
@@ -74,6 +79,208 @@ class TestHeteroRestore:
         snap[field] = snap[field][:1]
         with pytest.raises(ValueError, match=field):
             hetero().restore(snap)
+
+
+# Corruptions of the selected ``rows`` of a batched or hetero payload,
+# each paired with the message its rejection must name.
+
+
+def negative_count(snap, rows):
+    shift = snap["dark"][rows, 0] + 5  # row totals are kept
+    snap["dark"][rows, 0] -= shift
+    snap["light"][rows, 0] += shift
+
+
+def n_off_by_one(snap, rows):
+    snap["n"][rows] += 1
+
+
+def single_agent(snap, rows):
+    snap["dark"][rows] = 0
+    snap["light"][rows] = 0
+    snap["dark"][rows, 0] = 1
+    snap["n"][rows] = 1
+
+
+def weight_below_minimum(snap, rows):
+    snap["weights"][rows, 0] = 0.5
+
+
+def coin_above_one(snap, rows):
+    snap["lighten"][rows, 0] = 1.5
+
+
+def coin_below_zero(snap, rows):
+    snap["lighten"][rows, 0] = -0.25
+
+
+def negative_clock(snap, rows):
+    snap["times"][rows] = -5
+    snap["pending"][rows] = -1
+
+
+def pending_before_clock(snap, rows):
+    snap["pending"][rows] = snap["times"][rows] - 10
+
+
+def pending_at_clock(snap, rows):
+    snap["pending"][rows] = snap["times"][rows]
+
+
+def pending_below_minus_one(snap, rows):
+    snap["pending"][rows] = -2
+
+
+ROW_CORRUPTIONS = [
+    pytest.param(corrupt, match, id=corrupt.__name__)
+    for corrupt, match in [
+        (negative_count, "non-negative"),
+        (n_off_by_one, "n does not match"),
+        (single_agent, "two agents"),
+        (weight_below_minimum, "weights"),
+        (coin_above_one, r"\[0, 1\]"),
+        (coin_below_zero, r"\[0, 1\]"),
+        (negative_clock, "times"),
+        (pending_before_clock, "pending"),
+        (pending_at_clock, "pending"),
+        (pending_below_minus_one, "pending"),
+    ]
+]
+
+
+def ran(engine, steps: int = 500) -> dict:
+    engine.run(steps)
+    return engine.snapshot()
+
+
+def assert_untouched(engine, before: dict) -> None:
+    after = engine.snapshot()
+    for field in ("weights", "ks", "dark", "light", "lighten", "times",
+                  "pending", "n"):
+        np.testing.assert_array_equal(after[field], before[field])
+    for field in ("pool", "pos", "state"):
+        np.testing.assert_array_equal(
+            after["streams"][field], before["streams"][field]
+        )
+
+
+class TestHeteroPayloadValues:
+    """Values the engine cannot run from, rejected before anything is
+    restored.  Row 0 has two colours, so its column 2 is padding."""
+
+    @pytest.mark.parametrize("corrupt, match", ROW_CORRUPTIONS)
+    def test_corrupted_row_rejected(self, corrupt, match):
+        snap = ran(hetero())
+        corrupt(snap, 1)
+        with pytest.raises(ValueError, match=match):
+            hetero().restore(snap)
+
+    @pytest.mark.parametrize("ks", [0, 4, -1])
+    def test_ks_outside_the_width_rejected(self, ks):
+        snap = ran(hetero())
+        snap["ks"][0] = ks
+        with pytest.raises(ValueError, match="ks"):
+            hetero().restore(snap)
+
+    def test_ks_pointing_into_padding_rejected(self):
+        snap = ran(hetero())
+        snap["ks"][0] = 3  # column 2 of row 0 has weight 0
+        with pytest.raises(ValueError, match="weights"):
+            hetero().restore(snap)
+
+    @pytest.mark.parametrize("field", ["weights", "dark", "light", "lighten"])
+    def test_padding_values_rejected(self, field):
+        snap = ran(hetero())
+        snap[field][0, 2] = 1
+        if field in ("dark", "light"):
+            snap["n"][0] += 1
+        with pytest.raises(ValueError, match="padding"):
+            hetero().restore(snap)
+
+    def test_rejected_payload_restores_nothing(self):
+        source = hetero()
+        source.run(300)
+        source.add_colour(2.0, 3, rows=[1])  # widens to k_max = 4
+        snap = ran(source, 200)
+        pending_before_clock(snap, 1)
+        engine = hetero()
+        engine.run(100)
+        before = engine.snapshot()
+        with pytest.raises(ValueError, match="pending"):
+            engine.restore(snap)
+        assert engine.k_max == 3
+        assert_untouched(engine, before)
+
+
+def rows_differ_in_weights(snap):
+    snap["weights"][1, 0] = 2.5
+
+
+def rows_differ_in_ks(snap):
+    # Fold row 1's last colour into colour 0 and make it padding: a
+    # valid heterogeneous payload, but not R copies of one table.
+    for block in ("dark", "light"):
+        snap[block][1, 0] += snap[block][1, -1]
+        snap[block][1, -1] = 0
+    snap["weights"][1, -1] = 0.0
+    snap["lighten"][1, -1] = 0.0
+    snap["ks"][1] -= 1
+
+
+def rows_differ_in_n(snap):
+    snap["dark"][1, 0] += 3
+    snap["n"][1] += 3
+
+
+class TestBatchedPayloadValues:
+    """Batched snapshots are heterogeneous payloads of R identical
+    rows; the batched restore also rejects rows that differ."""
+
+    @pytest.mark.parametrize("corrupt, match", ROW_CORRUPTIONS)
+    def test_corrupted_rows_rejected(self, corrupt, match):
+        snap = ran(batched())
+        corrupt(snap, slice(None))
+        with pytest.raises(ValueError, match=match):
+            batched().restore(snap)
+
+    @pytest.mark.parametrize(
+        "corrupt", [rows_differ_in_weights, rows_differ_in_ks, rows_differ_in_n]
+    )
+    def test_rows_that_differ_rejected(self, corrupt):
+        snap = ran(batched())
+        corrupt(snap)
+        hetero_twin = HeterogeneousAggregateBatch(
+            [WeightTable([1.0, 2.0, 3.0])] * 4, [[30, 20, 10]] * 4
+        )
+        hetero_twin.restore(snap)  # valid as a heterogeneous payload
+        with pytest.raises(ValueError, match="differ"):
+            batched().restore(snap)
+
+    def test_old_batched_layout_rejected(self):
+        snap = ran(batched())
+        snap.pop("ks")
+        snap.update(
+            engine="BatchedAggregateSimulation",
+            weights=snap["weights"][0],
+            lighten=snap["lighten"][0],
+            n=int(snap["n"][0]),
+        )
+        with pytest.raises(ValueError, match="BatchedAggregateSimulation"):
+            batched().restore(snap)
+
+    def test_rejected_payload_restores_nothing(self):
+        source = batched()
+        source.run(300)
+        source.add_colour(2.0, 3)
+        snap = ran(source, 200)
+        pending_before_clock(snap, slice(None))
+        engine = batched()
+        engine.run(100)
+        before = engine.snapshot()
+        with pytest.raises(ValueError, match="pending"):
+            engine.restore(snap)
+        assert engine.k == engine.weights.k == 3
+        assert_untouched(engine, before)
 
 
 class TestRowStreamsRestore:
