@@ -706,15 +706,19 @@ def advance_event_driven(
     arrays of at most B columns, not their arithmetic.  To keep that
     number small the loop runs on :class:`_ActiveRows`, a colour-major
     working copy of the active rows: column ``c`` is engine row
-    ``act[c]``, a contiguous ``(2k, ·)`` int64 block stacks the dark
-    counts over the light counts, and a preallocated ``(3k, ·)``
-    float64 buffer receives the masses through ``out=`` ufunc calls
-    and is cumulated in place along axis 0.  Each class pick is then a
-    column sum of one comparison, and each event's ±1 pair is two
-    one-hot updates of the count block.  Every array spans exactly the
+    ``act[c]``, a C-contiguous ``(2k, ·)`` int64 block stacks the dark
+    counts over the light counts, and a preallocated C-contiguous
+    ``(3k, ·)`` float64 buffer receives the masses through ``out=``
+    ufunc calls and is cumulated in place by one ``add`` per buffer
+    row, each row onto the running total of the rows before it.  Each
+    class pick is then a column sum of one comparison, and each
+    event's ±1 pair is two scatters into the flat view of the count
+    block, one element per column.  Every array spans exactly the
     active rows: when rows retire, the copy writes them back to the
-    engine arrays and compacts once, instead of gathering by ``act``
-    on every iteration.  The rows still active are written back in a
+    engine arrays and compacts once with ``compress``, which keeps
+    every block C-contiguous (the row adds run on contiguous rows and
+    the flat view stays a view), instead of gathering by ``act`` on
+    every iteration.  The rows still active are written back in a
     ``finally`` (so an exception leaves the counts consistent with
     ``times`` and ``pending``) and before every ``tap`` call, since
     taps read the engine arrays.
@@ -731,11 +735,18 @@ def advance_event_driven(
       ``a_i * total_dark`` and ``float(A_i (A_i - 1)) * lighten_i``,
       whose integer products stay below 2**53, so rebuilding gives the
       same floats as updating only the term an event changed — and
-      cumulated by a sequential sum in class order; keeping the
-      cumulative sum up to date incrementally would round differently;
+      cumulated by a sequential sum in class order, one
+      ``add(prev, cur, out=cur)`` per buffer row ``1 .. 3k-1``: the
+      same additions in the same order as ``cumsum`` along axis 0, so
+      the same floats; keeping the cumulative sum up to date
+      incrementally would round differently;
     * a class pick counts the cumulative masses at or below its
       threshold, which is the index of the first strict exceedance
       because cumulative masses never decrease.
+
+    The layout changes no value: ``compress`` copies the kept columns
+    as they are, and the ±1 scatters change integers only, one element
+    per column, so no index repeats within a scatter.
 
     ``tap(rows)`` — if given — is called after each batch of applied
     events with the absolute indices of the rows that just changed
@@ -753,8 +764,6 @@ def advance_event_driven(
     rows = _ActiveRows.gather(
         act, times, horizon, dark, light, lighten, denom, k, xp
     )
-    # Count-block row of every class: dark colours, then light colours.
-    classes = xp.arange(2 * k)[:, None]
     carried = True
     try:
         while rows.size:
@@ -768,7 +777,8 @@ def advance_event_driven(
             xp.multiply(r.dark, r.dark - 1, out=r.terms)
             xp.multiply(r.terms, r.lighten, out=r.terms)
             r.partner[...] = r.dark
-            r.mass.cumsum(axis=0, out=r.mass)
+            for prev, cur in r.cumulate:
+                xp.add(prev, cur, out=cur)
             # Rows with no active events left (single colour, all dark,
             # w = 1 edge cases) coast to the horizon.  An absorbed row
             # can hold no pending arrival: rates only change through
@@ -828,11 +838,13 @@ def advance_event_driven(
             j = (r.partner <= _below(partner, r.total, xp)).sum(axis=0)
             # Adopt moves light i -> dark j; lighten moves dark i ->
             # light i: the source class loses one agent, the destination
-            # class gains it.
+            # class gains it, one flat scatter each.
             adopt = cls < k
             step = xp.where(adopt, 1, -1)
-            r.counts -= classes == cls + k * step
-            r.counts += classes == xp.where(adopt, j, cls)
+            source = cls + k * step
+            target = xp.where(adopt, j, cls)
+            r.flat[source * r.size + r.col] -= 1
+            r.flat[target * r.size + r.col] += 1
             r.total_dark += step
             if tap is not None:
                 r.store(times, dark, light)
@@ -846,27 +858,37 @@ def advance_event_driven(
 class _ActiveRows:
     """The event loop's colour-major working copy of its active rows.
 
-    Column ``c`` holds engine row ``act[c]``: ``counts`` is a contiguous
+    Column ``c`` holds engine row ``act[c]``: ``counts`` is a
     ``(2k, ·)`` int64 block, dark counts (``dark``) over light counts
     (``light``), and ``mass`` the ``(3k, ·)`` float64 buffer the
     cumulative event masses are built in, whose blocks and rows the
     remaining array attributes view; ``lighten`` holds the ``(k, ·)``
-    coins of the same rows.
+    coins of the same rows.  All three blocks are C-contiguous:
+    :meth:`gather` allocates them so and :meth:`retire` compacts them
+    with ``compress``, which keeps the layout (a boolean ``[:, keep]``
+    would return a column-major copy).  So every row of ``mass`` is a
+    contiguous view — ``cumulate`` pairs each row with the one before
+    it for the running sum — and ``flat`` is a view of ``counts``, not
+    a copy: class ``i`` of column ``c`` is ``flat[i * size + c]``, with
+    the column indices in ``col``.
     """
 
     __slots__ = (
-        "act", "size", "counts", "dark", "light", "total_dark", "clock",
-        "horizon", "denom", "lighten", "mass", "adopt", "terms",
-        "partner", "event", "rate", "total",
+        "act", "size", "col", "counts", "flat", "dark", "light",
+        "total_dark", "clock", "horizon", "denom", "lighten", "mass",
+        "cumulate", "adopt", "terms", "partner", "event", "rate", "total",
     )
 
     def __init__(
-        self, act, counts, total_dark, clock, horizon, denom, lighten, mass
+        self, act, counts, total_dark, clock, horizon, denom, lighten,
+        mass, col,
     ):
         k = counts.shape[0] // 2
         self.act = act
         self.size = act.shape[0]
+        self.col = col[: self.size]
         self.counts = counts
+        self.flat = counts.reshape(-1)
         self.dark = counts[:k]
         self.light = counts[k:]
         self.total_dark = total_dark
@@ -875,6 +897,8 @@ class _ActiveRows:
         self.denom = denom
         self.lighten = lighten
         self.mass = mass
+        lines = list(mass)
+        self.cumulate = tuple(zip(lines[:-1], lines[1:]))
         self.adopt = mass[:k]
         self.terms = mass[k : 2 * k]
         self.partner = mass[2 * k :]
@@ -898,6 +922,7 @@ class _ActiveRows:
             denom[act],
             lighten[act].T.copy(),
             xp.empty((3 * k, size), dtype=FLOAT64),
+            xp.arange(size),
         )
 
     def retire(self, keep, times, dark, light) -> "_ActiveRows":
@@ -910,13 +935,14 @@ class _ActiveRows:
         light[rows] = self.light[:, gone].T
         return _ActiveRows(
             self.act[keep],
-            self.counts[:, keep],
+            self.counts.compress(keep, axis=1),
             self.total_dark[keep],
             self.clock[keep],
             self.horizon[keep],
             self.denom[keep],
-            self.lighten[:, keep],
-            self.mass[:, keep],
+            self.lighten.compress(keep, axis=1),
+            self.mass.compress(keep, axis=1),
+            self.col,
         )
 
     def store(self, times, dark, light) -> None:

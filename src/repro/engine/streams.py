@@ -23,18 +23,22 @@ per ``block`` draws.
 The pool, cursors and per-row bit-generator states round-trip through
 :meth:`RowStreams.snapshot`/:meth:`RowStreams.restore` as plain arrays
 (no pickling), so engine checkpoints capture buffered-but-unconsumed
-uniforms exactly.  ``restore`` rejects cursors outside ``[0, block]``.
+uniforms exactly.  ``restore`` rejects cursors outside ``[0, block]``,
+and ``take`` any draw count outside ``[1, block]``.
 
 The event loop calls :meth:`RowStreams.take` twice and
 :func:`geometric_from_uniform` once per iteration, so both keep their
 NumPy call count low.  ``take`` tests for refills with one max-reduce
-over the selected cursors and reads the draws through a flat view of
-the pool (row ``r``'s cursor ``c`` is element ``r * block + c``) in one
-gather; ``geometric_from_uniform`` skips its mask when every
-``p < 1``.  Neither changes a draw: a row still refills exactly when
-its pool cannot serve the request, whatever other rows share the
-call.  The loop keeps its gap and event draws in two separate
-``take`` calls for the same reason (see
+over the selected cursors, refills each row that is due in place with
+``Generator.random(out=)`` into a row view of the pool bound at
+construction (the same doubles as ``random(block)``, without a
+temporary), resets the due cursors with one scatter, and reads the
+draws through a flat view of the pool (row ``r``'s cursor ``c`` is
+element ``r * block + c``) in one gather; ``geometric_from_uniform``
+skips its mask when every ``p < 1``.  Neither changes a draw: a row
+still refills exactly when its pool cannot serve the request, whatever
+other rows share the call.  The loop keeps its gap and event draws in
+two separate ``take`` calls for the same reason (see
 :func:`repro.engine.hetero.advance_event_driven`).
 
 Streams are host-resident on every backend: the per-row PCG64 states
@@ -99,8 +103,10 @@ class RowStreams:
             raise ValueError("block must hold at least one event's draws")
         self._block = int(block)
         self._pool = np.zeros((len(self._gens), self._block), dtype=FLOAT64)
-        # Row r's pool is _flat[r * block : (r + 1) * block]; refills and
-        # restore() write the pool in place, so the view stays valid.
+        # Row r's pool is _rows[r] and _flat[r * block : (r + 1) * block];
+        # refills and restore() write the pool in place, so the views
+        # stay valid.
+        self._rows = list(self._pool)
         self._flat = self._pool.reshape(-1)
         # Cursors start exhausted; the first take() refills on demand.
         self._pos = np.full(len(self._gens), self._block, dtype=INT64)
@@ -146,21 +152,27 @@ class RowStreams:
 
         Rows whose pool cannot serve ``m`` more draws refill first (the
         partial tail is discarded — deterministically, since the refill
-        point is a pure function of the row's own take sequence).
+        point is a pure function of the row's own take sequence).  ``m``
+        must lie in ``[1, block]``: a longer take would read past the
+        row's pool into the next row's, and ``m < 1`` would move the
+        cursor back over consumed draws.
 
         Both the index argument and the returned block are host arrays;
         device engines convert at the call site.  The block is a
         transposed view, so each of its columns is contiguous.
         """
+        if not 1 <= m <= self._block:
+            raise ValueError(
+                f"take needs 1 <= m <= {self._block} draws per row, got {m}"
+            )
         rows = np.asarray(rows, dtype=INT64)
         pos = self._pos[rows]
         end = pos + m
         if rows.size and end.max() > self._block:
-            for row in rows[end > self._block]:
-                row = int(row)
-                self._pool[row] = self._gens[row].random(self._block)
-                self._pos[row] = 0
-            pos = self._pos[rows]
+            due = end > self._block
+            for row in rows[due].tolist():
+                self._gens[row].random(out=self._rows[row])
+            pos[due] = 0
             end = pos + m
         self._pos[rows] = end
         # Gathered draw-major, an (m, len(rows)) block, and returned

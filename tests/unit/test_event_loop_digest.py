@@ -12,6 +12,10 @@ The constants were recorded from the original loop, before it was
 restructured for speed, so they pin the exact draws and the exact
 float arithmetic: a consumed uniform out of order, a refill at a
 different point or a sum regrouped in another order changes a digest.
+The wide case (240 rows, four weight tables, ragged populations and
+targets) was recorded before the loop's working copy was kept
+row-contiguous as rows retire; it compacts that copy hundreds of
+times.  ``TestWorkingLayout`` checks the layout itself.
 """
 
 import hashlib
@@ -21,6 +25,7 @@ import numpy as np
 from repro.analysis.streaming import StreamingPotentials
 from repro.core.weights import WeightTable
 from repro.engine import BatchedAggregateSimulation, HeterogeneousAggregateBatch
+from repro.engine.hetero import _ActiveRows
 
 STREAM_FIELDS = ("pool", "pos", "state", "inc", "has_uint32", "uinteger")
 
@@ -68,6 +73,32 @@ def hetero(**kwargs) -> HeterogeneousAggregateBatch:
 #: Ragged per-row targets; row 3 starts at its target and never moves.
 TARGETS = np.array([900, 2400, 1500, 0])
 
+#: The wide case's weight tables, one per row in turn (k = 2, 3, 4, 5).
+WIDE_TABLES = (
+    [1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 4.0],
+    [1.0, 2.0, 3.0, 4.0, 5.0],
+)
+WIDE_ROWS = 240
+
+#: Ragged targets for the wide case: rows arrive at many different
+#: iterations, so the working set compacts hundreds of times.
+WIDE_TARGETS = 100 + (np.arange(WIDE_ROWS) * 37) % 1900
+
+
+def hetero_wide() -> HeterogeneousAggregateBatch:
+    """240 rows over four weight tables with ragged populations."""
+    tables = [WIDE_TABLES[r % len(WIDE_TABLES)] for r in range(WIDE_ROWS)]
+    dark = [
+        [4 + (7 * r + 5 * i) % 29 for i in range(len(table))]
+        for r, table in enumerate(tables)
+    ]
+    light = [
+        [(3 * r + i) % 4 for i in range(len(table))]
+        for r, table in enumerate(tables)
+    ]
+    return HeterogeneousAggregateBatch(tables, dark, light, rng=31)
+
+
 DIGESTS = {
     "batched_whole":
         "d07259679991e8ad743aa1f0d66a6d9bacd575847bac5b459dd290711947a448",
@@ -85,6 +116,8 @@ DIGESTS = {
         "2d692246e1fc3c40dc187e218f256fe22dbb4f456cf7a9c655b62c5096ae1f7d",
     "hetero_tap":
         "c38e53d1817819c06ee246357d01a2c16a91b92f26c99e7abb3d40bb5ebb3636",
+    "hetero_wide":
+        "fe110e79269a0ab9436b8bd6b15c3254e294d9ebfac6dc4467376fe434ebd889",
 }
 
 
@@ -165,3 +198,33 @@ class TestHeteroDigests:
         engine.attach_stream(tap)
         engine.run_to(TARGETS)
         assert digest(engine, *tap_arrays(tap)) == DIGESTS["hetero_tap"]
+
+    def test_wide_batch_retiring_rows(self):
+        """Hundreds of rows retiring at many different iterations, run
+        in two halves, so the loop compacts its working set often."""
+        engine = hetero_wide()
+        engine.run_to(WIDE_TARGETS // 2)
+        engine.run_to(WIDE_TARGETS)
+        assert engine.times().tolist() == WIDE_TARGETS.tolist()
+        assert digest(engine) == DIGESTS["hetero_wide"]
+
+
+class TestWorkingLayout:
+    def test_retire_keeps_the_blocks_c_contiguous(self):
+        """Compacting the working set keeps every block row-contiguous,
+        so the flat view the ±1 scatters write through is the count
+        block itself, not a copy."""
+        engine = hetero()
+        k = engine.k_max
+        rows = _ActiveRows.gather(
+            np.arange(engine.rows), engine._times, TARGETS + 1,
+            engine._dark, engine._light, engine._lighten, engine._denom,
+            k, np,
+        )
+        keep = np.array([True, False, True, True])
+        rest = rows.retire(keep, engine._times, engine._dark, engine._light)
+        assert rest.act.tolist() == [0, 2, 3]
+        for block in (rest.counts, rest.mass, rest.lighten):
+            assert block.flags.c_contiguous
+        assert np.shares_memory(rest.flat, rest.counts)
+        assert rest.counts.tolist() == rows.counts[:, keep].tolist()

@@ -311,6 +311,24 @@ class TestRowStreamsRestore:
         assert streams.take(np.arange(3), 2).shape == (3, 2)
 
 
+class TestRowStreamsTake:
+    """``take(rows, m)`` used to accept any ``m``: past the block it
+    served the next row's pool (or raised IndexError on the last row
+    after moving the cursor), and a negative ``m`` moved the cursor
+    back over consumed draws."""
+
+    @pytest.mark.parametrize("row, m", [(0, 6), (2, 6), (0, -1), (1, 0)])
+    def test_draws_outside_the_block_rejected(self, row, m):
+        streams = RowStreams.from_generator(make_rng(9), 3, block=4)
+        streams.take(np.arange(3), 2)
+        before = streams.snapshot()
+        with pytest.raises(ValueError, match="1 <= m <= 4"):
+            streams.take([row], m)
+        after = streams.snapshot()
+        for field, value in before.items():
+            np.testing.assert_array_equal(after[field], value)
+
+
 def simulation(**kwargs) -> Simulation:
     weights = WeightTable([1.0, 2.0])
     protocol = EagerRecolouring(weights)  # arity 2
