@@ -25,7 +25,7 @@ dynamics — vectorise too: :func:`run_agent` routes protocols with a
 registered transition kernel (Diversification, Voter, 3-Majority, the
 unweighted ablation) through the structure-of-arrays
 :class:`~repro.engine.ArraySimulation`, which applies kernels to
-conflict-free blocks of steps and falls back to the scalar
+windows of steps cut on effective writes and falls back to the scalar
 :class:`~repro.engine.Simulation` for everything else (custom
 protocols, interventions, non-CSR topologies)::
 

@@ -7,16 +7,20 @@ transition, and *only the scheduled agent changes state* — but holds the
 population as flat ``(colour, shade)`` integer arrays and applies
 transition *kernels* to whole blocks of steps at once.
 
-Exactness.  A block of pre-drawn steps is split into **conflict-free
-segments**: within a segment no step reads (as initiator or partner) an
-agent that an earlier step of the same segment scheduled.  Initiators
-are therefore deduplicated per segment, gathers against the
-segment-start state equal the sequential reads, and the scattered
-writes commute — so segmented execution reproduces the sequential
-trajectory of its own draw sequence *exactly*, not just in
-distribution.  Against the scalar engine the equivalence is
-distributional (the draw streams differ); it is verified with seeded
-Kolmogorov-Smirnov tests in ``tests/integration/test_array_equivalence.py``.
+Exactness.  Single-run mode evaluates the kernel over a **window** of
+pre-drawn steps against the window-start state, then commits the
+window up to the first step that reads (as initiator or partner) an
+agent an earlier step of the window *changed* — an effective write,
+not merely a scheduled one, since most steps change nothing.  Every
+committed step therefore read what the sequential loop would have
+shown it, and no agent changes twice in a committed prefix, so
+scattering the changed entries reproduces the sequential trajectory of
+the engine's own draw sequence *exactly*, not just in distribution.
+The first uncommitted step opens the next window; draws are buffered
+by executed-step count, so how steps group into windows never shows.
+Against the scalar engine the equivalence is distributional (the draw
+streams differ); it is verified with seeded Kolmogorov-Smirnov tests in
+``tests/integration/test_array_equivalence.py``.
 
 Kernels exist for the Diversification protocol (light-adopts-dark,
 dark-dark lightening with probability ``1/w_i``), its unweighted
@@ -53,8 +57,9 @@ the transition kernels restrict themselves to the array-API standard
 (``take`` instead of fancy indexing, ``astype`` as a function, no
 ``out=``), so :func:`kernel_for` can build a kernel against any
 resolved backend — including ``array-api-strict`` — while the engine
-step loops, which need NumPy-compatible scatter and ``bincount``, gate
-on :func:`~repro.engine.backend.require_engine_loops`.  Randomness
+step loops, which need NumPy-compatible scatter (and the ``minimum.at``
+scatter-min) and ``bincount``, gate on
+:func:`~repro.engine.backend.require_engine_loops`.  Randomness
 stays on the host (see :mod:`repro.engine.rng`) and is device-placed
 per block; checkpoints always serialise as host NumPy arrays.
 """
@@ -94,6 +99,10 @@ from .scheduler import Scheduler, UniformScheduler
 _BLOCK = 8192
 #: Target total draws (steps x replications) per batched refill.
 _BATCH_DRAWS = 65536
+#: Single-run window: the first one's length, and the least a cut one
+#: shrinks to (windows grow and shrink with the committed lengths).
+_FIRST_WINDOW = 32
+_MIN_WINDOW = 16
 
 
 # ----------------------------------------------------------------------
@@ -712,6 +721,8 @@ class ArraySimulation:
             else _BLOCK
         )
         self._buf_pos = self._batch_block  # empty; first run() refills
+        self._step_index = xp.arange(_BLOCK, dtype=dt.int64)
+        self._reset_window()
         # Live (k,) count tables are maintained only while observers
         # need per-change snapshots; otherwise counts are recomputed on
         # demand with one bincount.
@@ -835,6 +846,7 @@ class ArraySimulation:
         )
         self._n += count
         self._buf_pos = self._batch_block  # discard stale partner draws
+        self._reset_window()
         if self._live_counts is not None:
             counts = self._live_counts
             counts["colour"][colour] += count
@@ -931,7 +943,19 @@ class ArraySimulation:
             }
 
     # ------------------------------------------------------------------
-    # Single-run mode: conflict-free segments
+    # Single-run mode: windows cut on effective writes
+
+    def _reset_window(self) -> None:
+        """Size the window scratch for the current ``n``: every agent's
+        first changing step in the window, ``_BLOCK`` (none) between
+        windows, and the next window's length."""
+        bk = self._backend
+        # repro-lint: disable=RL301 -- all _BLOCK between windows; restore() resets it
+        self._first_change = bk.xp.full(
+            self._n, _BLOCK, dtype=bk.dtypes.int64
+        )
+        # repro-lint: disable=RL301 -- sizes windows, never what a step reads
+        self._window = _FIRST_WINDOW
 
     def _run_single(self, steps: int) -> None:
         remaining = steps
@@ -944,7 +968,7 @@ class ArraySimulation:
             remaining -= take
 
     def _refill_single(self) -> None:
-        """Draw a full block of steps and precompute its conflict map."""
+        """Draw a full block of steps."""
         bk = self._backend
         xp = bk.xp
         dt = bk.dtypes
@@ -972,23 +996,33 @@ class ArraySimulation:
         self._buf_init = initiators
         self._buf_partners = partners
         self._buf_pos = 0
-        self._buf_runmax = _conflict_runmax(initiators, partners, xp=xp)
 
     def _process_slice(self, lo: int, hi: int) -> None:
-        """Apply buffered steps ``[lo, hi)`` in conflict-free segments."""
+        """Apply buffered steps ``[lo, hi)`` in windows cut on effective
+        writes.
+
+        The kernel runs over a window against the window-start state.
+        ``xp.minimum.at`` records each changed agent's first changing
+        step (a scatter-min, well defined for repeated agents), and the
+        window commits up to the first step that reads an agent with an
+        earlier change, which opens the next window; only the committed
+        changes are scattered, each agent at most once.  A whole-window
+        commit doubles the window, a cut one sets it to twice the
+        committed length.
+        """
         xp = self._backend.xp
         initiators = self._buf_init
         partners = self._buf_partners
         coins = self._buf_coins
-        runmax = self._buf_runmax
         colours = self._colours
         shades = self._shades
         kernel = self._kernel
+        first = self._first_change
+        window = self._window
         start = lo
         while start < hi:
-            end = min(
-                hi, int(xp.searchsorted(runmax, start, side="left"))
-            )
+            end = min(hi, start + window)
+            length = end - start
             u = initiators[start:end]
             v = partners[start:end]
             uc = colours[u]
@@ -996,29 +1030,49 @@ class ArraySimulation:
             new_c, new_s = kernel.apply(
                 uc, us, colours[v], shades[v], coins[start:end]
             )
-            changed = (new_c != uc) | (new_s != us)
+            changed = ((new_c != uc) | (new_s != us)).nonzero()[0]
+            writers = u[changed]
+            committed = length
+            # A change at the window's last step is read by no later one.
+            if changed.size and changed[0] < length - 1:
+                xp.minimum.at(first, writers, changed)
+                steps = self._step_index[:length]
+                stale = (
+                    (first[u] < steps)
+                    | (first[v] < steps[:, None]).any(axis=1)
+                ).nonzero()[0]
+                first[writers] = _BLOCK
+                if stale.size:
+                    committed = int(stale[0])
+                    kept = xp.searchsorted(changed, committed)
+                    changed = changed[:kept]
+                    writers = writers[:kept]
             if self.observers:
                 self._apply_observed(
-                    end - start, u, uc, us, new_c, new_s, changed
+                    committed, u, uc, us, new_c, new_s, changed
                 )
             else:
-                targets = u[changed]
-                colours[targets] = new_c[changed]
-                shades[targets] = new_s[changed]
-                self.changes += int(xp.count_nonzero(changed))
-                self._time += end - start
-            start = end
+                colours[writers] = new_c[changed]
+                shades[writers] = new_s[changed]
+                self.changes += int(changed.size)
+                self._time += committed
+            if committed < length:
+                window = min(_BLOCK, max(_MIN_WINDOW, 2 * committed))
+            elif length == window:
+                window = min(_BLOCK, 2 * window)
+            start += committed
+        self._window = window
 
     def _apply_observed(
         self, length, u, uc, us, new_c, new_s, changed
     ) -> None:
-        """Apply a segment change-by-change so observers see exact
-        mid-trajectory state (the vectorised kernel already fixed the
-        outcomes; conflict-freedom makes sequential replay exact)."""
-        xp = self._backend.xp
+        """Apply a committed window change-by-change (``changed`` holds
+        the window positions of its changes, ascending) so observers see
+        exact mid-trajectory state: the vectorised kernel already fixed
+        the outcomes, and no committed step read an earlier change."""
         base = self._time
         counts = self._live_counts
-        for j in xp.flatnonzero(changed):
+        for j in changed:
             j = int(j)
             agent = int(u[j])
             old = AgentState(int(uc[j]), int(us[j]))
@@ -1124,10 +1178,9 @@ class ArraySimulation:
         buffer (initiators, partners and coins), scheduler progress,
         the RNG bit-generator state, and the protocol's weight table
         when it has one.  An exhausted buffer is dropped (the next run
-        refills at the same stream position either way); the single-run
-        conflict map is recomputed on restore, since it is a pure
-        function of the buffered draws.  All arrays cross
-        ``Backend.to_numpy`` so the payload restores on any backend.
+        refills at the same stream position either way).  All arrays
+        cross ``Backend.to_numpy`` so the payload restores on any
+        backend.
         """
         bk = self._backend
         buffered = (
@@ -1158,12 +1211,35 @@ class ArraySimulation:
         return ckpt.payload("ArraySimulation", **fields)
 
     def restore(self, data: dict) -> "ArraySimulation":
-        """Restore a :meth:`snapshot` payload in place."""
+        """Restore a :meth:`snapshot` payload in place.
+
+        Raises:
+            ValueError: if ``k`` is below the engine's colour slots or
+                disagrees with the payload's weights, the states do not
+                fit the engine's mode, a colour lies outside ``[0, k)``,
+                a shade is negative, ``n`` is not the number of stored
+                agents, the clock or change count is negative, the
+                buffer cursor lies outside ``[0, block]``, or a buffered
+                block is mis-shaped or names an agent outside
+                ``[0, n)``; nothing is restored then.
+        """
         ckpt.check(data, "ArraySimulation")
         bk = self._backend
+        k = ckpt.as_int(data["k"])
+        if k < self._k:
+            raise ValueError(
+                f"checkpoint k={k} is below the engine's {self._k} colour "
+                "slots; colour slots can only grow"
+            )
         weights = getattr(self.protocol, "weights", None)
+        table = None
         if isinstance(weights, WeightTable) and "weights" in data:
-            ckpt.restore_weight_table(weights, data["weights"])
+            table = ckpt.as_array(data["weights"], FLOAT64)
+            if table.shape != (k,):
+                raise ValueError(
+                    f"checkpoint weights have shape {table.shape} but k={k}"
+                )
+            ckpt.restore_weight_table(weights.copy(), table)  # check only
         colours = ckpt.as_array(data["colours"], INT64)
         shades = ckpt.as_array(data["shades"], INT64)
         if colours.ndim != self._colours.ndim or colours.shape != shades.shape:
@@ -1176,33 +1252,70 @@ class ArraySimulation:
                 f"checkpoint has {colours.shape[0]} replications but "
                 f"the engine has {self.replications}"
             )
-        if not self._complete and colours.shape[-1] != self._n:
+        n = ckpt.as_int(data["n"])
+        if n != colours.shape[-1]:
+            raise ValueError(
+                f"checkpoint n={n} does not match its "
+                f"{colours.shape[-1]} stored agents"
+            )
+        if n < 2:
+            raise ValueError("checkpoint holds fewer than two agents")
+        if not self._complete and n != self._n:
             raise ValueError(
                 "checkpoint population size does not match the topology"
             )
-        self._grow_colour_slots(ckpt.as_int(data["k"]))
+        if int(colours.min()) < 0 or int(colours.max()) >= k:
+            raise ValueError(f"checkpoint colours must lie in [0, {k})")
+        if int(shades.min()) < 0:
+            raise ValueError("checkpoint shades must be non-negative")
+        time = ckpt.as_int(data["time"])
+        changes = ckpt.as_int(data["changes"])
+        for name, value in (("time", time), ("changes", changes)):
+            if value < 0:
+                raise ValueError(f"checkpoint {name} {value} is negative")
+        block = self._batch_block
+        buf_pos = ckpt.as_int(data["buf_pos"])
+        if not 0 <= buf_pos <= block:
+            raise ValueError(
+                f"checkpoint buf_pos {buf_pos} is outside [0, {block}]"
+            )
+        buffers = {}
+        if ckpt.as_int(data["buffered"]):
+            lead = (block, self.replications) if self._batched else (block,)
+            expected = {
+                "buf_init": (INT64, lead),
+                "buf_partners": (INT64, (*lead, self._arity)),
+                "buf_coins": (FLOAT64, (*lead, self._ncoins)),
+            }
+            for name, (dtype, shape) in expected.items():
+                buffers[name] = ckpt.as_array(data[name], dtype)
+                if buffers[name].shape != shape:
+                    raise ValueError(
+                        f"checkpoint {name} has shape "
+                        f"{buffers[name].shape}, expected {shape}"
+                    )
+            for name in ("buf_init", "buf_partners"):
+                agents = buffers[name]
+                if int(agents.min()) < 0 or int(agents.max()) >= n:
+                    raise ValueError(
+                        f"checkpoint {name} names agents outside [0, {n})"
+                    )
+        if table is not None:
+            ckpt.restore_weight_table(weights, table)
+        self._grow_colour_slots(k)
         self._colours = bk.from_host(colours)
         self._shades = bk.from_host(shades)
-        self._n = ckpt.as_int(data["n"])
-        self._time = ckpt.as_int(data["time"])
-        self.changes = ckpt.as_int(data["changes"])
-        self._buf_pos = ckpt.as_int(data["buf_pos"])
-        if ckpt.as_int(data["buffered"]):
-            self._buf_init = bk.from_host(
-                ckpt.as_array(data["buf_init"], INT64)
-            )
-            self._buf_partners = bk.from_host(
-                ckpt.as_array(data["buf_partners"], INT64)
-            )
-            self._buf_coins = bk.from_host(
-                ckpt.as_array(data["buf_coins"], FLOAT64)
-            )
-            if not self._batched:
-                self._buf_runmax = _conflict_runmax(
-                    self._buf_init, self._buf_partners, xp=bk.xp
-                )
+        self._n = n
+        self._time = time
+        self.changes = changes
+        if buffers:
+            self._buf_pos = buf_pos
+            self._buf_init = bk.from_host(buffers["buf_init"])
+            self._buf_partners = bk.from_host(buffers["buf_partners"])
+            self._buf_coins = bk.from_host(buffers["buf_coins"])
         else:
-            self._buf_pos = max(self._buf_pos, self._batch_block)
+            self._buf_pos = block
+        self._reset_window()
         # Live counts are rebuilt lazily by _prepare() when observers
         # need them.
         self._live_counts = None
@@ -1217,37 +1330,3 @@ class ArraySimulation:
             f"n={self.n}, k={self.k}, t={self.time})"
         )
 
-
-def _conflict_runmax(initiators, partners, xp=None):
-    """Running maximum of each step's latest read-write conflict.
-
-    For every step ``t`` of a drawn block, ``maxprev[t]`` is the latest
-    earlier step whose *initiator* is read by step ``t`` (as its own
-    initiator or any sampled partner), or -1.  A segment ``[s, e)`` is
-    conflict-free iff ``maxprev[t] < s`` for all ``t`` in it; since
-    ``maxprev[t] < t`` the running maximum is the segmentation oracle:
-    the segment starting at ``s`` extends to the first ``t`` with
-    ``runmax[t] >= s`` (found by binary search — the running max is
-    non-decreasing).
-
-    The latest-write lookup is one sorted search: writes are encoded as
-    ``agent * B + step`` (unique, sorted), each read ``(agent, t)``
-    queries the largest write key strictly below ``agent * B + t``.
-
-    ``xp`` is the (NumPy-compatible) namespace holding the buffers; the
-    ufunc-style ``maximum.accumulate`` keeps this helper on the
-    engine-loop side of the backend gate.
-    """
-    if xp is None:
-        xp = HOST.xp
-    block = initiators.shape[0]
-    steps = xp.arange(block, dtype=INT64)
-    write_keys = xp.sort(initiators * block + steps)
-    reads = xp.concatenate([initiators[:, None], partners], axis=1)
-    queries = (reads * block + steps[:, None]).ravel()
-    position = xp.searchsorted(write_keys, queries, side="left") - 1
-    candidate = write_keys[xp.maximum(position, 0)]
-    hit = (position >= 0) & (candidate // block == reads.ravel())
-    prev = xp.where(hit, candidate % block, -1)
-    maxprev = prev.reshape(block, -1).max(axis=1)
-    return xp.maximum.accumulate(maxprev)

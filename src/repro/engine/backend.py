@@ -117,8 +117,8 @@ class Backend:
     supports_engine_loops:
         True when ``xp`` is NumPy-compatible enough to run the engine
         step/event loops (fancy-index gather/scatter, ``cumsum(axis=)``,
-        ``maximum.accumulate``, ``bincount``).  The strict backend only
-        covers the kernel layer and sets this False.
+        the ``minimum.at`` scatter-min, ``bincount``).  The strict
+        backend only covers the kernel layer and sets this False.
     """
 
     __slots__ = (

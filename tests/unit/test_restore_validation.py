@@ -13,15 +13,23 @@ correctly shaped fields: negative counts (a row then lost agents), an
 ``n`` that disagrees with the row totals or is below 2, ``ks`` pointing
 into padding, values in padding columns, coins outside ``[0, 1]``,
 negative clocks and pending arrivals before the clock (the row's clock
-then ran backwards).
+then ran backwards).  ``ArraySimulation`` took a negative buffer cursor
+(the next run sliced the buffer from its tail), colours outside its
+slots (the next run raised IndexError), an ``n`` that disagrees with the
+stored agents, negative clocks, change counts and shades, and weights
+that disagree with ``k``; a truncated buffer raised only after the
+clocks, the states and the buffer were overwritten, and a ``k`` below
+the engine's raised only after the weight table had grown.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.ablations import EagerRecolouring
+from repro.core.diversification import Diversification
 from repro.core.weights import WeightTable
 from repro.engine import (
+    ArraySimulation,
     BatchedAggregateSimulation,
     HeterogeneousAggregateBatch,
     MultiShadeAggregate,
@@ -29,6 +37,7 @@ from repro.engine import (
     RowStreams,
     Simulation,
 )
+from repro.engine.array_engine import _BLOCK as ARRAY_BLOCK
 from repro.engine.rng import make_rng
 from repro.engine.simulator import _BLOCK
 from repro.topology import CycleGraph
@@ -441,3 +450,104 @@ class TestMultiShadeRestore:
         engine = multishade().restore(snap)
         engine.run(100)
         assert engine.time == 600
+
+
+def array_engine(replications=None) -> ArraySimulation:
+    return ArraySimulation(
+        Diversification(WeightTable([1.0, 2.0])), np.arange(20) % 2, k=2,
+        replications=replications, rng=3,
+    )
+
+
+class TestArrayRestore:
+    """Snapshots of a 20-agent, k = 2 engine at t = 100, with a live
+    draw buffer."""
+
+    def snapshot(self, replications=None):
+        engine = array_engine(replications)
+        engine.run(100)
+        return engine.snapshot()
+
+    @pytest.mark.parametrize("cursor", [-5, -1, ARRAY_BLOCK + 1])
+    def test_cursor_outside_the_block_rejected(self, cursor):
+        snap = self.snapshot()
+        snap["buf_pos"] = cursor
+        with pytest.raises(ValueError, match="buf_pos"):
+            array_engine().restore(snap)
+
+    def test_colour_outside_the_slots_rejected(self):
+        snap = self.snapshot()
+        snap["colours"][3] = 7
+        with pytest.raises(ValueError, match="colours"):
+            array_engine().restore(snap)
+
+    def test_negative_shade_rejected(self):
+        snap = self.snapshot()
+        snap["shades"][3] = -1
+        with pytest.raises(ValueError, match="shades"):
+            array_engine().restore(snap)
+
+    def test_n_must_match_the_stored_agents(self):
+        snap = self.snapshot()
+        snap["n"] = 25
+        with pytest.raises(ValueError, match="stored agents"):
+            array_engine().restore(snap)
+
+    @pytest.mark.parametrize("field", ["time", "changes"])
+    def test_negative_counter_rejected(self, field):
+        snap = self.snapshot()
+        snap[field] = -3
+        with pytest.raises(ValueError, match=field):
+            array_engine().restore(snap)
+
+    @pytest.mark.parametrize("field", ["buf_init", "buf_partners", "buf_coins"])
+    def test_truncated_buffer_rejected(self, field):
+        snap = self.snapshot()
+        snap[field] = snap[field][:100]
+        with pytest.raises(ValueError, match=field):
+            array_engine().restore(snap)
+
+    @pytest.mark.parametrize("field, agent", [
+        ("buf_init", 20), ("buf_init", -1),
+        ("buf_partners", 20), ("buf_partners", -1),
+    ])
+    def test_buffered_agent_outside_the_population_rejected(
+        self, field, agent
+    ):
+        snap = self.snapshot()
+        snap[field][ARRAY_BLOCK - 1] = agent
+        with pytest.raises(ValueError, match=field):
+            array_engine().restore(snap)
+
+    def test_batched_buffer_shape_checked(self):
+        snap = self.snapshot(replications=3)
+        snap["buf_partners"] = snap["buf_partners"][:, :2]
+        with pytest.raises(ValueError, match="buf_partners"):
+            array_engine(replications=3).restore(snap)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_k_disagreeing_with_the_weights_rejected(self, k):
+        """A grown weight table needs as many colour slots; the slots
+        cannot shrink.  The engine's table keeps its two colours."""
+        snap = self.snapshot()
+        snap["k"] = k
+        snap["weights"] = np.array([1.0, 2.0, 5.0])
+        engine = array_engine()
+        with pytest.raises(ValueError, match="k="):
+            engine.restore(snap)
+        assert engine.protocol.weights.k == engine.k == 2
+
+    def test_rejected_payload_restores_nothing(self):
+        engine = array_engine()
+        engine.run(7)
+        before = engine.snapshot()
+        snap = self.snapshot()
+        snap["buf_init"] = snap["buf_init"][:100]
+        with pytest.raises(ValueError):
+            engine.restore(snap)
+        after = engine.snapshot()
+        assert after["time"] == before["time"] == 7
+        assert after["buf_pos"] == before["buf_pos"]
+        assert after["rng"] == before["rng"]
+        for field in ("colours", "shades", "buf_init", "buf_partners"):
+            np.testing.assert_array_equal(after[field], before[field])
