@@ -10,8 +10,7 @@ Three gates, all asserted here (and in CI's warm-vs-cold job):
   be >= 10x faster than the cold run (measured ~100x on the dev box);
 * **bit identity** — the tables rendered from the no-cache, cold
   (compute + store) and warm (replay) runs must match byte for byte
-  (cached values round-trip through JSON exactly, the checkpoint-
-  resume precedent);
+  (cached values round-trip through JSON exactly);
 * **partial overlap** — a second sweep sharing half its cells with the
   first must hit exactly the shared shards and compute exactly the new
   ones (hit/miss counts asserted).  The sweep uses ``"cell"`` seed

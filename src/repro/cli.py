@@ -213,43 +213,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.cache is None and args.cache_dir is not None
     )
     cache_dir = args.cache_dir or ".repro-cache"
-    checkpoint_every = args.checkpoint_every
-    if args.resume and checkpoint_every is None:
-        checkpoint_every = 1
-    if checkpoint_every is not None and args.fused:
-        # Fused mega-batches advance whole shard groups inside one
-        # engine call; there is no per-shard boundary to checkpoint at.
-        print(
-            "--checkpoint-every/--resume is incompatible with --fused",
-            file=sys.stderr,
-        )
-        return 2
-    if checkpoint_every is not None and checkpoint_every < 1:
-        print("--checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
-    if cache_enabled and checkpoint_every is not None:
-        # The checkpointed executor already persists every finished
-        # shard to its own file; the content-addressed cache is not
-        # consulted on that path.
-        print(
-            "note: --cache has no effect with --checkpoint-every/"
-            "--resume; the checkpoint file already records finished "
-            "shards",
-            file=sys.stderr,
-        )
-        cache_enabled = False
     if args.max_failures is not None and args.max_failures < 0:
         print("--max-failures must be >= 0", file=sys.stderr)
-        return 2
-    if args.max_failures is not None and checkpoint_every is not None:
-        # The checkpointed path is fail-fast by design: a failed shard
-        # stops the run with its progress flushed, and the next
-        # invocation resumes from there.
-        print(
-            "--max-failures is incompatible with --checkpoint-every/"
-            "--resume",
-            file=sys.stderr,
-        )
         return 2
     shard_cache = None
     if cache_enabled:
@@ -290,29 +255,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                     return 2
-            if checkpoint_every is not None:
-                from .experiments.checkpoint import execute_checkpointed
-
-                ckpt_path = (
-                    pathlib.Path(args.checkpoint_dir)
-                    / f"{name}-{profile}.ckpt.json"
-                )
-                result = execute_checkpointed(
-                    target,
-                    checkpoint=ckpt_path,
-                    jobs=args.jobs,
-                    every=checkpoint_every,
-                    resume=args.resume,
-                    retry=retry,
-                    faults=fault_plan,
-                )
-            else:
-                result = execute(
-                    target, jobs=args.jobs,
-                    fused=args.fused, cache=shard_cache,
-                    retry=retry, faults=fault_plan,
-                    max_failures=args.max_failures,
-                )
+            result = execute(
+                target, jobs=args.jobs,
+                fused=args.fused, cache=shard_cache,
+                retry=retry, faults=fault_plan,
+                max_failures=args.max_failures,
+            )
             if result.fault_report and result.fault_report.get("failed"):
                 # Partial run: some cells are missing replications, so
                 # the spec's table builder may legitimately refuse —
@@ -349,7 +297,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 for flag, given in (
                     ("--jobs", args.jobs is not None and args.jobs > 1),
                     ("--fused", args.fused),
-                    ("--checkpoint-every", checkpoint_every is not None),
                     ("--cache", cache_enabled),
                     ("--inject-faults", bool(args.inject_faults)),
                     ("--max-failures", args.max_failures is not None),
@@ -613,12 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=None,
         help="consult the content-addressed shard result cache before "
-             "computing and write fresh values back: warm and "
-             "overlapping sweeps only compute new cells.  Keys cover "
-             "the measurement source, the repro code version, the "
-             "backend dtype table, the shard params and the resolved "
-             "seed, so any code or dtype change recomputes instead of "
-             "replaying.  --no-cache forces a full recompute",
+             "computing and store each shard as soon as it finishes: "
+             "warm and overlapping sweeps only compute new cells, and "
+             "rerunning an interrupted or failed run with --cache "
+             "resumes it, computing only the unfinished shards.  Keys "
+             "cover the measurement source, the repro code version, "
+             "the backend dtype table, the shard params and the "
+             "resolved seed, so any code or dtype change recomputes "
+             "instead of replaying.  --no-cache forces a full recompute",
     )
     p_run.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
@@ -629,26 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=str, default=None, metavar="DIR",
         help="persist a JSON artifact per experiment (spec + per-shard "
              "results + timings) under this directory, e.g. results/",
-    )
-    p_run.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="checkpoint pipeline progress every N finished shards to "
-             "<checkpoint-dir>/<experiment>-<profile>.ckpt.json; an "
-             "interrupted run resumed with --resume skips the recorded "
-             "shards and reproduces the uninterrupted tables bit for "
-             "bit (shard seeds depend only on the spec and the shard "
-             "index).  Incompatible with --fused",
-    )
-    p_run.add_argument(
-        "--resume", action="store_true",
-        help="resume from existing checkpoint files (implies "
-             "--checkpoint-every 1 when not given); checkpoints from "
-             "a different spec are rejected, never silently mixed",
-    )
-    p_run.add_argument(
-        "--checkpoint-dir", type=str, default="checkpoints", metavar="DIR",
-        help="directory for --checkpoint-every/--resume files "
-             "(default: checkpoints/)",
     )
     p_run.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -679,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-faults", type=str, default=None, metavar="SPEC",
         help="deterministic fault injection for drills and tests: "
              "comma-separated 'KIND:TARGET[:OPT...]' entries with KIND "
-             "one of raise/hang/crash/corrupt/fuse-raise/tear-cache/"
-             "tear-ckpt, TARGET 'iIDX' (exact shards, e.g. i0 or "
+             "one of raise/hang/crash/corrupt/fuse-raise/tear-cache, "
+             "TARGET 'iIDX' (exact shards, e.g. i0 or "
              "'i1|3|5') or 'pPROB' (each shard independently with "
              "probability PROB, drawn from the spec's own seed), and "
              "options 'attempts=N' (fault fires on the first N "

@@ -1,12 +1,11 @@
 """Content-addressed shard result cache for the declarative pipeline.
 
-Every sweep used to recompute all of its shards from scratch, even when
-a grid cell with identical (parameters, seed, measurement, code
-version) had already been computed by a previous run.  This module
-generalises the spec-level resume fingerprint of
-:mod:`repro.experiments.checkpoint` to *per-shard* keys: a
-:class:`ShardCache` is an on-disk store addressed by
-:func:`shard_key`, a stable SHA-256 of
+The cache is the pipeline's one shard store.  A warm rerun replays
+every shard it holds, an overlapping sweep computes only its new cells,
+and an interrupted or failed run resumes by running it again with the
+same cache: each shard is stored as soon as it succeeds, so the rerun
+computes only the shards that never finished.  A :class:`ShardCache`
+is an on-disk store addressed by :func:`shard_key`, a stable SHA-256 of
 
 * the **measurement identity** — ``module:qualname`` of the
   measurement callable plus a hash of its defining module's source;
@@ -25,10 +24,10 @@ generalises the spec-level resume fingerprint of
   which are only distribution-equivalent to the per-shard path and
   therefore live in their own key space.
 
-Cached values round-trip through JSON exactly like resumed checkpoint
-shards (``repro-plan-ckpt/v1`` precedent), so a warm run's tables are
-byte-identical to a cold run's — asserted end to end by
-``benchmarks/bench_e19_cache.py`` and the warm-vs-cold CI job.
+Cached values round-trip through JSON exactly, so a warm or resumed
+run's tables are byte-identical to a cold run's — asserted end to end
+by ``benchmarks/bench_e19_cache.py``, the warm-vs-cold CI job and the
+interrupted-run drill.
 
 Seed scopes and overlap.  Whether an *overlapping* sweep hits depends
 on the spec's seed scope: ``"cell"`` and ``"direct"`` scopes derive
@@ -44,6 +43,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import pathlib
 import sys
@@ -156,8 +156,8 @@ def backend_fingerprint(backend=None) -> dict:
 
 def spec_fingerprint(spec: ScenarioSpec) -> str:
     """Stable hash of the spec's serialised form (grid, fixed params,
-    replications, seeding rule) — the checkpoint resume-compatibility
-    key, canonical home since the per-shard generalisation."""
+    replications, seeding rule): one identity for a whole sweep.  Shard
+    lookups use the finer per-shard :func:`shard_key` instead."""
     doc = json.dumps(spec_to_payload(spec), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()
 
@@ -232,6 +232,9 @@ def _entry_problem(doc, key: str | None) -> str | None:
         return f"key mismatch (stored {doc.get('key')!r})"
     if not isinstance(doc.get("value"), dict):
         return "missing or non-object 'value'"
+    seconds = doc.get("seconds")
+    if type(seconds) not in (int, float) or not 0 <= seconds < math.inf:
+        return f"'seconds' is not a finite number >= 0 ({seconds!r})"
     return None
 
 
@@ -247,10 +250,11 @@ class ShardCache:
     writer's truncate and write, filesystem damage, or the fault
     harness's ``tear-cache`` injection can still leave a torn file
     behind.  :meth:`get` treats any such entry (unparseable JSON,
-    foreign format, key mismatch, missing value) as a miss and moves
-    the bad file to ``<directory>/quarantine/`` with a warning, so one
-    torn write can never poison every warm run that hits it; the next
-    store rewrites the entry in place.
+    foreign format, key mismatch, missing value, missing or malformed
+    ``seconds``) as a miss and moves the bad file to
+    ``<directory>/quarantine/`` with a warning, so one torn write can
+    never poison every warm or resumed run that hits it; the next store
+    rewrites the entry in place.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -310,10 +314,7 @@ class ShardCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return {
-            "value": doc["value"],
-            "seconds": float(doc.get("seconds", 0.0)),
-        }
+        return {"value": doc["value"], "seconds": float(doc["seconds"])}
 
     def put(
         self, key: str, value: dict, seconds: float, *,
@@ -379,7 +380,8 @@ def verify_cache(
     """Scan a cache directory and report bad entries.
 
     Walks every ``<2-hex>/<key>.json`` entry, validating JSON, format,
-    stored-key-vs-filename agreement and the value payload.  Returns
+    stored-key-vs-filename agreement, the value payload and the stored
+    ``seconds``.  Returns
     ``{"dir", "scanned", "ok", "bad": [{"path", "reason"}, ...],
     "quarantined"}``.  With ``quarantine=True`` each bad entry is moved
     to ``<directory>/quarantine/`` (what :meth:`ShardCache.get` would

@@ -204,9 +204,9 @@ def save_requeue(
     run had no permanent failures.
 
     Each entry is self-contained (params + resolved seed + the final
-    error), so a later run — or the future distributed executor's
-    requeue path — can re-execute exactly the missing shards and merge
-    them bit-identically into the partial table.
+    error), so a later run can re-execute exactly the missing shards
+    and merge them bit-identically into the partial table (rerun with
+    ``--cache`` to compute only the failed shards).
     """
     report = result.fault_report
     if report is None or not report.get("requeue"):

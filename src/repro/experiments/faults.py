@@ -26,8 +26,7 @@ Fault-spec grammar (``--inject-faults``)::
 
     SPEC    := entry[,entry ...]
     entry   := KIND ':' TARGET [':' OPT ...]
-    KIND    := raise | hang | crash | corrupt | fuse-raise
-             | tear-cache | tear-ckpt
+    KIND    := raise | hang | crash | corrupt | fuse-raise | tear-cache
     TARGET  := 'i' IDX['|'IDX ...]     explicit shard indices, e.g. i0|3
              | 'p' FLOAT               each shard independently with
                                        probability FLOAT (seeded)
@@ -41,11 +40,11 @@ calls ``os._exit`` in the worker process; ``corrupt`` replaces the
 measurement's return value with a non-mapping payload (caught by the
 runner's value validation and retried); ``fuse-raise`` fails only the
 *fused mega-batch group* containing the shard (exercising graceful
-degradation); ``tear-cache`` / ``tear-ckpt`` tear the shard's cache
-entry or the plan checkpoint file mid-write (exercising quarantine and
-torn-checkpoint recovery).  Process-level faults (``hang``, ``crash``)
-are simulated as raises when the shard runs in-process (serial path):
-the orchestrator itself is never killed or blocked.
+degradation); ``tear-cache`` tears the shard's cache entry mid-write
+(exercising quarantine: the rerun recomputes only that shard).
+Process-level faults (``hang``, ``crash``) are simulated as raises when
+the shard runs in-process (serial path): the orchestrator itself is
+never killed or blocked.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import os
 import queue
 import time
 import traceback
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +78,7 @@ __all__ = [
 #: Fault kinds applied inside the shard attempt (travel to workers).
 WORKER_FAULT_KINDS = ("raise", "hang", "crash", "corrupt")
 #: Fault kinds applied by the orchestrator (never shipped to workers).
-FAULT_KINDS = WORKER_FAULT_KINDS + ("fuse-raise", "tear-cache", "tear-ckpt")
+FAULT_KINDS = WORKER_FAULT_KINDS + ("fuse-raise", "tear-cache")
 
 #: Entropy tag mixed into the fault-selection seed so the fault stream
 #: never collides with the plan's own shard streams (which are plain
@@ -374,7 +373,7 @@ class FaultPlan:
         """
         for index in indices:
             for fault in self.for_shard(index):
-                if fault.kind in ("tear-cache", "tear-ckpt"):
+                if fault.kind == "tear-cache":
                     continue
                 if fault.active(attempt):
                     return (
@@ -405,24 +404,6 @@ class FaultPlan:
             path.write_text(document[: max(1, len(document) // 2)])
             return path
         return store.put(key, value, seconds, experiment=experiment)
-
-    def tear_checkpoint(self, path, indices: Sequence[int]) -> bool:
-        """Truncate the plan checkpoint after a flush covering a
-        selected shard (one-shot per shard), modelling a torn write."""
-        import pathlib
-
-        for index in indices:
-            for fault in self.for_shard(index):
-                if fault.kind != "tear-ckpt":
-                    continue
-                if (index, fault.kind) in self._fired:
-                    continue
-                self._fired.add((index, fault.kind))
-                target = pathlib.Path(path)
-                text = target.read_text()
-                target.write_text(text[: max(1, len(text) // 2)])
-                return True
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -528,13 +509,16 @@ def run_serial_shards(
     policy: RetryPolicy = NO_RETRY,
     *,
     stop_on_failure: bool = True,
+    on_success: Callable[[int, ShardOutcome], None] | None = None,
 ) -> list[ShardOutcome | None]:
     """Run shards in the calling process with per-shard retries.
 
     Returns one :class:`ShardOutcome` per task, aligned by position;
     with ``stop_on_failure`` the entries after the first permanently
     failed shard stay None (those shards never ran — the legacy
-    fail-fast contract).
+    fail-fast contract).  ``on_success(slot, outcome)`` is called once
+    per task that succeeds, after its last attempt, so the caller can
+    persist it before the next task starts.
     """
     outcomes: list[ShardOutcome | None] = [None] * len(tasks)
     for slot, task in enumerate(tasks):
@@ -560,7 +544,10 @@ def run_serial_shards(
             attempts=attempt,
             attempt_errors=tuple(errors),
         )
-        if error is not None and stop_on_failure:
+        if error is None:
+            if on_success is not None:
+                on_success(slot, outcomes[slot])
+        elif stop_on_failure:
             break
     return outcomes
 
@@ -624,6 +611,7 @@ def run_pool_shards(
     policy: RetryPolicy = NO_RETRY,
     *,
     stop_on_failure: bool = True,
+    on_success: Callable[[int, ShardOutcome], None] | None = None,
 ) -> list[ShardOutcome | None]:
     """Run shards across ``jobs`` supervised worker processes.
 
@@ -643,6 +631,9 @@ def run_pool_shards(
     Returns outcomes aligned by task position (None = never completed,
     only possible with ``stop_on_failure`` after an earlier permanent
     failure, which also abandons in-flight work like the old pool did).
+    ``on_success(slot, outcome)`` runs here in the orchestrator, once
+    per task as its successful result arrives; the workers only ever
+    receive ``(params, seed[, faults])``.
     """
     count = len(tasks)
     if count == 0:
@@ -700,6 +691,8 @@ def run_pool_shards(
                 attempt_errors=tuple(errors[slot]),
             )
             pending -= 1
+            if on_success is not None:
+                on_success(slot, outcomes[slot])
         else:
             attempt_failed(slot, attempt, error, seconds)
 

@@ -59,7 +59,8 @@ from .pipeline import (
     build_fault_report,
     make_executor,
     plan as expand_plan,
-    shard_tasks,
+    put_shard,
+    run_per_shard,
 )
 
 __all__ = [
@@ -213,9 +214,11 @@ class FusedExecutor:
     its own :func:`fused_rng` group stream — distribution-equivalent,
     the established fused contract), cached and fresh values are
     scattered back in shard order, and fresh values are written back
-    under the group's ``fused:<family>`` key space.  Fallback shards
-    cache under the per-shard (``"shard"``) key space they share with
-    the serial and process paths.
+    under the group's ``fused:<family>`` key space once its engine call
+    returns.  Fallback shards go through
+    :func:`~repro.experiments.pipeline.run_per_shard`: they cache under
+    the per-shard (``"shard"``) key space they share with the serial
+    and process paths, each stored as soon as it succeeds.
 
     Timing semantics: a mega-batch job is one engine call, so its
     shards have no independent wall-clocks — each computed shard of
@@ -257,16 +260,6 @@ class FusedExecutor:
             or self.max_failures is not None
         )
 
-    def _store_fresh(self, store, key, shard, value, seconds, *,
-                     experiment):
-        if self.faults is not None:
-            self.faults.cache_put(
-                store, shard.index, key, value, seconds,
-                experiment=experiment,
-            )
-        else:
-            store.put(key, value, seconds, experiment=experiment)
-
     def _run_group(self, spec, impl, to_run, keys, store, outcomes):
         """One mega-batch group: up to two fused attempts when
         degradation is armed, then surrender the members to the
@@ -301,9 +294,10 @@ class FusedExecutor:
             per_shard = elapsed / len(to_run)
             for shard, value in zip(to_run, values):
                 if store is not None:
-                    self._store_fresh(
+                    put_shard(
                         store, keys[shard.index], shard, value,
                         per_shard, experiment=spec.name,
+                        faults=self.faults,
                     )
                 outcomes[shard.index] = (value, per_shard)
             return []
@@ -371,56 +365,15 @@ class FusedExecutor:
         if fallback:
             # Degraded group members join the ordinary fallback shards
             # here and cache under the per-shard ("shard") key space.
-            if store is not None:
-                from .cache import lookup_shards
-
-                keys, cached, to_run = lookup_shards(
-                    store, spec, fallback
-                )
-                for index, entry in cached.items():
-                    outcomes[index] = (
-                        entry["value"], float(entry["seconds"])
-                    )
-                hits += len(cached)
-                misses += len(to_run)
-            else:
-                keys, to_run = {}, fallback
-            tasks = shard_tasks(to_run, self.faults)
-            shard_outcomes = (
-                self.shard_executor.run_shards(
-                    spec.measure, tasks, self.retry or NO_RETRY,
-                    stop_on_failure=self.max_failures is None,
-                )
-                if tasks
-                else []
+            results, self.shard_pairs, fallback_hits = run_per_shard(
+                spec, fallback, self.shard_executor, store,
+                retry=self.retry, faults=self.faults,
+                max_failures=self.max_failures,
             )
-            failure: ShardError | None = None
-            for shard, outcome in zip(to_run, shard_outcomes):
-                if outcome is None:
-                    continue
-                self.shard_pairs.append((shard, outcome))
-                if outcome.error is not None:
-                    if failure is None:
-                        failure = ShardError.from_outcome(
-                            spec.name, shard, outcome
-                        )
-                    continue
-                if store is not None:
-                    self._store_fresh(
-                        store, keys[shard.index], shard, outcome.value,
-                        outcome.seconds, experiment=spec.name,
-                    )
-                outcomes[shard.index] = (outcome.value, outcome.seconds)
-            if failure is not None and (
-                self.max_failures is None
-                or sum(
-                    1
-                    for _, outcome in self.shard_pairs
-                    if outcome.error is not None
-                )
-                > int(self.max_failures)
-            ):
-                raise failure
+            for result in results:
+                outcomes[result.shard.index] = (result.value, result.seconds)
+            hits += fallback_hits
+            misses += len(self.shard_pairs)
         if store is not None:
             self.cache_stats = {
                 "enabled": True,

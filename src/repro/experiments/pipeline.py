@@ -291,10 +291,11 @@ class SerialExecutor:
         policy: RetryPolicy | None = None,
         *,
         stop_on_failure: bool = True,
+        on_success: Callable[[int, ShardOutcome], None] | None = None,
     ) -> list[ShardOutcome | None]:
         return run_serial_shards(
             measure, tasks, policy or NO_RETRY,
-            stop_on_failure=stop_on_failure,
+            stop_on_failure=stop_on_failure, on_success=on_success,
         )
 
 
@@ -326,10 +327,11 @@ class ProcessExecutor:
         policy: RetryPolicy | None = None,
         *,
         stop_on_failure: bool = True,
+        on_success: Callable[[int, ShardOutcome], None] | None = None,
     ) -> list[ShardOutcome | None]:
         return run_pool_shards(
             measure, tasks, self.jobs, policy or NO_RETRY,
-            stop_on_failure=stop_on_failure,
+            stop_on_failure=stop_on_failure, on_success=on_success,
         )
 
 
@@ -413,100 +415,90 @@ def build_fault_report(
     }
 
 
-def _merge_outcomes(
-    spec,
+def put_shard(store, key: str, shard: Shard, value: dict,
+              seconds: float, *, experiment: str,
+              faults: FaultPlan | None = None):
+    """Store one freshly computed shard value, through the fault plan's
+    ``tear-cache`` injection when one is attached."""
+    if faults is not None:
+        return faults.cache_put(
+            store, shard.index, key, value, seconds, experiment=experiment
+        )
+    return store.put(key, value, seconds, experiment=experiment)
+
+
+def run_per_shard(
+    spec: ScenarioSpec,
     shards: Sequence[Shard],
-    outcomes: Sequence[ShardOutcome | None],
+    executor,
+    store=None,
     *,
-    max_failures: int | None,
-) -> tuple[list[ShardResult], list[tuple[Shard, ShardOutcome]]]:
-    """Turn aligned outcomes into results, enforcing the failure
-    budget: raises the lowest-index failure when no budget is set or
-    the budget is exceeded; otherwise returns the healthy results and
-    the tolerated failures."""
-    results: list[ShardResult] = []
-    failures: list[tuple[Shard, ShardOutcome]] = []
-    for shard, outcome in zip(shards, outcomes):
-        if outcome is None:
-            continue
-        if outcome.error is not None:
-            failures.append((shard, outcome))
-        else:
-            results.append(
-                ShardResult(
-                    shard=shard,
-                    value=outcome.value,
-                    seconds=outcome.seconds,
-                )
+    retry: RetryPolicy | None = None,
+    faults: FaultPlan | None = None,
+    max_failures: int | None = None,
+) -> tuple[list[ShardResult], list[tuple[Shard, ShardOutcome | None]], int]:
+    """Run ``shards`` one by one, consulting the shard cache ``store``.
+
+    With a store, each shard is looked up by its content address, only
+    the misses run through ``executor``, and each miss is stored as
+    soon as it succeeds — so an interrupted or failed run keeps every
+    finished shard, and rerunning it computes only the rest.  Hit
+    shards replay their stored value and original compute ``seconds``.
+
+    Returns ``(results, pairs, hits)``: the hit and successful shards'
+    results in the given order, the ``(shard, outcome)`` pairs of the
+    misses (every shard without a store; outcome None for a shard that
+    never ran), and the number of cache hits.  Raises the first failed
+    shard's :class:`ShardError` (in the given order) unless
+    ``max_failures`` tolerates every failure.
+    """
+    hits: dict[int, dict] = {}
+    to_run = list(shards)
+    on_success = None
+    if store is not None:
+        from .cache import lookup_shards
+
+        keys, hits, to_run = lookup_shards(store, spec, shards)
+
+        def on_success(slot: int, outcome: ShardOutcome) -> None:
+            shard = to_run[slot]
+            put_shard(
+                store, keys[shard.index], shard, outcome.value,
+                outcome.seconds, experiment=spec.name, faults=faults,
             )
+
+    outcomes = (
+        executor.run_shards(
+            spec.measure, shard_tasks(to_run, faults), retry,
+            stop_on_failure=max_failures is None, on_success=on_success,
+        )
+        if to_run
+        else []
+    )
+    pairs = list(zip(to_run, outcomes))
+    failures = [
+        (shard, outcome)
+        for shard, outcome in pairs
+        if outcome is not None and not outcome.ok
+    ]
     if failures and (
         max_failures is None or len(failures) > int(max_failures)
     ):
         shard, outcome = failures[0]
         raise ShardError.from_outcome(spec.name, shard, outcome)
-    return results, failures
-
-
-def _run_cached(spec, expanded, executor, store, *, retry, faults,
-                max_failures):
-    """Cache-aware shard execution: consult the store per shard, run
-    only the misses through the executor and write them back.
-
-    Hit shards replay their stored value (JSON round-tripped, exactly
-    like resumed checkpoint shards) and report the *original* compute
-    wall-clock as ``seconds``.  Every successful miss is stored even
-    when another miss fails, so a failed sweep's progress still warms
-    the cache.
-    """
-    from .cache import lookup_shards
-
-    keys, hits, misses = lookup_shards(store, spec, expanded.shards)
-    tasks = shard_tasks(misses, faults)
-    outcomes = (
-        executor.run_shards(
-            spec.measure, tasks, retry,
-            stop_on_failure=max_failures is None,
-        )
-        if misses
-        else []
-    )
-    for shard, outcome in zip(misses, outcomes):
-        if outcome is None or outcome.error is not None:
-            continue
-        if faults is not None:
-            faults.cache_put(
-                store, shard.index, keys[shard.index], outcome.value,
-                outcome.seconds, experiment=spec.name,
-            )
-        else:
-            store.put(
-                keys[shard.index], outcome.value, outcome.seconds,
-                experiment=spec.name,
-            )
-    miss_results, failures = _merge_outcomes(
-        spec, misses, outcomes, max_failures=max_failures
-    )
-    fresh = {result.shard.index: result for result in miss_results}
-    results = []
-    for shard in expanded.shards:
-        if shard.index in hits:
-            entry = hits[shard.index]
-            results.append(
-                ShardResult(
-                    shard=shard,
-                    value=entry["value"],
-                    seconds=float(entry["seconds"]),
-                )
-            )
-        elif shard.index in fresh:
-            results.append(fresh[shard.index])
-    stats = {
-        "enabled": True,
-        "hits": len(hits),
-        "misses": len(misses),
-        "dir": str(store.directory),
+    done = {
+        index: (entry["value"], entry["seconds"])
+        for index, entry in hits.items()
     }
-    return results, stats, list(zip(misses, outcomes)), failures
+    for shard, outcome in pairs:
+        if outcome is not None and outcome.ok:
+            done[shard.index] = (outcome.value, outcome.seconds)
+    results = [
+        ShardResult(shard, *done[shard.index])
+        for shard in shards
+        if shard.index in done
+    ]
+    return results, pairs, len(hits)
 
 
 def execute(
@@ -533,12 +525,14 @@ def execute(
     With ``cache`` set (a :class:`~repro.experiments.cache.ShardCache`
     or a directory path) every shard is looked up by its content
     address (:func:`~repro.experiments.cache.shard_key`) before
-    computing; only the misses run, fresh values are written back, and
-    the returned :class:`PlanResult` carries per-run hit/miss counts in
-    ``cache_stats``.  Hit shards replay bit-identically on the
-    serial/process paths; on the fused path each mega-batch group runs
-    only its miss rows (cached and fresh values are scattered back in
-    shard order).
+    computing; only the misses run, each fresh value is written back as
+    soon as its shard succeeds, and the returned :class:`PlanResult`
+    carries per-run hit/miss counts in ``cache_stats``.  Resuming an
+    interrupted or failed run therefore means running it again with the
+    same cache: the rerun computes only the shards that never finished.
+    Hit shards replay bit-identically on the serial/process paths; on
+    the fused path each mega-batch group runs only its miss rows
+    (cached and fresh values are scattered back in shard order).
 
     Fault tolerance.  ``retry`` applies a
     :class:`~repro.experiments.faults.RetryPolicy` per shard (retried
@@ -577,26 +571,25 @@ def execute(
     track_faults = (
         retry is not None or faults is not None or max_failures is not None
     )
-    start = time.perf_counter()
-    if cache is None:
-        tasks = shard_tasks(expanded.shards, faults)
-        outcomes = executor.run_shards(
-            spec.measure, tasks, retry,
-            stop_on_failure=max_failures is None,
-        )
-        results, failures = _merge_outcomes(
-            spec, expanded.shards, outcomes, max_failures=max_failures
-        )
-        pairs = list(zip(expanded.shards, outcomes))
-        cache_stats = None
-    else:
+    store = None
+    if cache is not None:
         from .cache import resolve_cache
 
-        results, cache_stats, pairs, failures = _run_cached(
-            spec, expanded, executor, resolve_cache(cache),
-            retry=retry, faults=faults, max_failures=max_failures,
-        )
+        store = resolve_cache(cache)
+    start = time.perf_counter()
+    results, pairs, hits = run_per_shard(
+        spec, expanded.shards, executor, store,
+        retry=retry, faults=faults, max_failures=max_failures,
+    )
     elapsed = time.perf_counter() - start
+    cache_stats = None
+    if store is not None:
+        cache_stats = {
+            "enabled": True,
+            "hits": hits,
+            "misses": len(pairs),
+            "dir": str(store.directory),
+        }
     fault_report = (
         build_fault_report(
             retry, faults, pairs, max_failures=max_failures

@@ -1,14 +1,19 @@
 """End-to-end behaviour of the shard result cache across all three
 execution paths — serial, process pool and fused mega-batch — plus the
-CLI flags and the plan-artifact record."""
+CLI flags and the plan-artifact record.  Resuming an interrupted or
+failed run means rerunning it with the same cache."""
 
+import _thread
 import json
+import threading
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.experiments.cache import ShardCache
 from repro.experiments.export import plan_to_json
+from repro.experiments.faults import FaultPlan, RetryPolicy
 from repro.experiments.fusion import measure_sweep_final_counts
 from repro.experiments.pipeline import (
     ScenarioSpec,
@@ -26,6 +31,22 @@ def _flaky_measure(params, rng):
     if params["a"] == 2:
         raise RuntimeError("deliberate shard failure")
     return {"a": params["a"]}
+
+
+#: Shards whose ``a`` equals ``TRIP["a"]`` raise ``TRIP["error"]``.
+#: Arming the switch keeps the measurement's identity, so armed and
+#: disarmed runs address the same cache entries.
+TRIP = {"a": None, "error": KeyboardInterrupt}
+
+
+def _tripwire_measure(params, rng):
+    if params["a"] == TRIP["a"]:
+        raise TRIP["error"]("tripwire")
+    return _draw_measure(params, rng)
+
+
+def _entries(directory):
+    return len(list(directory.glob("??/*.json")))
 
 
 @pytest.fixture
@@ -146,6 +167,103 @@ class TestFailureSemantics:
         assert rerun.stats.hits == 1  # a=1 replayed, a=2 recomputed
 
 
+class TestResumeByRerun:
+    """An interrupted or failed run keeps every finished shard in the
+    cache, and rerunning it computes only the rest."""
+
+    @pytest.fixture
+    def tripwire_spec(self):
+        return ScenarioSpec(
+            name="cache-resume",
+            measure=_tripwire_measure,
+            grid={"a": (1, 2, 3)},
+            replications=2,
+            base_seed=17,
+        )
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_interrupted_run_keeps_finished_shards(
+        self, tripwire_spec, tmp_path, monkeypatch, fused
+    ):
+        # The measure has no fused implementation, so with fused=True
+        # every shard takes the fused executor's per-shard fallback.
+        monkeypatch.setitem(TRIP, "a", 3)
+        store = ShardCache(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            execute(tripwire_spec, fused=fused, cache=store)
+        assert store.stats.stores == 4  # shards 0-3; a=3 is 4 and 5
+        assert _entries(tmp_path) == 4
+        monkeypatch.setitem(TRIP, "a", None)
+        rerun = execute(tripwire_spec, fused=fused, cache=tmp_path)
+        assert rerun.cache_stats["hits"] == 4
+        assert rerun.cache_stats["misses"] == 2
+        assert rerun.values() == execute(tripwire_spec).values()
+
+    def test_interrupted_pool_run_keeps_finished_shards(
+        self, spec, tmp_path
+    ):
+        store = ShardCache(tmp_path)
+        faults = FaultPlan.from_spec("hang:i5:seconds=60", shards=6)
+        done = threading.Event()
+
+        def interrupt_when_five_stored():
+            deadline = time.monotonic() + 20.0
+            while not done.is_set():
+                if store.stats.stores == 5 or time.monotonic() > deadline:
+                    _thread.interrupt_main()
+                    return
+                time.sleep(0.01)
+
+        watcher = threading.Thread(target=interrupt_when_five_stored)
+        watcher.start()
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                execute(spec, jobs=2, cache=store, faults=faults)
+            finally:
+                done.set()
+        watcher.join(timeout=30.0)
+        assert not watcher.is_alive()
+        assert store.stats.stores == 5
+        assert _entries(tmp_path) == 5
+        rerun = execute(spec, jobs=2, cache=tmp_path)
+        assert rerun.cache_stats["hits"] == 5
+        assert rerun.cache_stats["misses"] == 1
+        assert rerun.values() == execute(spec).values()
+
+    def test_rerun_after_shard_error_completes(
+        self, tripwire_spec, tmp_path, monkeypatch
+    ):
+        monkeypatch.setitem(TRIP, "a", 2)
+        monkeypatch.setitem(TRIP, "error", RuntimeError)
+        with pytest.raises(ShardError, match="tripwire"):
+            execute(tripwire_spec, cache=tmp_path)
+        monkeypatch.setitem(TRIP, "a", None)
+        rerun = execute(tripwire_spec, cache=tmp_path)
+        assert rerun.cache_stats["hits"] == 2  # the a=1 shards
+        assert rerun.values() == execute(tripwire_spec).values()
+
+    def test_retried_shards_are_stored(self, spec, tmp_path):
+        store = ShardCache(tmp_path)
+        faults = FaultPlan.from_spec("raise:i1:attempts=1", shards=6)
+        result = execute(
+            spec, cache=store, retry=RetryPolicy(max_attempts=2),
+            faults=faults,
+        )
+        assert store.stats.stores == 6
+        assert result.values() == execute(spec).values()
+
+    def test_torn_entry_costs_one_recompute(self, spec, tmp_path):
+        faults = FaultPlan.from_spec("tear-cache:i5", shards=6)
+        execute(spec, cache=tmp_path, faults=faults)
+        store = ShardCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            rerun = execute(spec, cache=store)
+        assert store.stats.quarantined == 1
+        assert rerun.cache_stats["hits"] == 5
+        assert rerun.cache_stats["misses"] == 1
+        assert rerun.values() == execute(spec).values()
+
+
 class TestCliCache:
     def test_warm_rerun_reports_hits_and_matches_cold(
         self, capsys, tmp_path
@@ -185,14 +303,3 @@ class TestCliCache:
         ) == 0
         assert "cache:" not in capsys.readouterr().err
         assert not any(tmp_path.rglob("*.json"))
-
-    def test_cache_disabled_under_checkpointing(self, capsys, tmp_path):
-        assert main(
-            ["run", "e8", "--quick", "--cache",
-             "--cache-dir", str(tmp_path / "cache"),
-             "--checkpoint-every", "1",
-             "--checkpoint-dir", str(tmp_path / "ckpt")]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "--cache has no effect" in err
-        assert not (tmp_path / "cache").exists()

@@ -453,13 +453,6 @@ class TestFaultToleranceCli:
         payload = json.loads((out_dir / "e8-quick.json").read_text())
         assert payload["faults"]["failed"] == [0]
 
-    def test_max_failures_incompatible_with_checkpointing(self, capsys):
-        assert main(
-            ["run", "e8", "--quick", "--max-failures", "1",
-             "--checkpoint-every", "1"]
-        ) == 2
-        assert "incompatible" in capsys.readouterr().err
-
     def test_cache_verify_reports_and_quarantines(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         # Warm the cache, then tear one entry.

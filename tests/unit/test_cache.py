@@ -109,6 +109,27 @@ class TestShardCacheStore:
         with pytest.warns(RuntimeWarning, match="value"):
             assert store.get(key) is None
 
+    @pytest.mark.parametrize(
+        "seconds", [None, "x", [1], float("nan"), -1.0, "missing"]
+    )
+    def test_malformed_seconds_is_a_miss(self, spec, tmp_path, seconds):
+        # A damaged entry must cost one recompute, not the whole run.
+        store = ShardCache(tmp_path)
+        key = shard_key(spec, plan(spec).shards[0])
+        path = store.put(key, {"v": 1}, 0.5)
+        doc = json.loads(path.read_text())
+        if seconds == "missing":
+            del doc["seconds"]
+        else:
+            doc["seconds"] = seconds
+        path.write_text(json.dumps(doc))
+        report = verify_cache(tmp_path)
+        assert report["ok"] == 0
+        assert "seconds" in report["bad"][0]["reason"]
+        with pytest.warns(RuntimeWarning, match="seconds"):
+            assert store.get(key) is None
+        assert (tmp_path / "quarantine" / f"{key}.json").exists()
+
     def test_missing_file_is_a_plain_miss_without_warning(
         self, spec, tmp_path
     ):

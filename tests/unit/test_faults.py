@@ -1,6 +1,7 @@
 """Unit tests for the fault-tolerance layer: the retry policy, the
 fault-spec grammar, deterministic fault selection, the in-process
-attempt runner and the tear-file injectors."""
+attempt runner, the shard loops' success hook and the tear-cache
+injector."""
 
 import json
 
@@ -18,6 +19,7 @@ from repro.experiments.faults import (
     RetryPolicy,
     ShardOutcome,
     run_attempt,
+    run_pool_shards,
     run_serial_shards,
 )
 
@@ -111,6 +113,7 @@ class TestFaultSpecGrammar:
             "raise:x3",  # bad target syntax
             "raise:p1.5",  # probability out of [0, 1]
             "raise:i0:lives=9",  # unknown option
+            "tear-ckpt:i0",  # retired with the plan checkpoint file
         ],
     )
     def test_rejects_malformed_entries(self, bad):
@@ -118,10 +121,8 @@ class TestFaultSpecGrammar:
             FaultPlan.from_spec(bad, shards=4)
 
     def test_worker_faults_exclude_tear_kinds(self):
-        plan = FaultPlan.from_spec(
-            "raise:i0,tear-cache:i0,tear-ckpt:i0", shards=1
-        )
-        assert len(plan.for_shard(0)) == 3
+        plan = FaultPlan.from_spec("raise:i0,tear-cache:i0", shards=1)
+        assert len(plan.for_shard(0)) == 2
         assert [f.kind for f in plan.worker_faults(0)] == ["raise"]
 
     def test_every_kind_parses(self):
@@ -219,6 +220,59 @@ class TestRunSerialShards:
         assert outcomes[1].ok
 
 
+class TestSuccessHook:
+    """``on_success`` is how the pipeline stores each shard in the cache
+    as soon as it finishes; both loops call it in this process."""
+
+    #: Slot 1 recovers on its second attempt, slot 2 never succeeds.
+    TASKS = [
+        ({"a": 1, "b": 1}, None, ()),
+        ({"a": 2, "b": 2}, None, (Fault(kind="raise", attempts=1),)),
+        ({"a": 3, "b": 3}, None, (Fault(kind="raise", attempts=99),)),
+        ({"a": 4, "b": 4}, None, ()),
+    ]
+
+    def _run(self, jobs, stop_on_failure):
+        calls = []
+
+        def on_success(slot, outcome):
+            calls.append((slot, outcome))
+
+        policy = RetryPolicy(max_attempts=2)
+        if jobs == 1:
+            outcomes = run_serial_shards(
+                measure_sum, self.TASKS, policy,
+                stop_on_failure=stop_on_failure, on_success=on_success,
+            )
+        else:
+            outcomes = run_pool_shards(
+                measure_sum, self.TASKS, jobs, policy,
+                stop_on_failure=stop_on_failure, on_success=on_success,
+            )
+        return calls, outcomes
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fires_once_per_success_after_its_last_attempt(self, jobs):
+        calls, outcomes = self._run(jobs, stop_on_failure=False)
+        assert sorted(slot for slot, _ in calls) == [0, 1, 3]
+        for slot, outcome in calls:
+            assert outcome is outcomes[slot] and outcome.ok
+        assert dict(calls)[1].attempts == 2
+        assert not outcomes[2].ok
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_never_fires_for_failed_or_unrun_slots(self, jobs):
+        calls, outcomes = self._run(jobs, stop_on_failure=True)
+        succeeded = [
+            slot for slot, outcome in enumerate(outcomes)
+            if outcome is not None and outcome.ok
+        ]
+        assert sorted(slot for slot, _ in calls) == succeeded
+        assert not outcomes[2].ok
+        if jobs == 1:
+            assert succeeded == [0, 1] and outcomes[3] is None
+
+
 class TestTearInjection:
     def test_tear_cache_writes_truncated_entry_once(self, tmp_path):
         store = ShardCache(tmp_path)
@@ -240,18 +294,6 @@ class TestTearInjection:
         key = "cd" + "1" * 62
         plan.cache_put(store, 0, key, {"v": 2}, 0.1, experiment="t")
         assert store.get(key)["value"] == {"v": 2}
-
-    def test_tear_checkpoint_truncates_once(self, tmp_path):
-        target = tmp_path / "plan.ckpt.json"
-        doc = json.dumps({"format": "repro-plan-ckpt/v1", "x": 1})
-        target.write_text(doc)
-        plan = FaultPlan.from_spec("tear-ckpt:i1", shards=3)
-        assert plan.tear_checkpoint(target, [0, 1]) is True
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(target.read_text())
-        target.write_text(doc)
-        assert plan.tear_checkpoint(target, [0, 1]) is False
-        assert json.loads(target.read_text())["x"] == 1
 
 
 class TestInjectedFaultType:
