@@ -407,6 +407,7 @@ class AggregateSimulation:
     def restore(self, data: dict) -> "AggregateSimulation":
         """Restore a :meth:`snapshot` payload in place."""
         ckpt.check(data, "AggregateSimulation")
+        rng = ckpt.checked_rng_state(self.rng, data["rng"])
         ckpt.restore_weight_table(self.weights, data["weights"])
         self._dark = [int(c) for c in np.asarray(data["dark"])]
         self._light = [int(c) for c in np.asarray(data["light"])]
@@ -414,7 +415,7 @@ class AggregateSimulation:
         self.time = ckpt.as_int(data["time"])
         pending = ckpt.as_int(data["pending"])
         self._pending = None if pending < 0 else pending
-        ckpt.set_rng_state(self.rng, data["rng"])
+        ckpt.set_rng_state(self.rng, rng)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1300,6 +1300,7 @@ class ArraySimulation:
                     raise ValueError(
                         f"checkpoint {name} names agents outside [0, {n})"
                     )
+        rng = ckpt.checked_rng_state(self.rng, data["rng"])
         if table is not None:
             ckpt.restore_weight_table(weights, table)
         self._grow_colour_slots(k)
@@ -1320,7 +1321,7 @@ class ArraySimulation:
         # need them.
         self._live_counts = None
         self.scheduler.load_state(data["scheduler"])
-        ckpt.set_rng_state(self.rng, data["rng"])
+        ckpt.set_rng_state(self.rng, rng)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -84,6 +84,34 @@ def rng_state(rng: Generator) -> dict:
     return _plain_state(rng.bit_generator.state)
 
 
+def checked_rng_state(rng: Generator, state) -> dict:
+    """Check an :func:`rng_state` payload for ``rng`` and return it.
+
+    The state is loaded into a scratch bit generator of ``rng``'s
+    class, so a payload that class rejects — a missing key, a wrong
+    type, a word out of range — raises ValueError here, while ``rng``
+    is untouched.  Engines call it with their other checks, before
+    restoring anything, and assign the returned state last with
+    :func:`set_rng_state`.
+    """
+    if not isinstance(state, dict):
+        raise ValueError("checkpoint rng state must be a dict")
+    kind = type(rng.bit_generator)
+    name = state.get("bit_generator")
+    if name != kind.__name__:
+        raise ValueError(
+            f"checkpoint holds {name!r} state but the engine uses "
+            f"{kind.__name__!r}"
+        )
+    try:
+        kind(0).state = state
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"checkpoint rng state is not a valid {name} state: {exc!r}"
+        ) from exc
+    return state
+
+
 def set_rng_state(rng: Generator, state: dict) -> None:
     """Restore a generator's bit-generator state in place."""
     name = state.get("bit_generator")

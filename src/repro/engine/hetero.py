@@ -530,6 +530,7 @@ class HeterogeneousAggregateBatch:
                 "checkpoint pending arrivals must be -1 or later than "
                 "their row's clock"
             )
+        rng = ckpt.checked_rng_state(self.rng, data["rng"])
         self._streams.restore(data["streams"])
         bk = self._backend
         self._set_rows(
@@ -538,7 +539,7 @@ class HeterogeneousAggregateBatch:
         )
         self._times = bk.from_host(times)
         self._pending = bk.from_host(pending)
-        ckpt.set_rng_state(self.rng, data["rng"])
+        ckpt.set_rng_state(self.rng, rng)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -706,34 +707,44 @@ def advance_event_driven(
     arrays of at most B columns, not their arithmetic.  To keep that
     number small the loop runs on :class:`_ActiveRows`, a colour-major
     working copy of the active rows: column ``c`` is engine row
-    ``act[c]``, a C-contiguous ``(2k, ·)`` int64 block stacks the dark
-    counts over the light counts, and a preallocated C-contiguous
-    ``(3k, ·)`` float64 buffer receives the masses through ``out=``
+    ``act[c]``, a C-contiguous ``(2k, ·)`` float64 block stacks the
+    dark counts over the light counts, and a preallocated C-contiguous
+    ``(3k + 1, ·)`` float64 buffer receives the masses through ``out=``
     ufunc calls and is cumulated in place by one ``add`` per buffer
-    row, each row onto the running total of the rows before it.  Each
-    class pick is then a column sum of one comparison, and each
-    event's ±1 pair is two scatters into the flat view of the count
-    block, one element per column.  Every array spans exactly the
-    active rows: when rows retire, the copy writes them back to the
-    engine arrays and compacts once with ``compress``, which keeps
-    every block C-contiguous (the row adds run on contiguous rows and
-    the flat view stays a view), instead of gathering by ``act`` on
-    every iteration.  The rows still active are written back in a
-    ``finally`` (so an exception leaves the counts consistent with
-    ``times`` and ``pending``) and before every ``tap`` call, since
-    taps read the engine arrays.
+    row, each row onto the running total of the rows before it; its
+    last row holds the dark totals.  The working copy also holds each
+    row's stream cursor and pool offsets, so the gap draw and the event
+    draw are :meth:`RowStreams.draw` calls — an add, one max-reduce for
+    the refill test, an add and one gather — instead of ``take`` calls
+    that gather and scatter cursors by row index.  Both picks' thresholds
+    are scaled in one call on a ``(2, ·)`` block, each class pick is a
+    column sum of one comparison, and each event's ±1 pair is one
+    scatter into the flat view of the count block, its source and
+    destination looked up together by (class, partner).  Every array
+    spans exactly the active rows: when rows retire, the copy writes
+    their counts and cursors back and compacts once with ``compress``,
+    which keeps every block C-contiguous (the row adds run on
+    contiguous rows and the flat view stays a view), instead of
+    gathering by ``act`` on every iteration.  The rows still active are
+    written back in a ``finally`` (so an exception leaves the counts
+    consistent with ``times`` and ``pending``) and before every ``tap``
+    call, since taps read the engine arrays; their cursors also go back
+    before the first iteration's ``take`` on the same streams.
 
     Bit identity.  Trajectories are fixed functions of the seed
     (``tests/unit/test_event_loop_digest.py`` pins them), which
-    constrains three choices:
+    constrains four choices:
 
-    * the gap and the event uniforms are two ``take`` calls, in that
-      order: one pooled take would refill a row's pool earlier and,
-      once an intervention clears ``pending``, discard its partial
-      pool at a different point;
+    * the gap and the event uniforms are two draws, in that order, each
+      with its own refill test: one pooled draw would refill a row's
+      pool earlier and, once an intervention clears ``pending``, discard
+      its partial pool at a different point.  Cursor draws and ``take``
+      share one refill rule, so a row's draws do not depend on which of
+      the two served them;
     * the masses are rebuilt from the counts on every iteration —
-      ``a_i * total_dark`` and ``float(A_i (A_i - 1)) * lighten_i``,
-      whose integer products stay below 2**53, so rebuilding gives the
+      ``a_i * total_dark`` and ``A_i (A_i - 1) * lighten_i``, products
+      of whole numbers, which float64 rounds exactly as the int64
+      products used to be rounded when cast, so rebuilding gives the
       same floats as updating only the term an event changed — and
       cumulated by a sequential sum in class order, one
       ``add(prev, cur, out=cur)`` per buffer row ``1 .. 3k-1``: the
@@ -742,11 +753,15 @@ def advance_event_driven(
       incrementally would round differently;
     * a class pick counts the cumulative masses at or below its
       threshold, which is the index of the first strict exceedance
-      because cumulative masses never decrease.
+      because cumulative masses never decrease;
+    * a threshold is clamped below its total (:func:`_below`) only when
+      one reaches it, which gives the same thresholds as clamping every
+      time.
 
     The layout changes no value: ``compress`` copies the kept columns
-    as they are, and the ±1 scatters change integers only, one element
-    per column, so no index repeats within a scatter.
+    as they are, the counts stay whole numbers far below 2**53, and the
+    ±1 scatter changes one source and one distinct destination element
+    per column, so no index repeats within it.
 
     ``tap(rows)`` — if given — is called after each batch of applied
     events with the absolute indices of the rows that just changed
@@ -762,7 +777,8 @@ def advance_event_driven(
     if act.size == 0:
         return
     rows = _ActiveRows.gather(
-        act, times, horizon, dark, light, lighten, denom, k, xp
+        act, times, horizon, dark, light, lighten, denom, k, streams,
+        backend,
     )
     carried = True
     try:
@@ -772,9 +788,12 @@ def advance_event_driven(
             # light colour, scaled by the dark total, then the lighten
             # terms) form the active-event distribution — their running
             # total at class 2k-1 *is* the event rate — and the last k
-            # hold the dark counts for the partner pick.
+            # hold the dark counts for the partner pick.  The dark
+            # totals fill the buffer's last row first.
+            r.dark.sum(axis=0, out=r.total_dark)
             xp.multiply(r.light, r.total_dark, out=r.adopt)
-            xp.multiply(r.dark, r.dark - 1, out=r.terms)
+            xp.subtract(r.dark, 1.0, out=r.dark_less)
+            xp.multiply(r.dark, r.dark_less, out=r.terms)
             xp.multiply(r.terms, r.lighten, out=r.terms)
             r.partner[...] = r.dark
             for prev, cur in r.cumulate:
@@ -788,23 +807,32 @@ def advance_event_driven(
                 rows = r = r.retire(r.rate > 0.0, times, dark, light)
                 if not r.size:
                     break
+            # Each row's per-step event probability is rate / denom;
+            # geometric_from_uniform maps any p >= 1 to a one-step gap.
+            chance = r.rate / r.denom
             # Rows without a carried-over arrival draw a fresh gap from
             # their own substream; held rows reuse their stored arrival
-            # without consuming any draws.
+            # without consuming any draws.  That first draw is a take()
+            # on a subset of the rows, so the working set hands its
+            # cursors over before it and reads them back after.
             if carried:
                 carried = False
                 arrival = pending[r.act]
                 fresh = arrival < 0
                 if xp.count_nonzero(fresh):
-                    arrival[fresh] = r.clock[fresh] + _gaps(
-                        streams, r.act[fresh], r.rate[fresh],
-                        r.denom[fresh], backend,
+                    streams.set_cursors(r.rows, r.pos)
+                    u = streams.take(backend.to_numpy(r.act[fresh]), 1)
+                    arrival[fresh] = r.clock[fresh] + geometric_from_uniform(
+                        backend.from_host(u[:, 0]), chance[fresh], xp=xp
                     )
+                    r.pos = streams.cursors(r.rows)[0]
                 pending[r.act] = -1
             else:
-                arrival = r.clock + _gaps(
-                    streams, r.act, r.rate, r.denom, backend
+                u, r.pos = streams.draw(r.rows, r.pos, r.start, 1)
+                arrival = geometric_from_uniform(
+                    backend.from_host(u), chance, xp=xp
                 )
+                arrival += r.clock
             # A jump past the horizon means the remaining steps are
             # no-ops: stop that row at the horizon and keep the arrival
             # pending for the next call (memorylessness makes keeping
@@ -827,25 +855,27 @@ def advance_event_driven(
             r.clock = arrival
             # One active event per remaining row; two uniforms per row
             # (fused type/colour pick, then the dark-partner pick, which
-            # lighten events simply discard).  Each pick is the count of
-            # cumulative masses at or below its threshold.
-            u = backend.from_host(streams.take(backend.to_numpy(r.act), 2))
-            cls = (r.event <= _below(u[:, 0] * r.rate, r.rate, xp)).sum(
-                axis=0
-            )
-            partner = u[:, 1] * r.total_dark
-            partner += r.rate
-            j = (r.partner <= _below(partner, r.total, xp)).sum(axis=0)
+            # lighten events simply discard), scaled in one call to
+            # thresholds ``u0 * rate`` and ``u1 * total_dark + rate``.
+            # Each pick is the count of cumulative masses at or below
+            # its threshold.
+            u, r.pos = streams.draw(r.rows, r.pos, r.lanes, 2)
+            u = backend.from_host(u)
+            xp.multiply(u, r.scale, out=u)
+            u[1] += r.rate
+            u = _below(u, r.totals, xp)
+            cls = (r.event <= u[0]).sum(axis=0)
+            j = (r.partner <= u[1]).sum(axis=0)
             # Adopt moves light i -> dark j; lighten moves dark i ->
-            # light i: the source class loses one agent, the destination
-            # class gains it, one flat scatter each.
-            adopt = cls < k
-            step = xp.where(adopt, 1, -1)
-            source = cls + k * step
-            target = xp.where(adopt, j, cls)
-            r.flat[source * r.size + r.col] -= 1
-            r.flat[target * r.size + r.col] += 1
-            r.total_dark += step
+            # light i: the source class loses one agent and the
+            # destination class gains it.  ``moves`` looks both classes
+            # up by (cls, j) as flat offsets into the count block, and
+            # one scatter applies the pair.
+            cls *= k
+            cls += j
+            move = r.moves.take(cls, axis=1)
+            move += r.col
+            r.flat[move] += r.step
             if tap is not None:
                 r.store(times, dark, light)
                 tap(r.act)
@@ -855,74 +885,116 @@ def advance_event_driven(
         rows.store(times, dark, light)
 
 
+#: What one event adds to its source class (row 0) and destination
+#: class (row 1).
+_MOVE = HOST.xp.array([[-1.0], [1.0]], dtype=FLOAT64)
+
+
 class _ActiveRows:
     """The event loop's colour-major working copy of its active rows.
 
     Column ``c`` holds engine row ``act[c]``: ``counts`` is a
-    ``(2k, ·)`` int64 block, dark counts (``dark``) over light counts
-    (``light``), and ``mass`` the ``(3k, ·)`` float64 buffer the
-    cumulative event masses are built in, whose blocks and rows the
-    remaining array attributes view; ``lighten`` holds the ``(k, ·)``
-    coins of the same rows.  All three blocks are C-contiguous:
-    :meth:`gather` allocates them so and :meth:`retire` compacts them
-    with ``compress``, which keeps the layout (a boolean ``[:, keep]``
-    would return a column-major copy).  So every row of ``mass`` is a
-    contiguous view — ``cumulate`` pairs each row with the one before
-    it for the running sum — and ``flat`` is a view of ``counts``, not
-    a copy: class ``i`` of column ``c`` is ``flat[i * size + c]``, with
-    the column indices in ``col``.
+    ``(2k, ·)`` float64 block, dark counts (``dark``) over light counts
+    (``light``), whole numbers that float64 holds exactly, and ``mass``
+    the ``(3k + 1, ·)`` float64 buffer the cumulative event masses are
+    built in, whose blocks and rows the remaining array attributes
+    view; its last row holds each column's dark total.  ``lighten``
+    holds the ``(k, ·)`` coins of the same rows.  All three blocks are
+    C-contiguous: :meth:`gather` allocates them so and :meth:`retire`
+    compacts them with ``compress``, which keeps the layout (a boolean
+    ``[:, keep]`` would return a column-major copy).  So every row of
+    ``mass`` is a contiguous view — ``cumulate`` pairs each row with the
+    one before it for the running sum — and ``flat`` is a view of
+    ``counts``, not a copy: class ``i`` of column ``c`` is ``flat[i *
+    size + c]``, with the column indices in ``col``.  The pair
+    ``scale`` (rate, dark total) and the pair ``totals`` (rate, total
+    mass) are strided ``(2, ·)`` views of ``mass``.
+
+    The rows' stream cursors live here too: ``pos`` holds each row's
+    cursor and ``lanes`` its flat pool offsets (``start`` is their first
+    row), host arrays from :class:`~repro.engine.streams.RowStreams`
+    for its cursor draws, indexed by the host row indices ``rows``.
+    They are compacted with the other blocks and written back to the
+    streams wherever the counts are written back to the engine.
+    ``dark_less`` is scratch, and ``moves`` the ``(2, 2k * k)`` lookup
+    of an event's source and destination offsets in ``flat`` by its
+    class ``c`` and partner ``j`` at column ``c * k + j``; both are
+    rebuilt with every compaction.  ``step`` is :data:`_MOVE` in the
+    loop's namespace.
     """
 
     __slots__ = (
-        "act", "size", "col", "counts", "flat", "dark", "light",
-        "total_dark", "clock", "horizon", "denom", "lighten", "mass",
-        "cumulate", "adopt", "terms", "partner", "event", "rate", "total",
+        "act", "rows", "size", "col", "counts", "flat", "dark", "light",
+        "clock", "horizon", "denom", "lighten", "mass", "cumulate",
+        "adopt", "terms", "partner", "event", "rate", "total_dark",
+        "scale", "totals", "dark_less", "moves", "step", "streams",
+        "backend", "pos", "lanes", "start",
     )
 
     def __init__(
-        self, act, counts, total_dark, clock, horizon, denom, lighten,
-        mass, col,
+        self, act, counts, clock, horizon, denom, lighten, mass, col,
+        streams, backend, pos, lanes,
     ):
+        xp = backend.xp
         k = counts.shape[0] // 2
+        size = act.shape[0]
         self.act = act
-        self.size = act.shape[0]
-        self.col = col[: self.size]
+        self.rows = backend.to_numpy(act)
+        self.size = size
+        self.col = col[:size]
         self.counts = counts
         self.flat = counts.reshape(-1)
         self.dark = counts[:k]
         self.light = counts[k:]
-        self.total_dark = total_dark
         self.clock = clock
         self.horizon = horizon
         self.denom = denom
         self.lighten = lighten
         self.mass = mass
-        lines = list(mass)
+        lines = list(mass[: 3 * k])
         self.cumulate = tuple(zip(lines[:-1], lines[1:]))
         self.adopt = mass[:k]
         self.terms = mass[k : 2 * k]
-        self.partner = mass[2 * k :]
+        self.partner = mass[2 * k : 3 * k]
         self.event = mass[: 2 * k]
         self.rate = mass[2 * k - 1]
-        self.total = mass[3 * k - 1]
+        self.total_dark = mass[3 * k]
+        self.scale = mass[2 * k - 1 :: k + 1]
+        self.totals = mass[2 * k - 1 : 3 * k : k]
+        self.dark_less = xp.empty((k, size), dtype=FLOAT64)
+        self.moves = _moves(k, size, xp)
+        self.step = xp.asarray(_MOVE)
+        self.streams = streams
+        self.backend = backend
+        self.pos = pos
+        self.lanes = lanes
+        self.start = lanes[0]
 
     @classmethod
-    def gather(cls, act, times, horizon, dark, light, lighten, denom, k, xp):
+    def gather(
+        cls, act, times, horizon, dark, light, lighten, denom, k, streams,
+        backend,
+    ):
         """Copy the engine rows ``act`` into a fresh working set."""
+        xp = backend.xp
         size = act.shape[0]
-        counts = xp.empty((2 * k, size), dtype=INT64)
+        counts = xp.empty((2 * k, size), dtype=FLOAT64)
         counts[:k] = dark[act].T
         counts[k:] = light[act].T
+        pos, lanes = streams.cursors(backend.to_numpy(act))
         return cls(
             act,
             counts,
-            counts[:k].sum(axis=0),
             times[act],
             horizon[act],
             denom[act],
             lighten[act].T.copy(),
-            xp.empty((3 * k, size), dtype=FLOAT64),
+            xp.empty((3 * k + 1, size), dtype=FLOAT64),
             xp.arange(size),
+            streams,
+            backend,
+            pos,
+            lanes,
         )
 
     def retire(self, keep, times, dark, light) -> "_ActiveRows":
@@ -933,31 +1005,45 @@ class _ActiveRows:
         times[rows] = self.horizon[gone]
         dark[rows] = self.dark[:, gone].T
         light[rows] = self.light[:, gone].T
+        host_keep = self.backend.to_numpy(keep)
+        host_gone = ~host_keep
+        self.streams.set_cursors(self.rows[host_gone], self.pos[host_gone])
         return _ActiveRows(
             self.act[keep],
             self.counts.compress(keep, axis=1),
-            self.total_dark[keep],
             self.clock[keep],
             self.horizon[keep],
             self.denom[keep],
             self.lighten.compress(keep, axis=1),
             self.mass.compress(keep, axis=1),
             self.col,
+            self.streams,
+            self.backend,
+            self.pos[host_keep],
+            self.lanes.compress(host_keep, axis=1),
         )
 
     def store(self, times, dark, light) -> None:
-        """Write every row's clock and counts back to the engine."""
+        """Write every row's clock, counts and stream cursor back."""
         times[self.act] = self.clock
         dark[self.act] = self.dark.T
         light[self.act] = self.light.T
+        self.streams.set_cursors(self.rows, self.pos)
 
 
-def _gaps(streams: RowStreams, rows, rate, denom, backend: Backend):
-    """Steps to each row's next active event, ``Geometric(rate /
-    denom)``, from one fresh uniform of the row's own stream."""
-    xp = backend.xp
-    u = backend.from_host(streams.take(backend.to_numpy(rows), 1))[:, 0]
-    return geometric_from_uniform(u, xp.minimum(rate / denom, 1.0), xp=xp)
+def _moves(k: int, size: int, xp):
+    """``(2, 2k * k)`` flat offsets, in a ``(2k, ·)`` block of ``size``
+    columns, of the classes an event of class ``c`` with partner ``j``
+    (column ``c * k + j``) takes an agent from (row 0) and gives it to
+    (row 1).  Adopt events (``c < k``) move light ``c`` (class ``k +
+    c``) to dark ``j``; lighten events move dark ``c - k`` to light
+    ``c - k`` (class ``c``) and ignore ``j``."""
+    c = xp.repeat(xp.arange(2 * k, dtype=INT64), k)
+    j = xp.tile(xp.arange(k, dtype=INT64), 2 * k)
+    adopt = c < k
+    source = xp.where(adopt, c + k, c - k)
+    target = xp.where(adopt, j, c)
+    return xp.stack([source, target]) * size
 
 
 def _pick_rows(masses, uniforms, xp=None):
@@ -980,7 +1066,15 @@ def _pick_rows(masses, uniforms, xp=None):
 
 
 def _below(picks, totals, xp=None):
-    """Clamp thresholds strictly below their row totals."""
+    """Clamp thresholds strictly below their row totals.
+
+    A threshold reaches its total only by rounding, so the clamp, whose
+    ``nextafter`` costs more per element than any other step of the
+    event loop, runs only when one does; below it, the clamp would
+    return every threshold unchanged.
+    """
     if xp is None:
         xp = HOST.xp
+    if (picks < totals).all():
+        return picks
     return xp.minimum(picks, xp.nextafter(totals, -xp.inf))

@@ -216,6 +216,7 @@ class MultiShadeAggregate:
                 ``-1`` (none) nor later than the clock.
         """
         ckpt.check(data, "MultiShadeAggregate")
+        rng = ckpt.checked_rng_state(self.rng, data["rng"])
         ckpt.restore_weight_table(self.weights, data["weights"])
         flat = ckpt.as_array(data["shades"], INT64)
         offsets = ckpt.as_array(data["offsets"], INT64)
@@ -247,7 +248,7 @@ class MultiShadeAggregate:
         self._shades = shades
         self.time = time
         self._pending = None if pending == -1 else pending
-        ckpt.set_rng_state(self.rng, data["rng"])
+        ckpt.set_rng_state(self.rng, rng)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

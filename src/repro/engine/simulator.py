@@ -302,6 +302,7 @@ class Simulation:
                     "checkpoint lacks the buffered partner draws a "
                     "complete-graph run needs"
                 )
+        rng = ckpt.checked_rng_state(self.rng, data["rng"])
         weights = getattr(self.protocol, "weights", None)
         if isinstance(weights, WeightTable) and "weights" in data:
             ckpt.restore_weight_table(weights, data["weights"])
@@ -317,7 +318,7 @@ class Simulation:
         self._buf_pos = buf_pos
         self._buf_n = ckpt.as_int(data["buf_n"])
         self.scheduler.load_state(data["scheduler"])
-        ckpt.set_rng_state(self.rng, data["rng"])
+        ckpt.set_rng_state(self.rng, rng)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -26,19 +26,24 @@ The pool, cursors and per-row bit-generator states round-trip through
 uniforms exactly.  ``restore`` rejects cursors outside ``[0, block]``,
 and ``take`` any draw count outside ``[1, block]``.
 
-The event loop calls :meth:`RowStreams.take` twice and
-:func:`geometric_from_uniform` once per iteration, so both keep their
-NumPy call count low.  ``take`` tests for refills with one max-reduce
-over the selected cursors, refills each row that is due in place with
-``Generator.random(out=)`` into a row view of the pool bound at
-construction (the same doubles as ``random(block)``, without a
-temporary), resets the due cursors with one scatter, and reads the
-draws through a flat view of the pool (row ``r``'s cursor ``c`` is
-element ``r * block + c``) in one gather; ``geometric_from_uniform``
-skips its mask when every ``p < 1``.  Neither changes a draw: a row
-still refills exactly when its pool cannot serve the request, whatever
-other rows share the call.  The loop keeps its gap and event draws in
-two separate ``take`` calls for the same reason (see
+The event loop draws twice per iteration — a gap, then an event pair —
+and calls :func:`geometric_from_uniform` once, so all three keep their
+NumPy call count low.  The loop's working set holds its rows' cursors
+and flat pool offsets (:meth:`RowStreams.cursors`), compacts them as
+rows retire and hands them back with :meth:`RowStreams.set_cursors`,
+so each of its draws is a :meth:`RowStreams.draw`: the advanced
+cursors, one max-reduce for the refill test, one add and one gather
+through a flat view of the pool (row ``r``'s cursor ``c`` is element
+``r * block + c``), with no gather or scatter of cursors by row index.
+A gap draw is one 1-D gather.  :meth:`RowStreams.take` serves everything else (per-step
+mode, the first iteration's carried arrivals, tests) with the same
+refill rule, so the two kinds of draw interleave into one sequence per
+row: a row refills, in place with ``Generator.random(out=)`` into a row
+view of the pool bound at construction (the same doubles as
+``random(block)``, without a temporary), exactly when its pool cannot
+serve the request, whatever other rows share the call.
+``geometric_from_uniform`` skips its mask when every ``p < 1``.  The
+loop keeps its gap and event draws separate for the same reason (see
 :func:`repro.engine.hetero.advance_event_driven`).
 
 Streams are host-resident on every backend: the per-row PCG64 states
@@ -55,6 +60,9 @@ np = HOST.xp  # host namespace: streams never live on a device
 
 #: Uniforms pooled per row between refills.
 _POOL_BLOCK = 256
+
+#: Added to a row's pool start to address its next two draws.
+_LANE_STEP = np.arange(2, dtype=INT64)[:, None]
 
 _U64 = UINT64
 _MASK64 = (1 << 64) - 1
@@ -87,9 +95,18 @@ def geometric_from_uniform(uniforms, p, xp=None):
 
 
 def _jumps(uniforms, p, xp):
-    """``1 + floor(log1p(-U) / log1p(-p))`` for ``p < 1``, clamped."""
-    gaps = 1.0 + xp.floor(xp.log1p(-uniforms) / xp.log1p(-p))
-    return xp.minimum(gaps, float(2**62)).astype(INT64)
+    """``1 + floor(log1p(-U) / log1p(-p))`` for ``p < 1``, clamped.
+
+    The formula's operations in its order, applied in place to the
+    first ``log1p``'s result; adding 1 on the right gives the same
+    float as on the left.
+    """
+    gaps = xp.log1p(-uniforms)
+    gaps /= xp.log1p(-p)
+    xp.floor(gaps, out=gaps)
+    gaps += 1.0
+    xp.minimum(gaps, float(2**62), out=gaps)
+    return gaps.astype(INT64)
 
 
 class RowStreams:
@@ -166,19 +183,64 @@ class RowStreams:
                 f"take needs 1 <= m <= {self._block} draws per row, got {m}"
             )
         rows = np.asarray(rows, dtype=INT64)
-        pos = self._pos[rows]
-        end = pos + m
-        if rows.size and end.max() > self._block:
-            due = end > self._block
-            for row in rows[due].tolist():
-                self._gens[row].random(out=self._rows[row])
-            pos[due] = 0
-            end = pos + m
+        pos, end = self._serve(rows, self._pos[rows], m)
         self._pos[rows] = end
         # Gathered draw-major, an (m, len(rows)) block, and returned
         # transposed: each column of the result is one contiguous row.
         start = rows * self._block + pos
         return self._flat[start + np.arange(m)[:, None]].T
+
+    # ------------------------------------------------------------------
+    # Cursor draws: the caller holds the cursors of a fixed row set
+
+    def cursors(self, rows):
+        """The cursors of ``rows`` and their flat pool offsets, for
+        :meth:`draw`.
+
+        Returns fresh host arrays ``(pos, lanes)``: ``pos[i]`` is row
+        ``rows[i]``'s cursor and ``lanes[:, i]`` is ``rows[i] * block +
+        (0, 1)``, so ``lanes[:m] + pos`` addresses each row's next ``m
+        <= 2`` draws in the flat pool.
+        """
+        rows = np.asarray(rows, dtype=INT64)
+        return self._pos[rows], rows * self._block + _LANE_STEP
+
+    def set_cursors(self, rows, pos) -> None:
+        """Write back the cursors :meth:`draw` advanced.  Do it before
+        any :meth:`take`, :meth:`snapshot` or :meth:`restore` touches
+        the same rows."""
+        self._pos[rows] = pos
+
+    def draw(self, rows, pos, lanes, m: int):
+        """:meth:`take` for a caller that holds the cursors itself.
+
+        ``pos`` are the cursors of ``rows`` and ``lanes`` their pool
+        offsets, both from :meth:`cursors`: the whole ``lanes`` for
+        ``m = 2``, or its first row for a flat ``(len(rows),)`` draw
+        when ``m = 1``.  Returns the draws, shaped like ``lanes``, and
+        the advanced cursors, which the caller keeps in place of
+        ``pos`` and hands back through :meth:`set_cursors`.  Rows
+        refill exactly as in :meth:`take`, so cursor draws and takes
+        interleave into one sequence per row.
+        """
+        pos, end = self._serve(rows, pos, m)
+        return self._flat[lanes + pos], end
+
+    def _serve(self, rows, pos, m: int):
+        """Start and end cursors of each row's next ``m`` draws.
+
+        The one refill rule: a row whose pool cannot serve ``m`` more
+        draws refills in place and is served from the start of its new
+        pool.  ``pos`` is not modified.
+        """
+        end = pos + m
+        if end.size and end.max() > self._block:
+            due = end > self._block
+            for row in rows[due].tolist():
+                self._gens[row].random(out=self._rows[row])
+            pos = np.where(due, 0, pos)
+            end = pos + m
+        return pos, end
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -209,38 +271,55 @@ class RowStreams:
         }
 
     def restore(self, data: dict) -> None:
-        """Restore pool, cursors and per-row states in place."""
+        """Restore pool, cursors and per-row states in place.
+
+        Every field is checked, and every row's bit-generator state is
+        loaded into a scratch ``PCG64``, before anything is assigned, so
+        a rejected payload leaves the streams as they were.
+        """
         if int(data["block"]) != self._block:
             raise ValueError(
                 f"stream pool block {data['block']} does not match the "
                 f"engine's block {self._block}"
             )
+        rows = self.rows
         pool = np.asarray(data["pool"], dtype=FLOAT64)
         pos = np.asarray(data["pos"], dtype=INT64)
         state = np.asarray(data["state"], dtype=_U64)
         inc = np.asarray(data["inc"], dtype=_U64)
         has_uint32 = np.asarray(data["has_uint32"], dtype=INT64)
         uinteger = np.asarray(data["uinteger"], dtype=_U64)
-        if pool.shape != (self.rows, self._block):
+        if pool.shape != (rows, self._block):
             raise ValueError(
                 f"stream pool shape {pool.shape} does not match "
-                f"({self.rows}, {self._block})"
+                f"({rows}, {self._block})"
             )
         # take() reads row r's draws at r * block + cursor, so a cursor
         # outside [0, block] would serve another row's draws.
-        if pos.shape != (self.rows,):
+        if pos.shape != (rows,):
             raise ValueError(
                 f"stream cursors have shape {pos.shape}, expected "
-                f"({self.rows},)"
+                f"({rows},)"
             )
         if pos.min() < 0 or pos.max() > self._block:
             raise ValueError(
                 f"stream cursors must lie in [0, {self._block}]"
             )
-        self._pool[...] = pool
-        self._pos[...] = pos
-        for row, gen in enumerate(self._gens):
-            gen.bit_generator.state = {
+        for name, value, shape in (
+            ("state", state, (rows, 2)),
+            ("inc", inc, (rows, 2)),
+            ("has_uint32", has_uint32, (rows,)),
+            ("uinteger", uinteger, (rows,)),
+        ):
+            if value.shape != shape:
+                raise ValueError(
+                    f"stream {name} has shape {value.shape}, expected "
+                    f"{shape}"
+                )
+        if ((has_uint32 != 0) & (has_uint32 != 1)).any():
+            raise ValueError("stream has_uint32 flags must be 0 or 1")
+        states = [
+            {
                 "bit_generator": "PCG64",
                 "state": {
                     "state": (int(state[row, 0]) << 64)
@@ -250,6 +329,21 @@ class RowStreams:
                 "has_uint32": int(has_uint32[row]),
                 "uinteger": int(uinteger[row]),
             }
+            for row in range(rows)
+        ]
+        scratch = PCG64(0)
+        for row, row_state in enumerate(states):
+            try:
+                scratch.state = row_state
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"stream row {row} holds an invalid PCG64 state: "
+                    f"{exc!r}"
+                ) from exc
+        self._pool[...] = pool
+        self._pos[...] = pos
+        for gen, row_state in zip(self._gens, states):
+            gen.bit_generator.state = row_state
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "RowStreams":

@@ -25,6 +25,7 @@ import numpy as np
 from repro.analysis.streaming import StreamingPotentials
 from repro.core.weights import WeightTable
 from repro.engine import BatchedAggregateSimulation, HeterogeneousAggregateBatch
+from repro.engine.backend import HOST
 from repro.engine.hetero import _ActiveRows
 
 STREAM_FIELDS = ("pool", "pos", "state", "inc", "has_uint32", "uinteger")
@@ -219,7 +220,7 @@ class TestWorkingLayout:
         rows = _ActiveRows.gather(
             np.arange(engine.rows), engine._times, TARGETS + 1,
             engine._dark, engine._light, engine._lighten, engine._denom,
-            k, np,
+            k, engine._streams, HOST,
         )
         keep = np.array([True, False, True, True])
         rest = rows.retire(keep, engine._times, engine._dark, engine._light)
@@ -228,3 +229,7 @@ class TestWorkingLayout:
             assert block.flags.c_contiguous
         assert np.shares_memory(rest.flat, rest.counts)
         assert rest.counts.tolist() == rows.counts[:, keep].tolist()
+        assert rest.pos.tolist() == rows.pos[keep].tolist()
+        assert rest.lanes.tolist() == rows.lanes[:, keep].tolist()
+        assert rest.lanes.flags.c_contiguous
+        assert np.shares_memory(rest.start, rest.lanes)

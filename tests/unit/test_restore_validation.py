@@ -29,6 +29,7 @@ from repro.core.ablations import EagerRecolouring
 from repro.core.diversification import Diversification
 from repro.core.weights import WeightTable
 from repro.engine import (
+    AggregateSimulation,
     ArraySimulation,
     BatchedAggregateSimulation,
     HeterogeneousAggregateBatch,
@@ -171,6 +172,16 @@ def assert_untouched(engine, before: dict) -> None:
         np.testing.assert_array_equal(
             after["streams"][field], before["streams"][field]
         )
+
+
+def assert_same_payload(after, before) -> None:
+    """Two snapshot payloads hold equal values, nested dicts included."""
+    assert isinstance(after, dict) and after.keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, dict):
+            assert_same_payload(after[key], value)
+        else:
+            np.testing.assert_array_equal(after[key], value)
 
 
 class TestHeteroPayloadValues:
@@ -318,6 +329,37 @@ class TestRowStreamsRestore:
         streams = RowStreams.from_generator(make_rng(0), 3)
         streams.restore(snap)
         assert streams.take(np.arange(3), 2).shape == (3, 2)
+
+    @pytest.mark.parametrize("field, corrupt, match", [
+        pytest.param(
+            field, lambda value: value[:2], f"{field} has shape",
+            id=f"{field}-two-rows",
+        )
+        for field in ("state", "inc", "has_uint32", "uinteger")
+    ] + [
+        pytest.param(
+            "has_uint32", lambda value: np.full(3, 7), "0 or 1",
+            id="has_uint32-seven",
+        ),
+        pytest.param(
+            "uinteger", lambda value: np.full(3, 2**32, dtype=np.uint64),
+            "invalid PCG64 state", id="uinteger-past-32-bits",
+        ),
+    ])
+    def test_malformed_generator_state_restores_nothing(
+        self, field, corrupt, match
+    ):
+        """A payload whose generator fields do not fit the rows used to
+        overwrite the pool, the cursors and some rows' states before
+        failing with IndexError; a ``has_uint32`` of 7 was accepted."""
+        snap = self.snapshot()
+        snap[field] = corrupt(snap[field])
+        streams = RowStreams.from_generator(make_rng(0), 3)
+        streams.take(np.arange(3), 4)
+        before = streams.snapshot()
+        with pytest.raises(ValueError, match=match):
+            streams.restore(snap)
+        assert_same_payload(streams.snapshot(), before)
 
 
 class TestRowStreamsTake:
@@ -551,3 +593,28 @@ class TestArrayRestore:
         assert after["rng"] == before["rng"]
         for field in ("colours", "shades", "buf_init", "buf_partners"):
             np.testing.assert_array_equal(after[field], before[field])
+
+
+def aggregate() -> AggregateSimulation:
+    return AggregateSimulation(WeightTable([1.0, 2.0]), [20, 10], rng=3)
+
+
+class TestMalformedRngPayload:
+    """Every engine's ``restore()`` assigned the base generator's state
+    last, so an ``rng`` payload without a ``state`` raised KeyError
+    after the counts, clocks and streams had been replaced."""
+
+    @pytest.mark.parametrize("build", [
+        simulation, array_engine, aggregate, multishade, hetero, batched,
+    ], ids=lambda build: build.__name__)
+    def test_rejected_payload_restores_nothing(self, build):
+        source = build()
+        source.run(300)
+        snap = source.snapshot()
+        snap["rng"] = {"bit_generator": "PCG64"}
+        engine = build()
+        engine.run(100)
+        before = engine.snapshot()
+        with pytest.raises(ValueError, match="rng state"):
+            engine.restore(snap)
+        assert_same_payload(engine.snapshot(), before)
