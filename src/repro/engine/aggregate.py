@@ -405,16 +405,49 @@ class AggregateSimulation:
         )
 
     def restore(self, data: dict) -> "AggregateSimulation":
-        """Restore a :meth:`snapshot` payload in place."""
+        """Restore a :meth:`snapshot` payload in place.
+
+        Raises:
+            ValueError: if the weights disagree with the engine's table,
+                a count or coin vector's length is not the restored
+                ``k``, a count is negative or fewer than two agents
+                remain, a coin lies outside ``[0, 1]``, the clock is
+                negative, or the pending arrival is neither ``-1``
+                (none) nor later than the clock; nothing is restored
+                then.
+        """
         ckpt.check(data, "AggregateSimulation")
         rng = ckpt.checked_rng_state(self.rng, data["rng"])
-        ckpt.restore_weight_table(self.weights, data["weights"])
-        self._dark = [int(c) for c in np.asarray(data["dark"])]
-        self._light = [int(c) for c in np.asarray(data["light"])]
-        self._lighten = [float(p) for p in np.asarray(data["lighten"])]
-        self.time = ckpt.as_int(data["time"])
+        table = self.weights.copy()
+        ckpt.restore_weight_table(table, data["weights"])  # check only
+        dark = ckpt.as_row_vector(data["dark"], INT64, table.k, "dark")
+        light = ckpt.as_row_vector(data["light"], INT64, table.k, "light")
+        lighten = ckpt.as_row_vector(
+            data["lighten"], FLOAT64, table.k, "lighten"
+        )
+        if int(dark.min()) < 0 or int(light.min()) < 0:
+            raise ValueError("checkpoint counts must be non-negative")
+        if int(dark.sum()) + int(light.sum()) < 2:
+            raise ValueError("checkpoint holds fewer than two agents")
+        if not ((lighten >= 0.0) & (lighten <= 1.0)).all():
+            raise ValueError(
+                "checkpoint lighten probabilities must lie in [0, 1]"
+            )
+        time = ckpt.as_int(data["time"])
+        if time < 0:
+            raise ValueError(f"checkpoint time {time} is negative")
         pending = ckpt.as_int(data["pending"])
-        self._pending = None if pending < 0 else pending
+        if pending != -1 and pending <= time:
+            raise ValueError(
+                f"checkpoint pending arrival {pending} is neither -1 nor "
+                f"after time {time}"
+            )
+        ckpt.restore_weight_table(self.weights, data["weights"])
+        self._dark = [int(c) for c in dark]
+        self._light = [int(c) for c in light]
+        self._lighten = [float(p) for p in lighten]
+        self.time = time
+        self._pending = None if pending == -1 else pending
         ckpt.set_rng_state(self.rng, rng)
         return self
 

@@ -41,11 +41,38 @@ For a fixed seed the trajectory is a fixed function of the generator.
 1.0))``; ``step`` draws one uniform per step against that probability.
 Each event then draws one uniform scaled by ``float(Z·P + D)`` to pick
 its type and, for an adopt, one uniform per :func:`_pick`, over the
-zero-shade counts and then over the positive counts.  Every rate is an
-exact integer below 2**53, so the float arguments and each comparison
-of a uniform against a partial sum are exact, and any split of a
-horizon into ``run`` calls replays the same draws
-(``tests/unit/test_scalar_loop_digest.py`` pins them).
+zero-shade counts (scaled by ``float(Z)``) and then over the positive
+counts (``float(P)``).  Every rate is an exact integer below 2**53, so
+the float arguments and each comparison of a uniform against a partial
+sum are exact, and any split of a horizon into ``run`` calls replays
+the same draws (``tests/unit/test_scalar_loop_digest.py`` pins them).
+
+The draws are pooled, yet each call leaves the generator exactly where
+one generator call per draw would:
+
+* **Blocks.**  Uniforms are served by index from blocks of ``_BLOCK``
+  values drawn by one ``rng.random(_BLOCK)`` call.
+  ``Generator.random()`` and ``Generator.random(size)`` both take one
+  ``next_double`` of the bit generator per value, so the i-th pooled
+  value is the double the i-th scalar call would return, for every
+  NumPy bit generator.
+* **Gaps.**  For ``p`` at or above the double nearest 1/3,
+  ``Generator.geometric(p)`` searches on one ``next_double``:
+  ``x = 1; sum = prod = p; q = 1 - p; while u > sum: prod *= q;
+  sum += prod; x += 1``.  The loop runs the same float operations on a
+  pooled uniform and gets the same ``x``.  Below 1/3 NumPy inverts a
+  ziggurat exponential whose tables Python cannot see, so the loop syncs
+  the generator, calls ``rng.geometric(p)`` and draws a new block.
+* **Sync.**  To sync is to restore the ``bit_generator.state`` saved
+  before the current block and redraw the uniforms served from it.
+  (``advance`` would zero PCG64's buffered 32-bit word, and MT19937 and
+  SFC64 have none.)  ``run`` and ``step`` sync before each gap below
+  1/3 and at every exit, exceptions included.  This relies on nothing
+  else drawing from the generator during a call.
+
+``tests/property/test_multishade_pooled_draws.py`` checks both methods
+against a loop that makes one generator call per draw, on five bit
+generators.
 """
 
 from __future__ import annotations
@@ -58,6 +85,14 @@ from .backend import HOST, INT64, Generator
 from .rng import make_rng
 
 np = HOST.xp  # host namespace: the scalar shade engine is CPU-resident
+
+#: Uniforms per pooled ``rng.random`` call.
+_BLOCK = 1024
+#: Last pool index from which one ``run`` iteration's uniforms (a gap,
+#: an event type and two picks) still fit in the block.
+_LAST = _BLOCK - 4
+#: NumPy's ``geometric`` searches on one uniform from this ``p`` up.
+_SEARCH_FROM = 1 / 3
 
 
 class MultiShadeAggregate:
@@ -144,10 +179,18 @@ class MultiShadeAggregate:
         shades = self._shades
         positive, zero, total, decrement = _totals(shades)
         n = zero + total
-        if self.rng.random() >= (zero * total + decrement) / (n * (n - 1)):
-            return False
-        _apply_event(shades, positive, zero, total, decrement, self.rng)
-        return True
+        rng = self.rng
+        start, pool = _block(rng)
+        used = 1
+        try:
+            if pool[0] >= (zero * total + decrement) / (n * (n - 1)):
+                return False
+            used = _apply_event(
+                shades, positive, zero, total, decrement, pool, used
+            )[3]
+            return True
+        finally:
+            _sync(rng, start, used)
 
     def run(self, steps: int) -> "MultiShadeAggregate":
         """Advance exactly ``steps`` time-steps using event jumps.
@@ -166,20 +209,46 @@ class MultiShadeAggregate:
         n = zero + total
         pairs = n * (n - 1)
         rng = self.rng
-        while time < horizon:
-            rate = zero * total + decrement
-            if not rate:
-                time = horizon
-                break
-            if pending is None:
-                pending = time + int(rng.geometric(min(rate / pairs, 1.0)))
-            if pending > horizon:
-                time = horizon
-                break
-            time, pending = pending, None
-            zero, total, decrement = _apply_event(
-                shades, positive, zero, total, decrement, rng
-            )
+        start, pool = _block(rng)
+        used = 0
+        try:
+            while time < horizon:
+                rate = zero * total + decrement
+                if not rate:
+                    time = horizon
+                    break
+                if used > _LAST:
+                    _sync(rng, start, used)
+                    start, pool = _block(rng)
+                    used = 0
+                if pending is None:
+                    p = min(rate / pairs, 1.0)
+                    if p >= _SEARCH_FROM:
+                        # NumPy's geometric search, on a pooled uniform.
+                        u = pool[used]
+                        used += 1
+                        gap = 1
+                        cumulative = prod = p
+                        q = 1.0 - p
+                        while u > cumulative:
+                            prod *= q
+                            cumulative += prod
+                            gap += 1
+                    else:
+                        _sync(rng, start, used)
+                        gap = int(rng.geometric(p))
+                        start, pool = _block(rng)
+                        used = 0
+                    pending = time + gap
+                if pending > horizon:
+                    time = horizon
+                    break
+                time, pending = pending, None
+                zero, total, decrement, used = _apply_event(
+                    shades, positive, zero, total, decrement, pool, used
+                )
+        finally:
+            _sync(rng, start, used)
         self.time, self._pending = time, pending
         return self
 
@@ -210,27 +279,32 @@ class MultiShadeAggregate:
         """Restore a :meth:`snapshot` payload in place.
 
         Raises:
-            ValueError: if the shade table does not match the weights,
-                holds a negative count or fewer than two agents, the
-                clock is negative, or the pending arrival is neither
-                ``-1`` (none) nor later than the clock.
+            ValueError: if the weights disagree with the engine's table
+                or are not integers, the shade table does not match
+                them, holds a negative count or fewer than two agents,
+                the clock is negative, or the pending arrival is neither
+                ``-1`` (none) nor later than the clock; nothing is
+                restored then.
         """
         ckpt.check(data, "MultiShadeAggregate")
         rng = ckpt.checked_rng_state(self.rng, data["rng"])
-        ckpt.restore_weight_table(self.weights, data["weights"])
+        table = self.weights.copy()
+        ckpt.restore_weight_table(table, data["weights"])  # check only
+        if not table.is_integer():
+            raise ValueError("checkpoint weights must be integers")
         flat = ckpt.as_array(data["shades"], INT64)
         offsets = ckpt.as_array(data["offsets"], INT64)
-        if offsets.shape != (self.weights.k + 1,):
+        if offsets.shape != (table.k + 1,):
             raise ValueError("shade offsets do not match the colour count")
         shades = [
             [int(c) for c in flat[offsets[i]:offsets[i + 1]]]
-            for i in range(self.weights.k)
+            for i in range(table.k)
         ]
         for colour, row in enumerate(shades):
-            if len(row) != int(self.weights.weight(colour)) + 1:
+            if len(row) != int(table.weight(colour)) + 1:
                 raise ValueError(
                     f"colour {colour} shade row length {len(row)} does "
-                    f"not match weight {self.weights.weight(colour)}"
+                    f"not match weight {table.weight(colour)}"
                 )
         if any(count < 0 for row in shades for count in row):
             raise ValueError("checkpoint shade counts must be non-negative")
@@ -245,6 +319,7 @@ class MultiShadeAggregate:
                 f"checkpoint pending arrival {pending} is neither -1 nor "
                 f"after time {time}"
             )
+        ckpt.restore_weight_table(self.weights, data["weights"])
         self._shades = shades
         self.time = time
         self._pending = None if pending == -1 else pending
@@ -264,28 +339,45 @@ def _totals(shades: list[list[int]]) -> tuple[list[int], int, int, int]:
     return positive, zero, sum(positive), decrement
 
 
+def _block(rng: Generator) -> tuple[dict, list[float]]:
+    """The generator's state, then the next ``_BLOCK`` uniforms it
+    draws (see the module docstring)."""
+    return rng.bit_generator.state, rng.random(_BLOCK).tolist()
+
+
+def _sync(rng: Generator, state: dict, used: int) -> None:
+    """Leave ``rng`` where one call per draw would: at ``state``, the
+    start of the current block, plus the ``used`` uniforms served from
+    it."""
+    rng.bit_generator.state = state
+    rng.random(used)
+
+
 def _apply_event(
     shades: list[list[int]],
     positive: list[int],
     zero: int,
     total: int,
     decrement: int,
-    rng: Generator,
-) -> tuple[int, int, int]:
-    """Draw and apply one active event; returns the updated
-    ``(Z, P, D)``.  ``shades`` and ``positive`` are updated in place."""
+    pool: list[float],
+    used: int,
+) -> tuple[int, int, int, int]:
+    """Apply one active event drawn from ``pool[used:]``, which holds at
+    least three uniforms; returns the updated ``(Z, P, D)`` and the
+    index past the uniforms it took.  ``shades`` and ``positive`` are
+    updated in place."""
     adopt = zero * total
-    pick = rng.random() * float(adopt + decrement)
+    pick = pool[used] * float(adopt + decrement)
     if pick < adopt:
         # Adopt: a shade-0 agent (colour i ∝ Z_i) joins colour j (∝ P_j)
         # at full shade.
-        source = _pick([row[0] for row in shades], zero, rng)
-        target = _pick(positive, total, rng)
+        source = _pick([row[0] for row in shades], zero, pool[used + 1])
+        target = _pick(positive, total, pool[used + 2])
         shades[source][0] -= 1
         shades[target][-1] += 1
         old = positive[target]
         positive[target] = old + 1
-        return zero - 1, total + 1, decrement + 2 * old
+        return zero - 1, total + 1, decrement + 2 * old, used + 3
     # Decrement: pick (colour, shade) ∝ S_i[s] (P_i − 1).
     pick -= adopt
     acc = 0
@@ -297,14 +389,14 @@ def _apply_event(
                 if pick < acc:
                     return _decrement(
                         shades, positive, colour, shade,
-                        zero, total, decrement,
+                        zero, total, decrement, used + 1,
                     )
     # Numerical edge: apply to the last positive term.
     colour = max(i for i, count in enumerate(positive) if count > 1)
     row = shades[colour]
     shade = max(s for s in range(1, len(row)) if row[s] > 0)
     return _decrement(
-        shades, positive, colour, shade, zero, total, decrement
+        shades, positive, colour, shade, zero, total, decrement, used + 1
     )
 
 
@@ -316,23 +408,25 @@ def _decrement(
     zero: int,
     total: int,
     decrement: int,
-) -> tuple[int, int, int]:
+    used: int,
+) -> tuple[int, int, int, int]:
     """Move one agent of ``colour`` down from ``shade``; returns the
-    updated ``(Z, P, D)``."""
+    updated ``(Z, P, D)`` and, unchanged, the pool index ``used``."""
     row = shades[colour]
     row[shade] -= 1
     row[shade - 1] += 1
     if shade > 1:
-        return zero, total, decrement
+        return zero, total, decrement, used
     old = positive[colour]
     positive[colour] = old - 1
-    return zero + 1, total - 1, decrement - 2 * (old - 1)
+    return zero + 1, total - 1, decrement - 2 * (old - 1), used
 
 
-def _pick(masses: Sequence[int], total: int, rng: Generator) -> int:
-    """Index drawn with probability ``masses[i] / total``, where
-    ``total`` is the (positive) sum of the integer ``masses``."""
-    pick = rng.random() * float(total)
+def _pick(masses: Sequence[int], total: int, u: float) -> int:
+    """Index drawn by the uniform ``u`` with probability
+    ``masses[i] / total``, where ``total`` is the (positive) sum of the
+    integer ``masses``."""
+    pick = u * float(total)
     acc = 0
     for index, mass in enumerate(masses):
         acc += mass

@@ -83,7 +83,11 @@ def equilibrium_split(
 
     Used to start aggregate runs *inside* the stabilised regime, e.g.
     to measure plateau statistics without paying the convergence phase.
+    Every colour keeps at least one dark agent, so ``n`` must be at
+    least ``k``.
     """
+    if n < weights.k:
+        raise ValueError("need at least one agent per colour")
     dark_exact = weights.dark_shares() * n
     dark = np.maximum(np.round(dark_exact).astype(np.int64), 1)
     light_exact = weights.light_shares() * n

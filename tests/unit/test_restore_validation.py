@@ -493,6 +493,27 @@ class TestMultiShadeRestore:
         engine.run(100)
         assert engine.time == 600
 
+    def test_extra_weight_rejected_before_the_table_grows(self):
+        """The shared weight table used to grow before the shade table
+        was checked against it, leaving the engine with one weight more
+        than it has shade rows after the rejection."""
+        snap = self.snapshot()
+        snap["weights"] = np.append(snap["weights"], 4.0)
+        engine = multishade()
+        with pytest.raises(ValueError, match="offsets"):
+            engine.restore(snap)
+        assert engine.weights.k == engine.k == 2
+
+    def test_fractional_weight_rejected(self):
+        snap = self.snapshot()
+        snap["weights"] = np.append(snap["weights"], 2.5)
+        snap["shades"] = np.append(snap["shades"], [0, 0, 1])
+        snap["offsets"] = np.append(snap["offsets"], snap["offsets"][-1] + 3)
+        engine = multishade()
+        with pytest.raises(ValueError, match="integers"):
+            engine.restore(snap)
+        assert engine.weights.k == 2
+
 
 def array_engine(replications=None) -> ArraySimulation:
     return ArraySimulation(
@@ -597,6 +618,82 @@ class TestArrayRestore:
 
 def aggregate() -> AggregateSimulation:
     return AggregateSimulation(WeightTable([1.0, 2.0]), [20, 10], rng=3)
+
+
+class TestAggregateRestore:
+    """``AggregateSimulation.restore`` used to check only the weights
+    and the ``rng`` payload, and assigned fields as it went.  It took a
+    pending arrival before the clock (the next ``run_until`` returned a
+    hitting time before the clock it started from), count or coin
+    vectors of the wrong length (the next ``run`` raised IndexError),
+    negative counts and coins outside ``[0, 1]``; a malformed clock
+    raised only after the counts had been replaced and the weight table
+    had grown.  Snapshots are of a 30-agent, k = 2 engine at t = 500."""
+
+    @pytest.mark.parametrize("field, value, match", [
+        pytest.param("pending", 400, "pending", id="pending-before-clock"),
+        pytest.param("pending", 500, "pending", id="pending-at-clock"),
+        pytest.param("pending", -2, "pending", id="pending-below-minus-one"),
+        pytest.param("dark", [10, 10, 10], "dark", id="dark-three-long"),
+        pytest.param("light", [0], "light", id="light-one-long"),
+        pytest.param("lighten", [1.0, 0.5, 0.5], "lighten",
+                     id="lighten-three-long"),
+        pytest.param("dark", [-3, 33], "non-negative", id="negative-dark"),
+        pytest.param("light", [-1, 1], "non-negative", id="negative-light"),
+        pytest.param("lighten", [7.0, 0.5], r"\[0, 1\]", id="coin-seven"),
+        pytest.param("lighten", [1.0, -1.0], r"\[0, 1\]",
+                     id="coin-minus-one"),
+        pytest.param("time", -5, "time", id="negative-time"),
+    ])
+    def test_corrupted_field_rejected(self, field, value, match):
+        snap = ran(aggregate())
+        snap[field] = np.asarray(value)
+        with pytest.raises(ValueError, match=match):
+            aggregate().restore(snap)
+
+    def test_fewer_than_two_agents_rejected(self):
+        snap = ran(aggregate())
+        snap["dark"] = np.array([1, 0])
+        snap["light"] = np.array([0, 0])
+        with pytest.raises(ValueError, match="two agents"):
+            aggregate().restore(snap)
+
+    def test_malformed_time_restores_nothing(self):
+        source = aggregate()
+        source.add_colour(3.0, 4)
+        snap = ran(source)
+        snap["time"] = "soon"
+        engine = aggregate()
+        before = engine.snapshot()
+        with pytest.raises(ValueError):
+            engine.restore(snap)
+        assert engine.weights.k == engine.k == 2
+        assert_same_payload(engine.snapshot(), before)
+
+    def test_rejected_payload_restores_nothing(self):
+        source = aggregate()
+        source.run(300)
+        source.add_colour(3.0, 4)
+        snap = ran(source, 200)
+        snap["pending"] = snap["time"] - 10
+        engine = aggregate()
+        engine.run(100)
+        before = engine.snapshot()
+        with pytest.raises(ValueError, match="pending"):
+            engine.restore(snap)
+        assert engine.weights.k == engine.k == 2
+        assert_same_payload(engine.snapshot(), before)
+
+    @pytest.mark.parametrize("pending", [-1, 10_000])
+    def test_valid_payload_accepted(self, pending):
+        source = aggregate()
+        source.add_colour(3.0, 4)
+        snap = ran(source)
+        snap["pending"] = pending
+        engine = aggregate().restore(snap)
+        assert engine.weights.k == engine.k == 3
+        engine.run(100)
+        assert engine.time == 600
 
 
 class TestMalformedRngPayload:

@@ -91,6 +91,17 @@ class TestEquilibriumSplit:
         dark, _ = equilibrium_split(20, weights)
         assert dark.min() >= 1
 
+    def test_fewer_agents_than_colours_rejected(self, skewed_weights):
+        """Every colour keeps a dark agent, so with n < k the repair
+        loop used to search forever for an agent it could remove."""
+        with pytest.raises(ValueError, match="one agent per colour"):
+            equilibrium_split(2, skewed_weights)
+
+    def test_one_agent_per_colour(self, skewed_weights):
+        dark, light = equilibrium_split(3, skewed_weights)
+        np.testing.assert_array_equal(dark, [1, 1, 1])
+        np.testing.assert_array_equal(light, [0, 0, 0])
+
 
 class TestColoursFromCounts:
     def test_expansion(self):
