@@ -49,8 +49,6 @@ def run_with_interventions(
     schedule: InterventionSchedule | None = None,
     *,
     recorder=None,
-    resume: bool = False,
-    final_snapshot: bool = True,
 ) -> None:
     """Advance ``engine`` by ``total_steps``, applying interventions and
     recording snapshots at their scheduled times.
@@ -58,26 +56,14 @@ def run_with_interventions(
     ``engine`` may be either simulation engine (anything exposing
     ``time``, ``run(steps)`` and the three count methods).  ``recorder``
     is an optional :class:`~repro.experiments.recorder.CountRecorder`.
-
-    ``resume=True`` continues a checkpointed run: interventions and
-    the initial snapshot at exactly the engine's current time are
-    skipped — the pre-checkpoint segment already applied and recorded
-    them — so the resumed trajectory matches the uninterrupted one.
-
-    ``final_snapshot=False`` suppresses the unconditional horizon
-    snapshot.  Pass it when this horizon is a *checkpoint*, not the
-    run's true end: the resumed segment will carry the series on, and
-    an off-interval snapshot at the split point would make the record
-    differ from the uninterrupted run's.
     """
     if total_steps < 0:
         raise ValueError("total_steps must be non-negative")
     start = engine.time
     horizon = start + total_steps
     pending = list(schedule.entries()) if schedule is not None else []
-    earliest_ok = (lambda t: t > start) if resume else (lambda t: t >= start)
-    pending = [(t, iv) for t, iv in pending if earliest_ok(t) and t <= horizon]
-    if recorder is not None and not resume and engine.time == start:
+    pending = [(t, iv) for t, iv in pending if start <= t <= horizon]
+    if recorder is not None:
         recorder.record_from(engine)
     index = 0
     while engine.time < horizon:
@@ -96,9 +82,5 @@ def run_with_interventions(
     # The horizon snapshot is unconditional: without it, an interval
     # that does not divide ``total_steps`` would leave the record's
     # final row up to interval-1 steps short of the requested state.
-    if (
-        recorder is not None
-        and final_snapshot
-        and recorder.last_time() != engine.time
-    ):
+    if recorder is not None and recorder.last_time() != engine.time:
         recorder.record_from(engine)

@@ -27,11 +27,11 @@ chronological order, the accumulated integral is *bit-identical* to a
 sequential reduction over the materialised trajectory — the
 exact-equality contract verified by ``tests/unit/test_streaming.py``.
 
-All accumulators expose ``state_dict``/``load_state`` (plain **host
-NumPy** arrays, pickle-free, whatever the compute backend) so they ride
-along engine checkpoints, ``merge_serial`` to join time-adjacent
-checkpoint segments, and the tap-fed ones ``concat`` to join
-row-disjoint accumulators from fused mega-batches.
+The tap-fed accumulators expose ``state_dict`` (a read-only view as
+plain **host NumPy** arrays, whatever the compute backend, which the
+loop digests hash), ``merge_serial`` to join time-adjacent segments and
+``concat`` to join row-disjoint accumulators from fused mega-batches;
+:class:`RunningMoments` merges with ``merge``.
 
 Backends.  All array work routes through :mod:`repro.engine.backend`
 (this module never imports numpy itself).  The accumulators accept a
@@ -253,13 +253,10 @@ class _TapAccumulator:
         """Fold a time-adjacent later segment into this one.
 
         ``later`` must have been reset at this accumulator's current
-        end times (the pattern: run, checkpoint, restore, attach a
-        fresh accumulator, run on, merge).  Integrals agree with the
-        uninterrupted run up to float-addition associativity (the
-        merge regroups ``Σa + Σb``); for *bit-identical* resumption
-        instead carry the accumulator itself across the checkpoint —
-        ``state_dict``/``load_state`` it alongside the engine snapshot
-        and re-attach with ``attach_stream(acc, reset=False)``.
+        end times (the pattern: run, detach, attach a fresh accumulator,
+        run on, merge).  Integrals agree with the uninterrupted run up
+        to float-addition associativity (the merge regroups
+        ``Σa + Σb``).
         """
         xp = self._backend.xp
         if type(later) is not type(self):
@@ -309,11 +306,11 @@ class _TapAccumulator:
         return out
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # State view
 
     def state_dict(self) -> dict:
-        """All per-row arrays as plain host NumPy (pickle-free), so a
-        tap checkpointed on one backend reloads on any other."""
+        """All per-row arrays as plain host NumPy (pickle-free),
+        whatever the compute backend."""
         bk = self._backend
         state = {
             "last_time": bk.to_numpy(self._last_time, copy=True),
@@ -325,32 +322,6 @@ class _TapAccumulator:
                 getattr(self, name), copy=True
             )
         return state
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place.
-
-        Copies every array (the accumulator mutates its state in
-        place; aliasing the caller's dict would corrupt it).
-        """
-        bk = self._backend
-        self._last_time = bk.from_host(
-            np.array(state["last_time"], dtype=FLOAT64)
-        )
-        self._start_time = bk.from_host(
-            np.array(state["start_time"], dtype=FLOAT64)
-        )
-        self._events = bk.from_host(
-            np.array(state["events"], dtype=INT64)
-        )
-        self._rows = self._last_time.shape[0]
-        for name in self._concat_fields():
-            setattr(
-                self,
-                name,
-                bk.from_host(
-                    np.array(state[name.lstrip("_")], dtype=FLOAT64)
-                ),
-            )
 
     # Subclass hooks -----------------------------------------------------
 
@@ -635,25 +606,6 @@ class RunningMoments:
 
     def maximum(self):
         return self._max.copy()
-
-    def state_dict(self) -> dict:
-        """Per-row moments as plain host NumPy arrays."""
-        bk = self._backend
-        return {
-            "count": bk.to_numpy(self._count, copy=True),
-            "mean": bk.to_numpy(self._mean, copy=True),
-            "m2": bk.to_numpy(self._m2, copy=True),
-            "min": bk.to_numpy(self._min, copy=True),
-            "max": bk.to_numpy(self._max, copy=True),
-        }
-
-    def load_state(self, state: dict) -> None:
-        bk = self._backend
-        self._count = bk.from_host(np.asarray(state["count"], dtype=INT64))
-        self._mean = bk.from_host(np.asarray(state["mean"], dtype=FLOAT64))
-        self._m2 = bk.from_host(np.asarray(state["m2"], dtype=FLOAT64))
-        self._min = bk.from_host(np.asarray(state["min"], dtype=FLOAT64))
-        self._max = bk.from_host(np.asarray(state["max"], dtype=FLOAT64))
 
 
 class PotentialTrajectory:

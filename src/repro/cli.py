@@ -29,6 +29,7 @@ from .experiments import REGISTRY, run_aggregate
 from .experiments.export import save_plan, save_requeue, table_to_json
 from .experiments.pipeline import execute
 from .experiments.report import format_table
+from .experiments.runner import STARTS
 
 # Back-compat view of the per-experiment profiles that used to be
 # hardcoded here; the registry entries own them now.
@@ -45,6 +46,19 @@ def _parse_weights(text: str) -> WeightTable:
         return WeightTable(values)
     except ValueError as error:
         raise SystemExit(f"invalid --weights {text!r}: {error}") from error
+
+
+def _population_error(n: int, rounds: int, weights: WeightTable) -> str | None:
+    """Why ``--n``/``--rounds`` cannot run ``weights``, or None."""
+    least = max(2, weights.k)
+    if n < least:
+        return (
+            f"--n must be at least {least}: two agents and one per "
+            f"colour (k={weights.k})"
+        )
+    if rounds < 0:
+        return "--rounds must be >= 0"
+    return None
 
 
 def _parse_schedule(text: str | None):
@@ -331,6 +345,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
+    error = _population_error(args.n, args.rounds, weights)
+    if error is None and args.replications < 1:
+        error = "--replications must be >= 1"
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     schedule = _parse_schedule(args.schedule)
     steps = args.rounds * args.n
     if args.replications > 1:
@@ -442,6 +462,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
     from .experiments.report import format_series
 
     weights = _parse_weights(args.weights)
+    error = _population_error(args.n, args.rounds, weights)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     steps = args.rounds * args.n
     record = run_aggregate(
         weights, args.n, steps, start=args.start, seed=args.seed,
@@ -651,11 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--weights", type=str, default="1,2,3")
     p_demo.add_argument("--rounds", type=int, default=2000,
                         help="parallel rounds (steps = rounds * n)")
-    p_demo.add_argument("--start", type=str, default="worst")
+    p_demo.add_argument("--start", choices=STARTS, default="worst")
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument(
         "--replications", type=int, default=1,
-        help="independent repetitions; > 1 reports mean/std over runs",
+        help="independent repetitions (>= 1); > 1 reports mean/std "
+             "over runs",
     )
     p_demo.add_argument(
         "--batched", action=argparse.BooleanOptionalAction, default=True,
@@ -690,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--n", type=int, default=1000)
     p_series.add_argument("--weights", type=str, default="1,2,3")
     p_series.add_argument("--rounds", type=int, default=2000)
-    p_series.add_argument("--start", type=str, default="worst")
+    p_series.add_argument("--start", choices=STARTS, default="worst")
     p_series.add_argument("--seed", type=int, default=0)
     p_series.set_defaults(func=_cmd_series)
 
@@ -699,8 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's AST-based invariant checks (repro.lint)",
         description=(
             "Static checks for the repo's reproducibility invariants: "
-            "RL1 backend seam, RL2 determinism, RL3 checkpoint "
-            "completeness (repro-ckpt/v1), RL4 kernel purity, RL5 "
+            "RL1 backend seam, RL2 determinism, RL4 kernel purity, RL5 "
             "fingerprint hygiene.  Exits 1 when findings remain, 0 on "
             "a clean run, 2 on a usage error.  Waive a finding inline "
             "with '# repro-lint: disable=CODE -- justification'."
@@ -714,7 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--select", action="append", default=None, metavar="CODES",
         help="only report these rule codes (comma-separated, "
-             "repeatable; prefixes select families: RL3 = RL301+RL302)",
+             "repeatable; prefixes select families: RL4 = "
+             "RL401+RL402+RL403)",
     )
     p_lint.add_argument(
         "--ignore", action="append", default=None, metavar="CODES",

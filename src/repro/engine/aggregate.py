@@ -25,11 +25,10 @@ horizon is *carried over* (``_pending``) instead of discarded, so the
 next ``run`` call consumes it first.  By memorylessness of the
 geometric this is distribution-identical to the truncate-and-redraw
 rule, but it additionally makes ``run(a); run(b)`` bit-identical to
-``run(a + b)`` for any split — the foundation of the
-``snapshot()``/``restore()`` checkpoint contract (the pending arrival
-is part of the payload).  Interventions change the event rates, so they
-drop the pending arrival (the redraw at the new rates is the correct
-truncation semantics there).
+``run(a + b)`` for any split.  Interventions change the event rates, so
+they drop the pending arrival (the redraw at the new rates is the
+correct truncation semantics there).  ``snapshot()`` is a read-only
+view of the run-relevant state, the pending arrival included.
 
 A per-step mode (:meth:`AggregateSimulation.step`) is kept for the
 engine-equivalence tests against the agent-level simulator.
@@ -109,7 +108,6 @@ class AggregateSimulation:
         self.rng = make_rng(rng)
         self.time = 0
         self._pending: int | None = None
-        # repro-lint: disable=RL3 -- observer callbacks, re-registered by the owner after restore()
         self._taps: list = []
         if self.n < 2:
             raise ValueError("need at least two agents")
@@ -349,22 +347,19 @@ class AggregateSimulation:
     # ------------------------------------------------------------------
     # Streaming analysis taps
 
-    def attach_stream(self, accumulator, *, reset: bool = True) -> None:
+    def attach_stream(self, accumulator) -> None:
         """Feed a streaming accumulator from inside the event loop.
 
         The accumulator is reset to the current configuration and then
         updated after every applied event and at each horizon, so it
         integrates the trajectory exactly while the engine holds no
-        history.  Pass ``reset=False`` to re-attach an accumulator
-        restored via ``load_state`` alongside an engine ``restore()``
-        — continuing the original accumulation bit-identically.
+        history.
         """
-        if reset:
-            accumulator.reset(
-                np.asarray([self.time], dtype=INT64),
-                self.dark_counts()[None, :].astype(FLOAT64),
-                self.light_counts()[None, :].astype(FLOAT64),
-            )
+        accumulator.reset(
+            np.asarray([self.time], dtype=INT64),
+            self.dark_counts()[None, :].astype(FLOAT64),
+            self.light_counts()[None, :].astype(FLOAT64),
+        )
         self._taps.append(accumulator)
 
     def detach_streams(self) -> None:
@@ -389,10 +384,10 @@ class AggregateSimulation:
             tap.sync(times)
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # State view
 
     def snapshot(self) -> dict:
-        """``repro-ckpt/v1`` payload of all run-relevant state."""
+        """Read-only ``repro-ckpt/v1`` view of all run-relevant state."""
         return ckpt.payload(
             "AggregateSimulation",
             weights=self.weights.as_array(),
@@ -403,53 +398,6 @@ class AggregateSimulation:
             pending=-1 if self._pending is None else int(self._pending),
             rng=ckpt.rng_state(self.rng),
         )
-
-    def restore(self, data: dict) -> "AggregateSimulation":
-        """Restore a :meth:`snapshot` payload in place.
-
-        Raises:
-            ValueError: if the weights disagree with the engine's table,
-                a count or coin vector's length is not the restored
-                ``k``, a count is negative or fewer than two agents
-                remain, a coin lies outside ``[0, 1]``, the clock is
-                negative, or the pending arrival is neither ``-1``
-                (none) nor later than the clock; nothing is restored
-                then.
-        """
-        ckpt.check(data, "AggregateSimulation")
-        rng = ckpt.checked_rng_state(self.rng, data["rng"])
-        table = self.weights.copy()
-        ckpt.restore_weight_table(table, data["weights"])  # check only
-        dark = ckpt.as_row_vector(data["dark"], INT64, table.k, "dark")
-        light = ckpt.as_row_vector(data["light"], INT64, table.k, "light")
-        lighten = ckpt.as_row_vector(
-            data["lighten"], FLOAT64, table.k, "lighten"
-        )
-        if int(dark.min()) < 0 or int(light.min()) < 0:
-            raise ValueError("checkpoint counts must be non-negative")
-        if int(dark.sum()) + int(light.sum()) < 2:
-            raise ValueError("checkpoint holds fewer than two agents")
-        if not ((lighten >= 0.0) & (lighten <= 1.0)).all():
-            raise ValueError(
-                "checkpoint lighten probabilities must lie in [0, 1]"
-            )
-        time = ckpt.as_int(data["time"])
-        if time < 0:
-            raise ValueError(f"checkpoint time {time} is negative")
-        pending = ckpt.as_int(data["pending"])
-        if pending != -1 and pending <= time:
-            raise ValueError(
-                f"checkpoint pending arrival {pending} is neither -1 nor "
-                f"after time {time}"
-            )
-        ckpt.restore_weight_table(self.weights, data["weights"])
-        self._dark = [int(c) for c in dark]
-        self._light = [int(c) for c in light]
-        self._lighten = [float(p) for p in lighten]
-        self.time = time
-        self._pending = None if pending == -1 else pending
-        ckpt.set_rng_state(self.rng, rng)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AggregateSimulation(n={self.n}, k={self.k}, t={self.time})"

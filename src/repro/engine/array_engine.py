@@ -61,7 +61,7 @@ step loops, which need NumPy-compatible scatter (and the ``minimum.at``
 scatter-min) and ``bincount``, gate on
 :func:`~repro.engine.backend.require_engine_loops`.  Randomness
 stays on the host (see :mod:`repro.engine.rng`) and is device-placed
-per block; checkpoints always serialise as host NumPy arrays.
+per block; snapshots always hold host NumPy arrays.
 """
 
 from __future__ import annotations
@@ -83,9 +83,7 @@ from ..core.weights import WeightTable
 from ..topology.base import CompleteGraph
 from . import checkpoint as ckpt
 from .backend import (
-    FLOAT64,
     HOST,
-    INT64,
     Backend,
     Generator,
     require_engine_loops,
@@ -726,7 +724,6 @@ class ArraySimulation:
         # Live (k,) count tables are maintained only while observers
         # need per-change snapshots; otherwise counts are recomputed on
         # demand with one bincount.
-        # repro-lint: disable=RL301 -- pure cache; restore() invalidates it, rebuilt on first query
         self._live_counts: dict | None = None
         self._population_view = (
             None if self._batched else ArrayPopulationView(self)
@@ -950,11 +947,9 @@ class ArraySimulation:
         first changing step in the window, ``_BLOCK`` (none) between
         windows, and the next window's length."""
         bk = self._backend
-        # repro-lint: disable=RL301 -- all _BLOCK between windows; restore() resets it
         self._first_change = bk.xp.full(
             self._n, _BLOCK, dtype=bk.dtypes.int64
         )
-        # repro-lint: disable=RL301 -- sizes windows, never what a step reads
         self._window = _FIRST_WINDOW
 
     def _run_single(self, steps: int) -> None:
@@ -1169,17 +1164,17 @@ class ArraySimulation:
         self._time += 1
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # State view
 
     def snapshot(self) -> dict:
-        """``repro-ckpt/v1`` payload of all run-relevant state.
+        """Read-only ``repro-ckpt/v1`` view of all run-relevant state.
 
         Captures the state arrays, clocks, the partially consumed draw
         buffer (initiators, partners and coins), scheduler progress,
         the RNG bit-generator state, and the protocol's weight table
         when it has one.  An exhausted buffer is dropped (the next run
         refills at the same stream position either way).  All arrays
-        cross ``Backend.to_numpy`` so the payload restores on any
+        cross ``Backend.to_numpy``, so the view is host NumPy on every
         backend.
         """
         bk = self._backend
@@ -1209,120 +1204,6 @@ class ArraySimulation:
         if isinstance(weights, WeightTable):
             fields["weights"] = weights.as_array()
         return ckpt.payload("ArraySimulation", **fields)
-
-    def restore(self, data: dict) -> "ArraySimulation":
-        """Restore a :meth:`snapshot` payload in place.
-
-        Raises:
-            ValueError: if ``k`` is below the engine's colour slots or
-                disagrees with the payload's weights, the states do not
-                fit the engine's mode, a colour lies outside ``[0, k)``,
-                a shade is negative, ``n`` is not the number of stored
-                agents, the clock or change count is negative, the
-                buffer cursor lies outside ``[0, block]``, or a buffered
-                block is mis-shaped or names an agent outside
-                ``[0, n)``; nothing is restored then.
-        """
-        ckpt.check(data, "ArraySimulation")
-        bk = self._backend
-        k = ckpt.as_int(data["k"])
-        if k < self._k:
-            raise ValueError(
-                f"checkpoint k={k} is below the engine's {self._k} colour "
-                "slots; colour slots can only grow"
-            )
-        weights = getattr(self.protocol, "weights", None)
-        table = None
-        if isinstance(weights, WeightTable) and "weights" in data:
-            table = ckpt.as_array(data["weights"], FLOAT64)
-            if table.shape != (k,):
-                raise ValueError(
-                    f"checkpoint weights have shape {table.shape} but k={k}"
-                )
-            ckpt.restore_weight_table(weights.copy(), table)  # check only
-        colours = ckpt.as_array(data["colours"], INT64)
-        shades = ckpt.as_array(data["shades"], INT64)
-        if colours.ndim != self._colours.ndim or colours.shape != shades.shape:
-            raise ValueError(
-                f"state shape {colours.shape} does not match the "
-                f"engine's mode (expected {self._colours.ndim}-D)"
-            )
-        if self._batched and colours.shape[0] != self.replications:
-            raise ValueError(
-                f"checkpoint has {colours.shape[0]} replications but "
-                f"the engine has {self.replications}"
-            )
-        n = ckpt.as_int(data["n"])
-        if n != colours.shape[-1]:
-            raise ValueError(
-                f"checkpoint n={n} does not match its "
-                f"{colours.shape[-1]} stored agents"
-            )
-        if n < 2:
-            raise ValueError("checkpoint holds fewer than two agents")
-        if not self._complete and n != self._n:
-            raise ValueError(
-                "checkpoint population size does not match the topology"
-            )
-        if int(colours.min()) < 0 or int(colours.max()) >= k:
-            raise ValueError(f"checkpoint colours must lie in [0, {k})")
-        if int(shades.min()) < 0:
-            raise ValueError("checkpoint shades must be non-negative")
-        time = ckpt.as_int(data["time"])
-        changes = ckpt.as_int(data["changes"])
-        for name, value in (("time", time), ("changes", changes)):
-            if value < 0:
-                raise ValueError(f"checkpoint {name} {value} is negative")
-        block = self._batch_block
-        buf_pos = ckpt.as_int(data["buf_pos"])
-        if not 0 <= buf_pos <= block:
-            raise ValueError(
-                f"checkpoint buf_pos {buf_pos} is outside [0, {block}]"
-            )
-        buffers = {}
-        if ckpt.as_int(data["buffered"]):
-            lead = (block, self.replications) if self._batched else (block,)
-            expected = {
-                "buf_init": (INT64, lead),
-                "buf_partners": (INT64, (*lead, self._arity)),
-                "buf_coins": (FLOAT64, (*lead, self._ncoins)),
-            }
-            for name, (dtype, shape) in expected.items():
-                buffers[name] = ckpt.as_array(data[name], dtype)
-                if buffers[name].shape != shape:
-                    raise ValueError(
-                        f"checkpoint {name} has shape "
-                        f"{buffers[name].shape}, expected {shape}"
-                    )
-            for name in ("buf_init", "buf_partners"):
-                agents = buffers[name]
-                if int(agents.min()) < 0 or int(agents.max()) >= n:
-                    raise ValueError(
-                        f"checkpoint {name} names agents outside [0, {n})"
-                    )
-        rng = ckpt.checked_rng_state(self.rng, data["rng"])
-        if table is not None:
-            ckpt.restore_weight_table(weights, table)
-        self._grow_colour_slots(k)
-        self._colours = bk.from_host(colours)
-        self._shades = bk.from_host(shades)
-        self._n = n
-        self._time = time
-        self.changes = changes
-        if buffers:
-            self._buf_pos = buf_pos
-            self._buf_init = bk.from_host(buffers["buf_init"])
-            self._buf_partners = bk.from_host(buffers["buf_partners"])
-            self._buf_coins = bk.from_host(buffers["buf_coins"])
-        else:
-            self._buf_pos = block
-        self._reset_window()
-        # Live counts are rebuilt lazily by _prepare() when observers
-        # need them.
-        self._live_counts = None
-        self.scheduler.load_state(data["scheduler"])
-        ckpt.set_rng_state(self.rng, rng)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = f"R={self.replications}, " if self._batched else ""

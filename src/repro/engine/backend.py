@@ -41,9 +41,9 @@ seeding truth, so a trajectory is reproducible from one integer seed on
 *every* backend.  Device backends receive CPU-drawn blocks via
 :meth:`Backend.uniform_block` / :meth:`Backend.integer_block`.
 
-Checkpoints (``repro-ckpt/v1``) always serialise as NumPy: snapshot
-paths must cross :meth:`Backend.to_numpy` so a checkpoint taken on one
-backend restores on any other.
+Engine snapshots (``repro-ckpt/v1``) always hold NumPy arrays:
+snapshot paths cross :meth:`Backend.to_numpy`, so a snapshot reads the
+same on every backend.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 # Host-side primitives re-exported for the engine layers.
 #
 # Modules that are host-resident by design (seeding, per-row PCG64
-# streams, checkpoint serialisation, scalar engines) import these
+# streams, snapshot views, scalar engines) import these
 # instead of naming numpy themselves.  ``HOST.xp`` is the numpy module.
 # ---------------------------------------------------------------------------
 
@@ -65,7 +65,7 @@ SeedSequence = np.random.SeedSequence
 PCG64 = np.random.PCG64
 default_rng = np.random.default_rng
 
-#: Host dtype constants for host-only modules (checkpoint payloads,
+#: Host dtype constants for host-only modules (snapshot views,
 #: PCG64 state words, scalar-engine tap buffers).  Device-aware code
 #: should prefer ``backend.dtypes`` so the dtype objects match ``xp``.
 INT64 = np.int64
@@ -164,8 +164,8 @@ class Backend:
     def to_numpy(self, array, *, copy: bool = False):
         """Materialise ``array`` on the host as a NumPy array.
 
-        Every checkpoint/serialisation path crosses this converter so
-        ``repro-ckpt/v1`` payloads stay portable across backends.  Pass
+        Every snapshot/serialisation path crosses this converter so
+        ``repro-ckpt/v1`` views are host NumPy on every backend.  Pass
         ``copy=True`` when the caller stores the result (snapshot
         semantics require independence from live engine state).
         """
@@ -184,7 +184,7 @@ class Backend:
         """Move a host (NumPy) array onto this backend.
 
         The portable fallback for everything drawn on the host —
-        RNG blocks, checkpoint payloads, user-supplied initial state.
+        RNG blocks, user-supplied initial state.
         A no-op view for the numpy backend.
         """
         if self._from_host is not None:

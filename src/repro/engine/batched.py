@@ -19,14 +19,12 @@ initial counts broadcast over ``replications``, one lighten vector for
 every row, the homogeneous read-outs (``n``, ``k``, ``replications``,
 ``time`` and ``weights``), an :meth:`~BatchedAggregateSimulation.add_colour`
 that also widens the shared :class:`~repro.core.weights.WeightTable`
-(which E6/E7-style robustness sweeps record next to the counts), and a
-:meth:`~BatchedAggregateSimulation.restore` that re-grows that table.
+(which E6/E7-style robustness sweeps record next to the counts).
 Interventions apply to every replication, exactly what the scalar
 per-replication loop does with a shared
 :class:`~repro.adversary.schedule.InterventionSchedule`; the inherited
 ``rows=`` argument would make rows differ and is not meant for this
-engine.  Snapshots are heterogeneous ``repro-ckpt/v1`` payloads, so
-the batched restore also rejects a payload whose rows differ.
+engine.  Snapshots are heterogeneous ``repro-ckpt/v1`` views.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..core.weights import WeightTable
-from . import checkpoint as ckpt
 from .aggregate import resolve_lighten_probabilities
 from .backend import (
     FLOAT64,
@@ -63,7 +60,7 @@ class BatchedAggregateSimulation(HeterogeneousAggregateBatch):
         rng: Seed or generator.  Each replication draws from its own
             PCG64 substream seeded off this base generator
             (:class:`~repro.engine.streams.RowStreams`), which is what
-            makes runs split-invariant and checkpointable.
+            makes runs split-invariant.
         lighten_probabilities: Optional per-colour override of the
             ``1/w_i`` lightening coin.
     """
@@ -149,35 +146,6 @@ class BatchedAggregateSimulation(HeterogeneousAggregateBatch):
         """
         super().add_colour(weight, count, dark)
         return self._table.add_colour(weight)
-
-    def restore(self, data: dict) -> "BatchedAggregateSimulation":
-        """Restore a :meth:`snapshot` payload in place, re-growing the
-        shared weight table when the snapshot was taken after
-        ``add_colour`` interventions.
-
-        The payload must hold R full-width copies of one weight table
-        and population size; it is checked, and so is the table's
-        shared prefix, before anything is restored.
-        """
-        ckpt.check(data, "HeterogeneousAggregateBatch")
-        weights = ckpt.as_array(data["weights"], FLOAT64)
-        ks = ckpt.as_array(data["ks"], INT64)
-        n = ckpt.as_array(data["n"], INT64)
-        if (
-            weights.ndim != 2
-            or not (weights == weights[:1]).all()
-            or not (ks == weights.shape[1]).all()
-            or not (n == n[:1]).all()
-        ):
-            raise ValueError(
-                "checkpoint rows differ: a BatchedAggregateSimulation "
-                "restores R full-width copies of one weight table and "
-                "population size"
-            )
-        ckpt.restore_weight_table(self._table.copy(), weights[0])
-        super().restore(data)
-        ckpt.restore_weight_table(self._table, weights[0])
-        return self
 
 
 def _as_matrix(counts, replications: int | None, k: int, name: str, xp):

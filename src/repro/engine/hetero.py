@@ -36,12 +36,12 @@ Kolmogorov-Smirnov tests against per-cell scalar runs):
 Padding is safe by construction.  A row with ``k_r`` colours occupies
 columns ``0..k_r-1`` of the dark block and of the light block; the
 padding columns ``k_r..k_max-1`` hold zero mass, zero weight and zero
-lightening coin, and :meth:`~HeterogeneousAggregateBatch.restore`
-rejects a checkpoint that breaks this.  The row-wise categorical draws
-(:func:`_pick_rows`, and the pick of :func:`advance_event_driven`) clamp
-their thresholds strictly below the row totals, so a zero-mass class is
-never selected: adopt partners, lighten targets and per-step class picks
-all stay inside the row's real colour set, and the event masses
+lightening coin, and the constructor rejects rows that break this.
+The row-wise categorical draws (:func:`_pick_rows`, and the pick of
+:func:`advance_event_driven`) clamp their thresholds strictly below
+the row totals, so a zero-mass class is never selected: adopt partners,
+lighten targets and per-step class picks all stay inside the row's real
+colour set, and the event masses
 ``a_i * total_dark`` and ``A_i (A_i - 1) * lighten_i`` vanish on
 padding columns.  ``tests/property/test_hetero_invariants.py`` checks
 that runs and row-targeted interventions never leak mass into padding,
@@ -52,10 +52,11 @@ Split invariance.  Every row owns an independent PCG64 substream
 row's target is carried in a per-row ``_pending`` slot instead of being
 discarded, so splitting any row's horizon — including *per-row* splits
 through :meth:`HeterogeneousAggregateBatch.run_to` — reproduces the
-uninterrupted trajectory bit-for-bit.  This backs the
-``snapshot()``/``restore()`` checkpoint contract; interventions change
-the event rates and therefore drop the pending arrivals of the rows
-they touch.
+uninterrupted trajectory bit-for-bit.  Interventions change the event
+rates and therefore drop the pending arrivals of the rows they touch.
+``snapshot()`` is a read-only view of the run-relevant state (counts,
+clocks, pending arrivals, row streams, base generator) that the loop
+digests hash and the split-invariance properties compare.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class HeterogeneousAggregateBatch:
         rng: Seed or generator.  Each row draws from its own PCG64
             substream seeded off this base generator
             (:class:`~repro.engine.streams.RowStreams`), which is what
-            makes runs split-invariant and checkpointable.
+            makes runs split-invariant.
         lighten_rows: Optional per-row override of the ``1/w_i``
             lightening coins, same accepted shapes as the counts.
     """
@@ -144,7 +145,17 @@ class HeterogeneousAggregateBatch:
         """
         xp = self._backend.xp
         n = _checked_rows(weights, ks, dark, light, lighten, xp)
-        self._set_rows(weights, ks, dark, light, lighten, n)
+        k_max = weights.shape[1]
+        self._weights = weights
+        self._ks = ks
+        # One contiguous (B, 2 k_max) state matrix; dark and light are
+        # views on the left and right blocks.
+        self._state = xp.concatenate([dark, light], axis=1)
+        self._dark = self._state[:, :k_max]
+        self._light = self._state[:, k_max:]
+        self._lighten = lighten
+        self._n = n
+        self._denom = n.astype(FLOAT64) * (n - 1).astype(FLOAT64)
         rows = ks.shape[0]
         self.rng = make_rng(rng)
         self._times = xp.zeros(rows, dtype=INT64)
@@ -152,25 +163,7 @@ class HeterogeneousAggregateBatch:
         # docstring's split-invariance paragraph.
         self._streams = RowStreams.from_generator(self.rng, rows)
         self._pending = xp.full(rows, -1, dtype=INT64)
-        # repro-lint: disable=RL3 -- observer callbacks, re-registered by the owner after restore()
         self._taps: list = []
-
-    def _set_rows(self, weights, ks, dark, light, lighten, n) -> None:
-        """Install validated rows: tables, counts, coins and sizes."""
-        xp = self._backend.xp
-        k_max = weights.shape[1]
-        self._weights = weights
-        self._ks = ks
-        # One contiguous (B, 2 k_max) state matrix; dark and light are
-        # views on the left and right blocks.
-        # repro-lint: disable=RL301 -- serialised via its _dark/_light views; restore() rebuilds it
-        self._state = xp.concatenate([dark, light], axis=1)
-        self._dark = self._state[:, :k_max]
-        self._light = self._state[:, k_max:]
-        self._lighten = lighten
-        self._n = n
-        # repro-lint: disable=RL301 -- derived from the serialised _n; restore() recomputes it
-        self._denom = n.astype(FLOAT64) * (n - 1).astype(FLOAT64)
 
     def _per_row(self, steps, name: str = "steps"):
         """Broadcast a scalar or per-row step count to ``(B,)``."""
@@ -427,23 +420,19 @@ class HeterogeneousAggregateBatch:
     # ------------------------------------------------------------------
     # Streaming analysis taps
 
-    def attach_stream(self, accumulator, *, reset: bool = True) -> None:
+    def attach_stream(self, accumulator) -> None:
         """Feed a streaming accumulator from inside the event loop.
 
         The accumulator is reset to the current padded ``(B, k_max)``
         configuration and then updated after every applied event (per
         affected rows) and synchronised at each horizon; padding columns
         carry zero mass, so they contribute nothing to any potential.
-        Pass ``reset=False`` to re-attach an accumulator restored via
-        ``load_state`` alongside an engine ``restore()`` — continuing
-        the original accumulation bit-identically.
         """
-        if reset:
-            accumulator.reset(
-                self._times.copy(),
-                self._dark.astype(FLOAT64),
-                self._light.astype(FLOAT64),
-            )
+        accumulator.reset(
+            self._times.copy(),
+            self._dark.astype(FLOAT64),
+            self._light.astype(FLOAT64),
+        )
         self._taps.append(accumulator)
 
     def detach_streams(self) -> None:
@@ -465,10 +454,10 @@ class HeterogeneousAggregateBatch:
             tap.sync(times)
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # State view
 
     def snapshot(self) -> dict:
-        """``repro-ckpt/v1`` payload of all run-relevant state."""
+        """Read-only ``repro-ckpt/v1`` view of all run-relevant state."""
         bk = self._backend
         return ckpt.payload(
             "HeterogeneousAggregateBatch",
@@ -483,64 +472,6 @@ class HeterogeneousAggregateBatch:
             streams=self._streams.snapshot(),
             rng=ckpt.rng_state(self.rng),
         )
-
-    def restore(self, data: dict) -> "HeterogeneousAggregateBatch":
-        """Restore a :meth:`snapshot` payload in place.
-
-        Handles checkpoints taken after ``add_colour`` interventions:
-        the padded matrices are re-widened to the snapshot's ``k_max``.
-        Every value is checked before anything is restored, so a
-        rejected payload leaves the engine as it was.
-        """
-        ckpt.check(data, "HeterogeneousAggregateBatch")
-        weights = ckpt.as_array(data["weights"], FLOAT64)
-        ks = ckpt.as_array(data["ks"], INT64)
-        dark = ckpt.as_array(data["dark"], INT64)
-        light = ckpt.as_array(data["light"], INT64)
-        lighten = ckpt.as_array(data["lighten"], FLOAT64)
-        rows = self.rows
-        if ks.shape != (rows,) or weights.ndim != 2 or len(weights) != rows:
-            raise ValueError(
-                f"checkpoint ks {ks.shape} and weights {weights.shape} do "
-                f"not match the engine's {rows} rows"
-            )
-        k_max = weights.shape[1]
-        if k_max < self.k_max:
-            raise ValueError(
-                f"checkpoint k_max {k_max} is narrower than the "
-                f"engine's {self.k_max}"
-            )
-        shapes = {dark.shape, light.shape, lighten.shape}
-        if shapes != {(rows, k_max)}:
-            raise ValueError(
-                f"checkpoint matrices disagree on shape: {shapes}"
-            )
-        times = ckpt.as_row_vector(data["times"], INT64, rows, "times")
-        pending = ckpt.as_row_vector(data["pending"], INT64, rows, "pending")
-        n = ckpt.as_row_vector(data["n"], INT64, rows, "n")
-        totals = _checked_rows(weights, ks, dark, light, lighten, HOST.xp)
-        if (n != totals).any():
-            raise ValueError(
-                "checkpoint n does not match the rows' dark + light totals"
-            )
-        if (times < 0).any():
-            raise ValueError("checkpoint times must be non-negative")
-        if ((pending != -1) & (pending <= times)).any():
-            raise ValueError(
-                "checkpoint pending arrivals must be -1 or later than "
-                "their row's clock"
-            )
-        rng = ckpt.checked_rng_state(self.rng, data["rng"])
-        self._streams.restore(data["streams"])
-        bk = self._backend
-        self._set_rows(
-            bk.from_host(weights), bk.from_host(ks), bk.from_host(dark),
-            bk.from_host(light), bk.from_host(lighten), bk.from_host(n),
-        )
-        self._times = bk.from_host(times)
-        self._pending = bk.from_host(pending)
-        ckpt.set_rng_state(self.rng, rng)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

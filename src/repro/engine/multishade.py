@@ -32,7 +32,7 @@ adopt into colour ``j`` does ``Z -= 1, P_j += 1`` and adds ``2 P_j`` (the
 old ``P_j``) to ``D``; a decrement at shade 1 of colour ``i`` does
 ``P_i -= 1, Z += 1`` and subtracts ``2 (P_i − 1)``; a decrement at a
 higher shade changes no total.  The totals live in the call, not on the
-engine, so the checkpoint payload is the shade table alone.
+engine, so ``snapshot()`` is the shade table alone.
 
 Draw-order contract
 -------------------
@@ -253,13 +253,13 @@ class MultiShadeAggregate:
         return self
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # State view
 
     def snapshot(self) -> dict:
-        """``repro-ckpt/v1`` payload of all run-relevant state.
+        """Read-only ``repro-ckpt/v1`` view of all run-relevant state.
 
         The ragged shade table is flattened into one int64 array plus
-        per-colour offsets so the payload stays a dict of plain arrays.
+        per-colour offsets so the view stays a dict of plain arrays.
         """
         flat = [count for row in self._shades for count in row]
         offsets = np.zeros(self.k + 1, dtype=INT64)
@@ -274,57 +274,6 @@ class MultiShadeAggregate:
             pending=-1 if self._pending is None else int(self._pending),
             rng=ckpt.rng_state(self.rng),
         )
-
-    def restore(self, data: dict) -> "MultiShadeAggregate":
-        """Restore a :meth:`snapshot` payload in place.
-
-        Raises:
-            ValueError: if the weights disagree with the engine's table
-                or are not integers, the shade table does not match
-                them, holds a negative count or fewer than two agents,
-                the clock is negative, or the pending arrival is neither
-                ``-1`` (none) nor later than the clock; nothing is
-                restored then.
-        """
-        ckpt.check(data, "MultiShadeAggregate")
-        rng = ckpt.checked_rng_state(self.rng, data["rng"])
-        table = self.weights.copy()
-        ckpt.restore_weight_table(table, data["weights"])  # check only
-        if not table.is_integer():
-            raise ValueError("checkpoint weights must be integers")
-        flat = ckpt.as_array(data["shades"], INT64)
-        offsets = ckpt.as_array(data["offsets"], INT64)
-        if offsets.shape != (table.k + 1,):
-            raise ValueError("shade offsets do not match the colour count")
-        shades = [
-            [int(c) for c in flat[offsets[i]:offsets[i + 1]]]
-            for i in range(table.k)
-        ]
-        for colour, row in enumerate(shades):
-            if len(row) != int(table.weight(colour)) + 1:
-                raise ValueError(
-                    f"colour {colour} shade row length {len(row)} does "
-                    f"not match weight {table.weight(colour)}"
-                )
-        if any(count < 0 for row in shades for count in row):
-            raise ValueError("checkpoint shade counts must be non-negative")
-        if sum(sum(row) for row in shades) < 2:
-            raise ValueError("checkpoint holds fewer than two agents")
-        time = ckpt.as_int(data["time"])
-        if time < 0:
-            raise ValueError(f"checkpoint time {time} is negative")
-        pending = ckpt.as_int(data["pending"])
-        if pending != -1 and pending <= time:
-            raise ValueError(
-                f"checkpoint pending arrival {pending} is neither -1 nor "
-                f"after time {time}"
-            )
-        ckpt.restore_weight_table(self.weights, data["weights"])
-        self._shades = shades
-        self.time = time
-        self._pending = None if pending == -1 else pending
-        ckpt.set_rng_state(self.rng, rng)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MultiShadeAggregate(n={self.n}, k={self.k}, t={self.time})"

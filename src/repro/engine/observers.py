@@ -33,24 +33,6 @@ class Observer:
     def on_end(self, simulation) -> None:
         """Called when a run() invocation finishes."""
 
-    def state_dict(self) -> dict:
-        """JSON-able/array progress for engine checkpoints.
-
-        Observers that accumulate across ``run`` calls override this
-        (and :meth:`load_state`) so checkpoint/resume reproduces the
-        uninterrupted instrumentation exactly.  Stateless observers
-        need not override.
-        """
-        return {}
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place."""
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} is stateless but the checkpoint "
-                f"carries state {state!r}"
-            )
-
 
 class OccupancyTracker(Observer):
     """Accumulates, per agent, time spent in each (colour, dark/light)
@@ -116,30 +98,6 @@ class OccupancyTracker(Observer):
                 last[rows:] = self._last_change.max(initial=self._start_time)
                 self._last_change = last
 
-    def state_dict(self) -> dict:
-        if self._occupancy is None:
-            return {"started": 0}
-        return {
-            "started": 1,
-            "occupancy": self._occupancy.copy(),
-            "last_change": self._last_change.copy(),
-            "start_time": int(self._start_time),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if not int(state["started"]):
-            self._occupancy = None
-            self._last_change = None
-            self._start_time = 0
-            return
-        # np.array (not asarray): the tracker mutates these in place,
-        # and aliasing the caller's state dict would corrupt it.
-        self._occupancy = np.array(state["occupancy"], dtype=FLOAT64)
-        self._last_change = np.array(
-            state["last_change"], dtype=INT64
-        )
-        self._start_time = int(state["start_time"])
-
     def occupancy_fractions(self):
         """Per-agent colour occupancy fractions, shape ``(n, k)``.
 
@@ -197,27 +155,6 @@ class MinCountTracker(Observer):
         np.minimum(self.min_colour_counts, counts, out=self.min_colour_counts)
         np.minimum(self.min_dark_counts, darks, out=self.min_dark_counts)
 
-    def state_dict(self) -> dict:
-        if self.min_colour_counts is None:
-            return {"started": 0}
-        return {
-            "started": 1,
-            "min_colour": self.min_colour_counts.copy(),
-            "min_dark": self.min_dark_counts.copy(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        if not int(state["started"]):
-            self.min_colour_counts = None
-            self.min_dark_counts = None
-            return
-        self.min_colour_counts = np.array(
-            state["min_colour"], dtype=INT64
-        )
-        self.min_dark_counts = np.array(
-            state["min_dark"], dtype=INT64
-        )
-
 
 class ConvergenceDetector(Observer):
     """Records the first time the diversity error drops below a bound.
@@ -244,12 +181,3 @@ class ConvergenceDetector(Observer):
         error = float(np.abs(shares - self.weights.fair_shares()).max())
         if error <= self.bound:
             self.hit_time = simulation.time
-
-    def state_dict(self) -> dict:
-        return {
-            "hit_time": -1 if self.hit_time is None else int(self.hit_time)
-        }
-
-    def load_state(self, state: dict) -> None:
-        hit = int(state["hit_time"])
-        self.hit_time = None if hit < 0 else hit

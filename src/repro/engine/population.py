@@ -9,8 +9,7 @@ at run time (the paper's adversary model); they are never removed.
 
 :meth:`Population.state_of` hands out the stored value itself, never a
 fresh object, so the agent-level loop reads states without allocating:
-states are immutable, and agents restored from plain colour/shade
-arrays share one value per ``(colour, shade)``.
+states are immutable.
 """
 
 from __future__ import annotations
@@ -134,40 +133,6 @@ class Population:
         self._shades.append(state.shade)
         self._bump_counts(state.colour, state.shade, +1)
         return len(self._colours) - 1
-
-    def restore_states(
-        self, colours: Sequence[int], shades: Sequence[int], k: int
-    ) -> None:
-        """Bulk-replace all agent states (checkpoint restore path).
-
-        Rewrites the parallel colour/shade lists and recomputes the
-        aggregate counts from scratch.  Agents are never removed, so the
-        restored population must be at least as large as the current
-        one; ``k`` may only grow.
-        """
-        colours = [int(c) for c in colours]
-        shades = [int(s) for s in shades]
-        if len(colours) != len(shades):
-            raise ValueError("colour and shade lists must match in length")
-        if len(colours) < self.n:
-            raise ValueError(
-                f"cannot shrink the population ({self.n} -> {len(colours)})"
-            )
-        k = int(k)
-        if k < self._k or (colours and max(colours) >= k):
-            raise ValueError(f"k={k} is inconsistent with the states")
-        if any(c < 0 for c in colours) or any(s < 0 for s in shades):
-            raise ValueError("colours and shades must be non-negative")
-        shared = {key: AgentState(*key) for key in set(zip(colours, shades))}
-        self._states = [shared[key] for key in zip(colours, shades)]
-        self._colours = colours
-        self._shades = shades
-        self._k = k
-        self._colour_counts = [0] * k
-        self._dark_counts = [0] * k
-        self._light_counts = [0] * k
-        for colour, shade in zip(colours, shades):
-            self._bump_counts(colour, shade, +1)
 
     def _grow_colours(self, new_k: int) -> None:
         extra = new_k - self._k

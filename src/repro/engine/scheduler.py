@@ -39,21 +39,13 @@ class Scheduler(abc.ABC):
         """
 
     def state_dict(self) -> dict:
-        """JSON-able scheduling progress for engine checkpoints.
+        """JSON-able scheduling progress, for engine snapshots.
 
         Stateless schedulers (the uniform default) have nothing to
-        save; stateful ones must capture everything ``draw_block``
+        report; stateful ones capture everything ``draw_block``
         depends on besides its arguments.
         """
         return {}
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place."""
-        if state:
-            raise ValueError(
-                f"scheduler {self.name!r} is stateless but the "
-                f"checkpoint carries state {state!r}"
-            )
 
 
 class UniformScheduler(Scheduler):
@@ -86,10 +78,6 @@ class RoundRobinScheduler(Scheduler):
 
     def state_dict(self) -> dict:
         return {"start": self._start, "next": self._next}
-
-    def load_state(self, state: dict) -> None:
-        self._start = int(state["start"])
-        self._next = int(state["next"])
 
     def draw_block(
         self, n: int, size: int, rng: Generator

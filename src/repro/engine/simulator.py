@@ -230,18 +230,16 @@ class Simulation:
         self._buf_n = n
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # State view
 
     def snapshot(self) -> dict:
-        """``repro-ckpt/v1`` payload of all run-relevant state.
+        """Read-only ``repro-ckpt/v1`` view of all run-relevant state.
 
         Captures the agent states, clocks, the partially consumed draw
         buffer (initiators and — on the complete graph — partner
         draws), scheduler progress, the RNG bit-generator state, and
-        the protocol's weight table when it has one, so restoring
-        mid-block reproduces the uninterrupted trajectory bit-for-bit.
-        Observer state is deliberately *not* part of the engine payload:
-        observers snapshot themselves (``state_dict``/``load_state``).
+        the protocol's weight table when it has one.  Observer state is
+        not part of it.
         """
         population = self.population
         buffered = self._buf_initiators is not None
@@ -267,59 +265,6 @@ class Simulation:
         if isinstance(weights, WeightTable):
             fields["weights"] = weights.as_array()
         return ckpt.payload("Simulation", **fields)
-
-    def restore(self, data: dict) -> "Simulation":
-        """Restore a :meth:`snapshot` payload in place.
-
-        Raises:
-            ValueError: if the buffer cursor lies outside
-                ``[0, _BLOCK]``, or a buffered block is not shaped
-                ``(_BLOCK,)`` (initiators) and ``(_BLOCK, arity)``
-                (partners, required on the complete graph); nothing is
-                restored then.
-        """
-        ckpt.check(data, "Simulation")
-        buf_pos = ckpt.as_int(data["buf_pos"])
-        if not 0 <= buf_pos <= _BLOCK:
-            raise ValueError(
-                f"checkpoint buf_pos {buf_pos} is outside [0, {_BLOCK}]"
-            )
-        initiators = partners = None
-        if ckpt.as_int(data["buffered"]):
-            initiators = ckpt.as_row_vector(
-                data["buf_initiators"], INT64, _BLOCK, "buf_initiators"
-            )
-            if "buf_partners" in data:
-                partners = ckpt.as_array(data["buf_partners"], INT64)
-                expected = (_BLOCK, self.protocol.arity)
-                if partners.shape != expected:
-                    raise ValueError(
-                        f"checkpoint buf_partners has shape "
-                        f"{partners.shape}, expected {expected}"
-                    )
-            elif self.topology is None:
-                raise ValueError(
-                    "checkpoint lacks the buffered partner draws a "
-                    "complete-graph run needs"
-                )
-        rng = ckpt.checked_rng_state(self.rng, data["rng"])
-        weights = getattr(self.protocol, "weights", None)
-        if isinstance(weights, WeightTable) and "weights" in data:
-            ckpt.restore_weight_table(weights, data["weights"])
-        self.population.restore_states(
-            ckpt.as_array(data["colours"], INT64),
-            ckpt.as_array(data["shades"], INT64),
-            ckpt.as_int(data["k"]),
-        )
-        self.time = ckpt.as_int(data["time"])
-        self.changes = ckpt.as_int(data["changes"])
-        self._buf_initiators = initiators
-        self._buf_partners = partners
-        self._buf_pos = buf_pos
-        self._buf_n = ckpt.as_int(data["buf_n"])
-        self.scheduler.load_state(data["scheduler"])
-        ckpt.set_rng_state(self.rng, rng)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -20,11 +20,10 @@ to ``run(a + b)``, any per-row split) possible while the hot path stays
 vectorised — refills amortise to one ``Generator.random`` call per row
 per ``block`` draws.
 
-The pool, cursors and per-row bit-generator states round-trip through
-:meth:`RowStreams.snapshot`/:meth:`RowStreams.restore` as plain arrays
-(no pickling), so engine checkpoints capture buffered-but-unconsumed
-uniforms exactly.  ``restore`` rejects cursors outside ``[0, block]``,
-and ``take`` any draw count outside ``[1, block]``.
+:meth:`RowStreams.snapshot` is a read-only view of the pool, cursors and
+per-row bit-generator states as plain arrays (no pickling), which engine
+snapshots carry and the loop digests hash.  ``take`` rejects any draw
+count outside ``[1, block]``.
 
 The event loop draws twice per iteration — a gap, then an event pair —
 and calls :func:`geometric_from_uniform` once, so all three keep their
@@ -121,8 +120,7 @@ class RowStreams:
         self._block = int(block)
         self._pool = np.zeros((len(self._gens), self._block), dtype=FLOAT64)
         # Row r's pool is _rows[r] and _flat[r * block : (r + 1) * block];
-        # refills and restore() write the pool in place, so the views
-        # stay valid.
+        # refills write the pool in place, so the views stay valid.
         self._rows = list(self._pool)
         self._flat = self._pool.reshape(-1)
         # Cursors start exhausted; the first take() refills on demand.
@@ -139,9 +137,8 @@ class RowStreams:
         """Derive ``rows`` child streams from a base generator.
 
         The children are seeded from words *drawn* off ``rng`` (rather
-        than ``SeedSequence.spawn``), so the derivation depends only on
-        the generator's current state and therefore survives an RNG
-        state checkpoint/restore of the base generator.
+        than ``SeedSequence.spawn``, which mutates its sequence), so the
+        derivation depends only on the generator's current state.
         """
         if rows < 1:
             raise ValueError("need at least one row")
@@ -207,8 +204,7 @@ class RowStreams:
 
     def set_cursors(self, rows, pos) -> None:
         """Write back the cursors :meth:`draw` advanced.  Do it before
-        any :meth:`take`, :meth:`snapshot` or :meth:`restore` touches
-        the same rows."""
+        any :meth:`take` or :meth:`snapshot` touches the same rows."""
         self._pos[rows] = pos
 
     def draw(self, rows, pos, lanes, m: int):
@@ -243,7 +239,7 @@ class RowStreams:
         return pos, end
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # State view
 
     def snapshot(self) -> dict:
         """Pool, cursors and per-row PCG64 states as plain arrays."""
@@ -269,89 +265,3 @@ class RowStreams:
             "has_uint32": has_uint32,
             "uinteger": uinteger,
         }
-
-    def restore(self, data: dict) -> None:
-        """Restore pool, cursors and per-row states in place.
-
-        Every field is checked, and every row's bit-generator state is
-        loaded into a scratch ``PCG64``, before anything is assigned, so
-        a rejected payload leaves the streams as they were.
-        """
-        if int(data["block"]) != self._block:
-            raise ValueError(
-                f"stream pool block {data['block']} does not match the "
-                f"engine's block {self._block}"
-            )
-        rows = self.rows
-        pool = np.asarray(data["pool"], dtype=FLOAT64)
-        pos = np.asarray(data["pos"], dtype=INT64)
-        state = np.asarray(data["state"], dtype=_U64)
-        inc = np.asarray(data["inc"], dtype=_U64)
-        has_uint32 = np.asarray(data["has_uint32"], dtype=INT64)
-        uinteger = np.asarray(data["uinteger"], dtype=_U64)
-        if pool.shape != (rows, self._block):
-            raise ValueError(
-                f"stream pool shape {pool.shape} does not match "
-                f"({rows}, {self._block})"
-            )
-        # take() reads row r's draws at r * block + cursor, so a cursor
-        # outside [0, block] would serve another row's draws.
-        if pos.shape != (rows,):
-            raise ValueError(
-                f"stream cursors have shape {pos.shape}, expected "
-                f"({rows},)"
-            )
-        if pos.min() < 0 or pos.max() > self._block:
-            raise ValueError(
-                f"stream cursors must lie in [0, {self._block}]"
-            )
-        for name, value, shape in (
-            ("state", state, (rows, 2)),
-            ("inc", inc, (rows, 2)),
-            ("has_uint32", has_uint32, (rows,)),
-            ("uinteger", uinteger, (rows,)),
-        ):
-            if value.shape != shape:
-                raise ValueError(
-                    f"stream {name} has shape {value.shape}, expected "
-                    f"{shape}"
-                )
-        if ((has_uint32 != 0) & (has_uint32 != 1)).any():
-            raise ValueError("stream has_uint32 flags must be 0 or 1")
-        states = [
-            {
-                "bit_generator": "PCG64",
-                "state": {
-                    "state": (int(state[row, 0]) << 64)
-                    | int(state[row, 1]),
-                    "inc": (int(inc[row, 0]) << 64) | int(inc[row, 1]),
-                },
-                "has_uint32": int(has_uint32[row]),
-                "uinteger": int(uinteger[row]),
-            }
-            for row in range(rows)
-        ]
-        scratch = PCG64(0)
-        for row, row_state in enumerate(states):
-            try:
-                scratch.state = row_state
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(
-                    f"stream row {row} holds an invalid PCG64 state: "
-                    f"{exc!r}"
-                ) from exc
-        self._pool[...] = pool
-        self._pos[...] = pos
-        for gen, row_state in zip(self._gens, states):
-            gen.bit_generator.state = row_state
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "RowStreams":
-        """Rebuild a standalone stream set from :meth:`snapshot` data."""
-        rows = np.asarray(data["pos"]).shape[0]
-        gens = [
-            Generator(PCG64(0)) for _ in range(rows)
-        ]
-        streams = cls(gens, block=int(data["block"]))
-        streams.restore(data)
-        return streams

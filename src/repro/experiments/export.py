@@ -25,7 +25,6 @@ from .runner import RunRecord
 from .table import ExperimentTable
 
 PLAN_FORMAT = "repro-plan/v1"
-CKPT_STORE_FORMAT = "repro-ckpt-store/v1"
 REQUEUE_FORMAT = "repro-requeue/v1"
 
 
@@ -253,96 +252,6 @@ def plan_table(payload: dict) -> ExperimentTable:
         rows=[list(row) for row in stored["rows"]],
         notes=list(stored["notes"]),
     )
-
-
-# ----------------------------------------------------------------------
-# Engine checkpoint persistence (JSON + NPZ, pickle-free)
-
-
-def _strip_arrays(value, prefix: str, arrays: dict):
-    """Replace every ndarray in a payload tree with an NPZ reference.
-
-    Returns the JSON-able remainder; collected arrays land in
-    ``arrays`` under their dotted tree path.
-    """
-    if isinstance(value, np.ndarray):
-        arrays[prefix] = value
-        return {"__npz__": prefix}
-    if isinstance(value, dict):
-        return {
-            str(key): _strip_arrays(
-                item, f"{prefix}.{key}" if prefix else str(key), arrays
-            )
-            for key, item in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [
-            _strip_arrays(item, f"{prefix}.{index}", arrays)
-            for index, item in enumerate(value)
-        ]
-    return _plain(value)
-
-
-def _graft_arrays(value, arrays):
-    """Inverse of :func:`_strip_arrays` over a loaded NPZ mapping."""
-    if isinstance(value, dict):
-        if set(value) == {"__npz__"}:
-            return arrays[value["__npz__"]]
-        return {key: _graft_arrays(item, arrays) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_graft_arrays(item, arrays) for item in value]
-    return value
-
-
-def save_checkpoint(
-    payload: dict, path: str | pathlib.Path
-) -> tuple[pathlib.Path, pathlib.Path]:
-    """Persist an engine ``snapshot()`` payload as ``<path>.json`` +
-    ``<path>.npz``.
-
-    The JSON file holds the payload tree (scalars, nested dicts, the
-    RNG state) with each array replaced by a reference into the NPZ
-    file, which stores the arrays under their dotted tree paths.  No
-    pickling on either side, so checkpoints are inspectable by hand
-    and safe to load from untrusted disks.
-    """
-    path = pathlib.Path(path)
-    if path.suffix in (".json", ".npz"):
-        path = path.with_suffix("")
-    arrays: dict[str, np.ndarray] = {}
-    tree = _strip_arrays(payload, "", arrays)
-    json_path = path.with_suffix(".json")
-    npz_path = path.with_suffix(".npz")
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "format": CKPT_STORE_FORMAT,
-        "payload": tree,
-        "arrays": sorted(arrays),
-    }
-    json_path.write_text(json.dumps(doc, indent=2) + "\n")
-    np.savez_compressed(npz_path, **arrays)
-    return json_path, npz_path
-
-
-def load_checkpoint(path: str | pathlib.Path) -> dict:
-    """Reload a :func:`save_checkpoint` pair into a restore payload."""
-    path = pathlib.Path(path)
-    if path.suffix in (".json", ".npz"):
-        path = path.with_suffix("")
-    doc = json.loads(path.with_suffix(".json").read_text())
-    if doc.get("format") != CKPT_STORE_FORMAT:
-        raise ValueError(
-            f"{path}: not a {CKPT_STORE_FORMAT} checkpoint "
-            f"(format={doc.get('format')!r})"
-        )
-    with np.load(path.with_suffix(".npz"), allow_pickle=False) as data:
-        arrays = {key: data[key] for key in data.files}
-    missing = set(doc.get("arrays", [])) - set(arrays)
-    if missing:
-        raise ValueError(
-            f"{path}: NPZ file is missing arrays {sorted(missing)}"
-        )
-    return _graft_arrays(doc["payload"], arrays)
 
 
 def record_to_csv(record: RunRecord) -> str:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import heapq
 import json
 import multiprocessing
+import math
 import os
 import queue
 import time
@@ -127,14 +128,16 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self):
+        # Chained comparisons reject NaN too: a NaN delay or deadline
+        # never compares ready, so the pool would wait on it forever.
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be positive and finite")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError("backoff_s must be non-negative and finite")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError("backoff_factor must be >= 1 and finite")
 
     def delay(self, failed_attempts: int) -> float:
         """Backoff before the next try after ``failed_attempts``."""
@@ -203,8 +206,8 @@ class Fault:
             )
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.seconds <= 0:
-            raise ValueError("seconds must be positive")
+        if not 0 < self.seconds < math.inf:
+            raise ValueError("seconds must be positive and finite")
 
     def active(self, attempt: int) -> bool:
         return attempt <= self.attempts

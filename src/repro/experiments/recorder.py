@@ -51,61 +51,6 @@ class CountRecorder:
         """
         return self._times[-1] if self._times else None
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-
-    def state_dict(self) -> dict:
-        """Recorded series and cursor as plain arrays (pickle-free).
-
-        Snapshots taken before an adversarial colour addition are
-        narrower than later ones; the per-snapshot widths are stored
-        alongside the zero-padded matrices so :meth:`load_state`
-        reconstructs the ragged rows exactly.
-        """
-        widths = np.asarray(
-            [row.shape[0] for row in self._colour], dtype=np.int64
-        )
-        return {
-            "interval": self.interval,
-            "times": self.times(),
-            "widths": widths,
-            "colour": self.colour_counts(),
-            "dark": self.dark_counts(),
-            "light": self.light_counts(),
-            "next": -1 if self._next is None else int(self._next),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place."""
-        interval = int(state["interval"])
-        if interval < 1:
-            raise ValueError("interval must be >= 1")
-        self.interval = interval
-        times = np.asarray(state["times"], dtype=np.int64)
-        widths = np.asarray(state["widths"], dtype=np.int64)
-        colour = np.asarray(state["colour"], dtype=np.int64)
-        dark = np.asarray(state["dark"], dtype=np.int64)
-        light = np.asarray(state["light"], dtype=np.int64)
-        if not (
-            times.shape[0] == widths.shape[0] == colour.shape[0]
-            == dark.shape[0] == light.shape[0]
-        ):
-            raise ValueError("recorder series disagree on length")
-        self._times = [int(t) for t in times]
-        self._colour = [
-            colour[i, : widths[i]].copy() for i in range(len(times))
-        ]
-        self._dark = [
-            dark[i, : widths[i]].copy() for i in range(len(times))
-        ]
-        self._light = [
-            light[i, : widths[i]].copy() for i in range(len(times))
-        ]
-        nxt = int(state["next"])
-        self._next = None if nxt < 0 else nxt
-
-    # ------------------------------------------------------------------
-
     def __len__(self) -> int:
         return len(self._times)
 

@@ -1,6 +1,6 @@
 """Finding records and the rule-code catalogue of ``repro lint``.
 
-Codes are grouped into five families, each guarding one repo invariant
+Codes are grouped into four families, each guarding one repo invariant
 (see the rule modules under :mod:`repro.lint.rules` for the rationale
 and the precise detection logic):
 
@@ -10,10 +10,6 @@ and the precise detection logic):
 ``RL2``
     Determinism: no global-state / wall-clock / unseeded randomness in
     library code.
-``RL3``
-    Checkpoint completeness: every mutable ``self._x`` of a
-    ``snapshot()``/``restore()`` class is serialised and restored
-    (the ``repro-ckpt/v1`` contract).
 ``RL4``
     Kernel purity: transition kernels stay on array-API-standard ops;
     non-standard conveniences stay behind ``require_engine_loops``.
@@ -22,7 +18,7 @@ and the precise detection logic):
     serialisation feeding the content-address hashing paths.
 
 Selectors (``--select``/``--ignore``/waivers) match codes by prefix:
-``RL3`` selects both ``RL301`` and ``RL302``; ``all`` matches
+``RL4`` selects ``RL401``, ``RL402`` and ``RL403``; ``all`` matches
 everything.
 """
 
@@ -42,8 +38,6 @@ RULE_CODES: dict[str, str] = {
     "RL202": "stdlib `random` import in library code",
     "RL203": "wall-clock nondeterminism (time.time/datetime.now) call",
     "RL204": "default_rng()/SeedSequence() without an explicit seed",
-    "RL301": "mutable engine field missing from snapshot()",
-    "RL302": "mutable engine field missing from restore()",
     "RL401": "non-array-API-standard op in a transition kernel",
     "RL402": "in-place mutation (out=/scatter) in a transition kernel",
     "RL403": "non-standard op in a class not gated by require_engine_loops",
@@ -56,7 +50,6 @@ RULE_CODES: dict[str, str] = {
 RULE_FAMILIES: dict[str, str] = {
     "RL1": "backend seam (engine/backend.py is the only numpy site)",
     "RL2": "determinism (seeded, host-drawn, wall-clock-free library code)",
-    "RL3": "checkpoint completeness (repro-ckpt/v1 snapshot/restore)",
     "RL4": "kernel purity (array-API-standard transition kernels)",
     "RL5": "fingerprint hygiene (order-independent cache keys)",
 }
@@ -86,7 +79,7 @@ def normalise_selector(selector: str) -> str:
 
 
 def selector_matches(selector: str, code: str) -> bool:
-    """Prefix semantics: ``RL3`` matches ``RL301``; ``ALL`` matches all."""
+    """Prefix semantics: ``RL4`` matches ``RL401``; ``ALL`` matches all."""
     selector = normalise_selector(selector)
     return selector == "ALL" or code.upper().startswith(selector)
 

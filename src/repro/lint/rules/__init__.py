@@ -6,7 +6,6 @@ does so lazily on first use.
 """
 
 from . import (  # noqa: F401
-    checkpointing,
     determinism,
     fingerprint,
     kernels,

@@ -93,31 +93,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return ".".join(reversed(parts))
 
 
-def self_attribute(node: ast.AST) -> str | None:
-    """``_x`` when ``node`` is exactly ``self._x``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def self_attribute_base(node: ast.AST) -> str | None:
-    """The ``self`` attribute a subscript/attribute chain is rooted in.
-
-    ``self._pool[rows]`` and ``self._live_counts["colour"][i]`` both
-    resolve to the field the chain mutates when stored into.
-    """
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        attr = self_attribute(node)
-        if attr is not None:
-            return attr
-        node = node.value
-    return None
-
-
 def class_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     """Directly defined methods of a class (no inheritance)."""
     return {

@@ -268,6 +268,37 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["demo", "--weights", "0.2,zzz"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["demo", "--n", "2", "--weights", "1,2,3"],
+             "--n must be at least 3"),
+            (["demo", "--n", "1", "--weights", "1"],
+             "--n must be at least 2"),
+            (["series", "--n", "1"], "--n must be at least 3"),
+            (["demo", "--n", "50", "--rounds", "-1"],
+             "--rounds must be >= 0"),
+            (["demo", "--n", "50", "--rounds", "5", "--replications", "0"],
+             "--replications must be >= 1"),
+        ],
+    )
+    def test_demo_and_series_reject_bad_input(self, capsys, argv, message):
+        """Bad input exits 2 with one stderr line before any run
+        starts: no traceback, and no silent single run for zero
+        replications."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["demo", "series"])
+    def test_unknown_start_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--start", "bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_demo_replicated_batched(self, capsys):
         code = main(
             ["demo", "--n", "120", "--weights", "1,2", "--rounds", "200",
@@ -431,6 +462,21 @@ class TestFaultToleranceCli:
 
     def test_invalid_retry_policy_is_a_usage_error(self, capsys):
         assert main(["run", "e8", "--quick", "--retries", "0"]) == 2
+        assert "invalid retry policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--retry-backoff", "nan"), ("--retry-backoff", "inf"),
+         ("--shard-timeout", "nan"), ("--shard-timeout", "inf")],
+    )
+    def test_non_finite_retry_policy_is_a_usage_error(
+        self, capsys, flag, value
+    ):
+        """A NaN backoff would make a retry's ready time NaN, which
+        the pool's dispatch heap never serves."""
+        assert main(
+            ["run", "e8", "--quick", "--retries", "2", flag, value]
+        ) == 2
         assert "invalid retry policy" in capsys.readouterr().err
 
     def test_max_failures_writes_requeue_file(self, capsys, tmp_path):

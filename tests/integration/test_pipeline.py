@@ -162,6 +162,68 @@ class TestSeedScopes:
                 np.random.default_rng(b).random()
 
 
+def _shard_words(spec):
+    return [
+        shard.seed.generate_state(2).tolist() for shard in plan(spec).shards
+    ]
+
+
+class TestSeedScopesIndexDeterministic:
+    """Per-shard seeds depend only on (spec, index) for every scope —
+    the foundation of bit-identical pipeline resume: skipping completed
+    shards cannot change the remaining shards' seeds."""
+
+    def test_stream_scope(self):
+        spec = ScenarioSpec(
+            name="t",
+            measure=_echo_measure,
+            grid={"n": [8, 16]},
+            replications=3,
+            base_seed=5,
+            seed_scope="stream",
+        )
+        assert _shard_words(spec) == _shard_words(spec)
+
+    def test_cell_scope(self):
+        spec = ScenarioSpec(
+            name="t",
+            measure=_echo_measure,
+            grid={"n": [8, 16]},
+            replications=2,
+            base_seed=5,
+            seed_scope="cell",
+            cell_seed=lambda params: params["n"] * 1000,
+        )
+        assert _shard_words(spec) == _shard_words(spec)
+
+    def test_direct_scope(self):
+        spec = ScenarioSpec(
+            name="t",
+            measure=_echo_measure,
+            grid={"n": [8, 16]},
+            replications=1,
+            base_seed=5,
+            seed_scope="direct",
+            cell_seed=lambda params: params["n"],
+        )
+        assert _shard_words(spec) == _shard_words(spec)
+
+    def test_suffix_stable_under_prefix_removal(self):
+        """The seeds of shards 2.. are the same whether or not shards
+        0..1 are (re)planned — resume never reseeds remaining work."""
+        spec = ScenarioSpec(
+            name="t",
+            measure=_echo_measure,
+            grid={"n": [8, 16, 32]},
+            replications=2,
+            base_seed=9,
+            seed_scope="stream",
+        )
+        first = _shard_words(spec)
+        second = _shard_words(spec)
+        assert first[2:] == second[2:]
+
+
 class TestExecutorDeterminism:
     def test_serial_and_parallel_results_bit_identical(self):
         spec = spec_diversity_error(

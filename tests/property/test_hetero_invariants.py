@@ -240,7 +240,7 @@ STREAM_FIELDS = ("pool", "pos", "state", "inc", "has_uint32", "uinteger")
 @st.composite
 def homogeneous_programme(draw):
     """One weight table replicated R times, optional lightening coins,
-    and a programme of runs, interventions and snapshot/restore hops."""
+    and a programme of runs and interventions."""
     k = draw(st.integers(1, 4))
     weights = draw(
         st.lists(
@@ -265,7 +265,7 @@ def homogeneous_programme(draw):
                 st.sampled_from(
                     [
                         "run", "run_per_step", "add_agents", "add_colour",
-                        "recolour", "restore",
+                        "recolour",
                     ]
                 ),
                 st.integers(0, 300),  # steps / count / colour
@@ -286,7 +286,7 @@ class TestBatchedIsReplicatedHetero:
     """``BatchedAggregateSimulation(table, counts, replications=R)``
     and ``HeterogeneousAggregateBatch([table] * R, ...)`` built from
     the same seed are the same chain, bit for bit, under any sequence
-    of runs, interventions and checkpoint hops."""
+    of runs and interventions."""
 
     @staticmethod
     def build(weights, dark, light, coins, replications, seed):
@@ -345,17 +345,7 @@ class TestBatchedIsReplicatedHetero:
             elif kind == "add_colour":
                 for engine in (batched, hetero):
                     engine.add_colour(weight, amount % 10, dark=shade)
-            elif kind == "recolour":
+            else:
                 for engine in (batched, hetero):
                     engine.recolour(selector % k, amount % k)
-            else:
-                # Restore into fresh engines built from another seed.
-                snaps = batched.snapshot(), hetero.snapshot()
-                fresh = self.build(
-                    weights, dark, light, coins, replications, seed + 1
-                )
-                batched, hetero = (
-                    engine.restore(snap)
-                    for engine, snap in zip(fresh, snaps)
-                )
             self.assert_identical(batched, hetero)

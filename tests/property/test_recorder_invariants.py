@@ -1,9 +1,8 @@
 """Property tests for the recorder layer.
 
-The recorder's contract with the segmented runner — monotone snapshot
-times, an unconditional horizon snapshot, interval chunking that never
-changes the recorded series — is what checkpoint/resume leans on, so
-each invariant gets its own property here.
+The recorder's contract with the segmented runner: monotone snapshot
+times and an unconditional horizon snapshot, with or without
+interventions.
 """
 
 import numpy as np
@@ -13,12 +12,6 @@ from hypothesis import strategies as st
 from repro.adversary.interventions import AddAgents
 from repro.adversary.schedule import InterventionSchedule, run_with_interventions
 from repro.engine.aggregate import AggregateSimulation
-from repro.engine.observers import (
-    ConvergenceDetector,
-    MinCountTracker,
-    Observer,
-    OccupancyTracker,
-)
 from repro.engine.rng import make_rng
 from repro.core.weights import WeightTable
 from repro.experiments.recorder import CountRecorder
@@ -30,15 +23,6 @@ DARK = [25, 15, 5]
 def build_engine(seed):
     return AggregateSimulation(
         WeightTable(WEIGHTS), dark_counts=DARK, rng=make_rng(seed)
-    )
-
-
-def recorded_series(recorder):
-    return (
-        recorder.times().tolist(),
-        recorder.colour_counts().tolist(),
-        recorder.dark_counts().tolist(),
-        recorder.light_counts().tolist(),
     )
 
 
@@ -61,69 +45,6 @@ class TestRecorderInvariants:
         # The final snapshot is always the horizon, interval or not.
         assert times[-1] == total == engine.time
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        interval=st.integers(1, 60),
-        chunks=st.lists(st.integers(1, 80), min_size=1, max_size=6),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_chunking_invariance(self, seed, interval, chunks):
-        """Driving the runner in arbitrary chunks (each non-final chunk
-        a checkpoint, final_snapshot=False) records the same series as
-        one uninterrupted run."""
-        total = sum(chunks)
-        whole_engine = build_engine(seed)
-        whole = CountRecorder(interval)
-        run_with_interventions(whole_engine, total, recorder=whole)
-
-        part_engine = build_engine(seed)
-        part = CountRecorder(interval)
-        for i, chunk in enumerate(chunks):
-            run_with_interventions(
-                part_engine,
-                chunk,
-                recorder=part,
-                resume=i > 0,
-                final_snapshot=i == len(chunks) - 1,
-            )
-        for a, b in zip(recorded_series(whole), recorded_series(part)):
-            assert a == b
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        interval=st.integers(1, 60),
-        split=st.integers(0, 300),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_state_dict_round_trip(self, seed, interval, split):
-        """A recorder rebuilt from state_dict carries the series on
-        exactly — including the ragged colour-count widths created by
-        an AddColour-style width change."""
-        total = 300
-        whole_engine = build_engine(seed)
-        whole = CountRecorder(interval)
-        run_with_interventions(whole_engine, total, recorder=whole)
-
-        part_engine = build_engine(seed)
-        part = CountRecorder(interval)
-        run_with_interventions(
-            part_engine, split, recorder=part, final_snapshot=False
-        )
-        snap = part_engine.snapshot()
-        state = part.state_dict()
-
-        resumed_engine = AggregateSimulation(
-            WeightTable(WEIGHTS), dark_counts=DARK, rng=make_rng(0)
-        )
-        resumed_engine.restore(snap)
-        resumed = CountRecorder(interval)
-        resumed.load_state(state)
-        run_with_interventions(
-            resumed_engine, total - split, recorder=resumed, resume=True
-        )
-        for a, b in zip(recorded_series(whole), recorded_series(resumed)):
-            assert a == b
-
     @given(seed=st.integers(0, 2**32 - 1), interval=st.integers(1, 50))
     @settings(max_examples=20, deadline=None)
     def test_interventions_do_not_break_monotonicity(self, seed, interval):
@@ -138,109 +59,3 @@ class TestRecorderInvariants:
         assert times[-1] == 200
         # Row widths stay consistent across the whole record.
         assert recorder.colour_counts().shape[0] == len(times)
-
-    def test_load_state_empty_round_trip(self):
-        recorder = CountRecorder(10)
-        fresh = CountRecorder(10)
-        fresh.load_state(recorder.state_dict())
-        assert len(fresh) == 0
-        assert fresh.last_time() is None
-
-
-def assert_state_equal(a, b):
-    assert a.keys() == b.keys()
-    for key in a:
-        va, vb = a[key], b[key]
-        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-            assert np.array_equal(va, vb), key
-        else:
-            assert va == vb, key
-
-
-class TestObserverStateRoundTrip:
-    def _run_sim(self, seed, steps, observers):
-        from repro.core.diversification import Diversification
-        from repro.engine.population import Population
-        from repro.engine.simulator import Simulation
-
-        protocol = Diversification(WeightTable([1.0, 2.0]))
-        population = Population.from_colours(
-            [i % 2 for i in range(20)], protocol, k=2
-        )
-        sim = Simulation(protocol, population, rng=make_rng(seed))
-        for obs in observers:
-            sim.add_observer(obs)
-        sim.run(steps)
-        return sim
-
-    @given(seed=st.integers(0, 2**32 - 1), split=st.integers(0, 200))
-    @settings(max_examples=15, deadline=None)
-    def test_trackers_resume_like_uninterrupted(self, seed, split):
-        total = 200
-        whole_occ, whole_min = OccupancyTracker(), MinCountTracker()
-        self._run_sim(seed, total, [whole_occ, whole_min])
-
-        part_occ, part_min = OccupancyTracker(), MinCountTracker()
-        sim = self._run_sim(seed, split, [part_occ, part_min])
-        snap = sim.snapshot()
-        occ_state = part_occ.state_dict()
-        min_state = part_min.state_dict()
-
-        from repro.core.diversification import Diversification
-        from repro.engine.population import Population
-        from repro.engine.simulator import Simulation
-
-        protocol = Diversification(WeightTable([1.0, 2.0]))
-        population = Population.from_colours(
-            [i % 2 for i in range(20)], protocol, k=2
-        )
-        resumed = Simulation(protocol, population, rng=make_rng(0))
-        resumed.restore(snap)
-        res_occ, res_min = OccupancyTracker(), MinCountTracker()
-        res_occ.load_state(occ_state)
-        res_min.load_state(min_state)
-        resumed.add_observer(res_occ)
-        resumed.add_observer(res_min)
-        resumed.run(total - split)
-
-        assert_state_equal(res_min.state_dict(), whole_min.state_dict())
-        assert_state_equal(res_occ.state_dict(), whole_occ.state_dict())
-
-    def test_load_state_does_not_alias_caller_arrays(self):
-        tracker = OccupancyTracker()
-        sim = self._run_sim(3, 50, [tracker])
-        state = tracker.state_dict()
-        frozen = {
-            key: value.copy() if isinstance(value, np.ndarray) else value
-            for key, value in state.items()
-        }
-        twin = OccupancyTracker()
-        twin.load_state(state)
-        # Mutate the restored tracker by running it further.
-        resumed = self._run_sim(3, 10, [])
-        resumed.add_observer(twin)
-        resumed.run(40)
-        for key, value in frozen.items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(state[key], value)
-            else:
-                assert state[key] == value
-
-    def test_convergence_detector_round_trip(self):
-        from repro.core.weights import WeightTable
-
-        weights = WeightTable([1.0, 2.0])
-        detector = ConvergenceDetector(weights, bound=10.0)
-        state = detector.state_dict()
-        twin = ConvergenceDetector(weights, bound=10.0)
-        twin.load_state(state)
-        assert twin.state_dict() == state
-
-    def test_base_observer_rejects_foreign_state(self):
-        import pytest
-
-        obs = Observer()
-        assert obs.state_dict() == {}
-        obs.load_state({})
-        with pytest.raises(ValueError):
-            obs.load_state({"junk": 1})

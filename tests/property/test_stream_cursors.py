@@ -11,9 +11,12 @@ below drives one stream set through cursor draws, compactions,
 write-backs and interleaved takes, and a twin set through takes alone,
 from rows whose cursors start at 1, mid-pool, at ``block - 1`` (an
 event pair there refills and discards the last draw) and at ``block``.
+``TestRowStreamsTake`` checks the draw-count bounds of ``take`` and
+``TestRowStreamsSnapshot`` that a snapshot is a copy.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +101,34 @@ class TestCursorDrawsMatchTake:
         after, expected = cursor.snapshot(), reference.snapshot()
         for field, value in expected.items():
             np.testing.assert_array_equal(after[field], value)
+
+
+class TestRowStreamsTake:
+    """``take(rows, m)`` used to accept any ``m``: past the block it
+    served the next row's pool (or raised IndexError on the last row
+    after moving the cursor), and a negative ``m`` moved the cursor
+    back over consumed draws."""
+
+    @pytest.mark.parametrize("row, m", [(0, 6), (2, 6), (0, -1), (1, 0)])
+    def test_draws_outside_the_block_rejected(self, row, m):
+        streams = RowStreams.from_generator(make_rng(9), 3, block=4)
+        streams.take(np.arange(3), 2)
+        before = streams.snapshot()
+        with pytest.raises(ValueError, match="1 <= m <= 4"):
+            streams.take([row], m)
+        after = streams.snapshot()
+        for field, value in before.items():
+            np.testing.assert_array_equal(after[field], value)
+
+
+class TestRowStreamsSnapshot:
+    def test_snapshot_not_aliased(self):
+        """Drawing after a snapshot must not mutate it."""
+        streams = RowStreams.from_generator(make_rng(3), 2)
+        rows = np.arange(2)
+        snap = streams.snapshot()
+        pool = snap["pool"].copy()
+        pos = snap["pos"].copy()
+        streams.take(rows, 7)
+        assert np.array_equal(snap["pool"], pool)
+        assert np.array_equal(snap["pos"], pos)

@@ -206,14 +206,6 @@ class TestSingleRunDigests:
         assert 0 < changed < 300
         assert array_digest(sim) == SINGLE["diversification"]
 
-    def test_restored_mid_block(self):
-        """Snapshot 1808 steps into the second block, restore into a
-        fresh engine and finish: the whole run's digest."""
-        first = ablation().run(10_000)
-        second = ablation().restore(first.snapshot())
-        second.run(STEPS - 10_000)
-        assert array_digest(second) == SINGLE["diversification"]
-
 
 # ----------------------------------------------------------------------
 # Batched (R, n) mode

@@ -44,6 +44,15 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
 
+    @pytest.mark.parametrize("field", ["timeout_s", "backoff_s",
+                                       "backoff_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        """A NaN backoff would make a retry's ready time NaN, which
+        the pool never serves, and a NaN deadline would never fire."""
+        with pytest.raises(ValueError, match="finite"):
+            RetryPolicy(max_attempts=2, **{field: value})
+
     def test_exponential_backoff_schedule(self):
         policy = RetryPolicy(max_attempts=4, backoff_s=0.1,
                              backoff_factor=2.0)
@@ -63,6 +72,13 @@ class TestFault:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Fault(kind="melt")
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_hang_rejected(self, seconds):
+        with pytest.raises(ValueError, match="finite"):
+            Fault(kind="hang", seconds=seconds)
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan.from_spec(f"hang:i0:seconds={seconds}", shards=1)
 
     def test_transient_fault_fires_only_on_early_attempts(self):
         fault = Fault(kind="raise", attempts=2)

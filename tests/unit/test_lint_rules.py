@@ -64,8 +64,8 @@ def test_findings_carry_messages_and_sorted_order():
 def test_select_restricts_to_matching_families():
     rl1 = run_lint([FIXTURES], root=FIXTURES, select=["RL1"])
     assert rl1 and all(f.code.startswith("RL1") for f in rl1)
-    exact = run_lint([FIXTURES], root=FIXTURES, select=["RL301"])
-    assert exact and all(f.code == "RL301" for f in exact)
+    exact = run_lint([FIXTURES], root=FIXTURES, select=["RL201"])
+    assert exact and all(f.code == "RL201" for f in exact)
 
 
 def test_ignore_drops_matching_families_and_wins_over_select():

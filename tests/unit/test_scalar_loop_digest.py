@@ -16,6 +16,7 @@ comparison that takes the other branch changes a digest.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -138,6 +139,17 @@ def simulation_digest(sim: Simulation) -> str:
     )
 
 
+def run_in_calls(sim: Simulation, total: int, calls) -> Simulation:
+    """Run ``total`` steps in ``run`` calls cycling through ``calls``."""
+    done = 0
+    for size in itertools.cycle(calls):
+        if done >= total:
+            return sim
+        take = min(size, total - done)
+        sim.run(take)
+        done += take
+
+
 class ChangeLog(Observer):
     """Logs every ``on_change`` with the clocks the observer sees."""
 
@@ -176,12 +188,39 @@ class TestSimulationDigests:
         sim = simulation(protocol).run(10_000)
         assert simulation_digest(sim) == SIMULATION[protocol]
 
+    @pytest.mark.parametrize(
+        "calls", [(5000,), (4096,), (7, 1, 333)],
+        ids=["mid-block", "at-block", "uneven"],
+    )
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_split_calls(self, protocol, calls):
+        """``run`` calls that stop 904 steps into the second block, at
+        the block boundary, or every few steps carry the buffered draws
+        across and reach the whole run's digest."""
+        sim = run_in_calls(simulation(protocol), 10_000, calls)
+        assert simulation_digest(sim) == SIMULATION[protocol]
+
     def test_csr_topology(self):
         sim = simulation(topology=CycleGraph(N)).run(9000)
         assert simulation_digest(sim) == SIMULATION["cycle"]
 
+    def test_csr_topology_split_calls(self):
+        """On a cycle only initiators are buffered; partners are drawn
+        per step."""
+        sim = run_in_calls(
+            simulation(topology=CycleGraph(N)), 9000, (7, 1, 333)
+        )
+        assert simulation_digest(sim) == SIMULATION["cycle"]
+
     def test_round_robin_scheduler(self):
         sim = simulation(scheduler=RoundRobinScheduler(start=7)).run(9000)
+        assert simulation_digest(sim) == SIMULATION["round_robin"]
+
+    def test_round_robin_scheduler_split_calls(self):
+        sim = run_in_calls(
+            simulation(scheduler=RoundRobinScheduler(start=7)), 9000,
+            (7, 1, 333),
+        )
         assert simulation_digest(sim) == SIMULATION["round_robin"]
 
     def test_observer_sees_every_change(self):
@@ -192,14 +231,6 @@ class TestSimulationDigests:
         assert len(log.entries) == sim.changes
         assert simulation_digest(sim) == SIMULATION["diversification"]
         assert digest(log.entries) == SIMULATION["change_log"]
-
-    def test_restored_mid_block(self):
-        """Snapshot 904 steps into the second block, restore into a fresh
-        engine and finish: the whole run's digest."""
-        first = simulation().run(5000)
-        second = simulation().restore(first.snapshot())
-        second.run(5000)
-        assert simulation_digest(second) == SIMULATION["diversification"]
 
     def test_step_sequence_matches_run(self):
         sim = simulation("derandomised").run(2000)

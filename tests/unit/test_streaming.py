@@ -1,11 +1,8 @@
-"""Streaming accumulators: exactness, merging, and checkpoint carry.
+"""Streaming accumulators: exactness and merging.
 
 The load-bearing contract is *bit-identity*: the O(1)-memory streaming
 integrals must equal a sequential reduction over the materialised
-trajectory exactly (same float additions in the same order), and a
-``state_dict``/``load_state``-carried accumulator re-attached with
-``attach_stream(acc, reset=False)`` must continue an interrupted run
-bit-identically to an uninterrupted one.
+trajectory exactly (same float additions in the same order).
 """
 
 import numpy as np
@@ -145,40 +142,7 @@ class TestStreamingEqualsTrajectory:
             assert np.all(out[f"final_{name}"] <= out[f"max_{name}"])
 
 
-class TestCheckpointCarry:
-    def test_carried_accumulator_bit_identical(self):
-        """state_dict/load_state + attach_stream(reset=False) continues
-        the integral with the same float additions as an uninterrupted
-        run."""
-        # The baseline runs the same two chunks uninterrupted: every
-        # run() horizon syncs the integral, so the checkpointed path
-        # must be compared against a run with the same sync points.
-        whole = batched_engine(seed=5)
-        acc_whole = StreamingPotentials(WeightTable(WEIGHTS))
-        whole.attach_stream(acc_whole)
-        whole.run(230)
-        whole.run(270)
-
-        part = batched_engine(seed=5)
-        acc_part = StreamingPotentials(WeightTable(WEIGHTS))
-        part.attach_stream(acc_part)
-        part.run(230)
-        snap = part.snapshot()
-        acc_state = acc_part.state_dict()
-
-        resumed = batched_engine(seed=0)
-        resumed.restore(snap)
-        acc_resumed = StreamingPotentials(WeightTable(WEIGHTS))
-        acc_resumed.load_state(acc_state)
-        resumed.attach_stream(acc_resumed, reset=False)
-        resumed.run(270)
-
-        for field in acc_whole._concat_fields():
-            assert np.array_equal(
-                getattr(acc_whole, field), getattr(acc_resumed, field)
-            ), field
-        assert np.array_equal(acc_whole.events(), acc_resumed.events())
-
+class TestSegmentMerging:
     def test_merge_serial_close_and_validated(self):
         whole = scalar_engine(seed=9)
         acc_whole = StreamingPotentials(WeightTable(WEIGHTS))
@@ -271,32 +235,6 @@ class TestStreamingShares:
         assert np.all(out["max_error"] >= out["final_error"])
         assert np.all(out["duration"] == 400.0)
 
-    def test_carried_shares_bit_identical(self):
-        whole = batched_engine(seed=7)
-        acc_whole = StreamingShares(WeightTable(WEIGHTS))
-        whole.attach_stream(acc_whole)
-        whole.run(140)
-        whole.run(160)
-
-        part = batched_engine(seed=7)
-        acc_part = StreamingShares(WeightTable(WEIGHTS))
-        part.attach_stream(acc_part)
-        part.run(140)
-        snap = part.snapshot()
-        state = acc_part.state_dict()
-
-        resumed = batched_engine(seed=0)
-        resumed.restore(snap)
-        acc_resumed = StreamingShares(WeightTable(WEIGHTS))
-        acc_resumed.load_state(state)
-        resumed.attach_stream(acc_resumed, reset=False)
-        resumed.run(160)
-
-        assert np.array_equal(
-            acc_whole._int_shares, acc_resumed._int_shares
-        )
-        assert np.array_equal(acc_whole._max_error, acc_resumed._max_error)
-
     def test_state_dict_is_not_aliased(self):
         engine = batched_engine(seed=4)
         acc = StreamingShares(WeightTable(WEIGHTS))
@@ -354,17 +292,6 @@ class TestRunningMoments:
         a.merge(RunningMoments(2))
         assert a.count().tolist() == [1, 1]
         assert a.mean().tolist() == [1.0, 2.0]
-
-    def test_state_round_trip(self):
-        a = RunningMoments(2)
-        a.add(np.array([1.0, 4.0]))
-        a.add(np.array([3.0, 8.0]))
-        twin = RunningMoments(2)
-        twin.load_state(a.state_dict())
-        twin.add(np.array([5.0, 0.0]))
-        a.add(np.array([5.0, 0.0]))
-        assert np.array_equal(a.mean(), twin.mean())
-        assert np.array_equal(a.variance(), twin.variance())
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
