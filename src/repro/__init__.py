@@ -66,7 +66,6 @@ from .engine import (
     AggregateSimulation,
     ArraySimulation,
     BatchedAggregateSimulation,
-    ConvergenceDetector,
     MinCountTracker,
     OccupancyTracker,
     Population,
@@ -107,7 +106,6 @@ __all__ = [
     "Population",
     "OccupancyTracker",
     "MinCountTracker",
-    "ConvergenceDetector",
     "make_rng",
     "RunRecord",
     "BatchRunRecord",

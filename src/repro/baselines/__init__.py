@@ -5,7 +5,6 @@ processes, and the global-knowledge strawman."""
 from .anti_voter import AntiVoterModel
 from .averaging import AveragingProcess, MatchingDiffusion
 from .epidemic import SISEpidemic, infected_count
-from .moran import MoranProcess
 from .three_majority import ThreeMajority
 from .trivial import TrivialResampling
 from .two_choices import TwoChoices
@@ -21,7 +20,6 @@ __all__ = [
     "AntiVoterModel",
     "TwoChoices",
     "ThreeMajority",
-    "MoranProcess",
     "SISEpidemic",
     "infected_count",
     "AveragingProcess",

@@ -5,7 +5,6 @@ Examples::
     repro list
     repro run e2 --quick
     repro run e1 e2 --profile quick --jobs 4
-    repro run e3 e4 e9 --profile quick --fused
     repro run e2 e3b --profile quick --cache --cache-dir .repro-cache
     repro run --profile quick --out results
     repro demo --n 2000 --weights 1,2,3 --rounds 2000
@@ -18,13 +17,12 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 
-import numpy as np
-
 from .core.properties import assess_goodness
-from .core.weights import WeightTable
+from .core.weights import MIN_WEIGHT, WeightTable
 from .experiments import REGISTRY, run_aggregate
 from .experiments.export import save_plan, save_requeue, table_to_json
 from .experiments.pipeline import execute
@@ -45,23 +43,23 @@ def _parse_weights(text: str) -> WeightTable:
         values = [float(part) for part in text.split(",") if part.strip()]
         return WeightTable(values)
     except ValueError as error:
-        raise SystemExit(f"invalid --weights {text!r}: {error}") from error
+        raise ValueError(f"invalid --weights {text!r}: {error}") from error
 
 
-def _population_error(n: int, rounds: int, weights: WeightTable) -> str | None:
-    """Why ``--n``/``--rounds`` cannot run ``weights``, or None."""
+def _check_population(n: int, rounds: int, weights: WeightTable) -> None:
+    """Raise ``ValueError`` if ``--n``/``--rounds`` cannot run
+    ``weights``."""
     least = max(2, weights.k)
     if n < least:
-        return (
+        raise ValueError(
             f"--n must be at least {least}: two agents and one per "
             f"colour (k={weights.k})"
         )
     if rounds < 0:
-        return "--rounds must be >= 0"
-    return None
+        raise ValueError("--rounds must be >= 0")
 
 
-def _parse_schedule(text: str | None):
+def _parse_schedule(text: str | None, weights: WeightTable | None = None):
     """Parse a compact adversarial schedule specification.
 
     Comma-separated entries, each one of::
@@ -71,7 +69,10 @@ def _parse_schedule(text: str | None):
         TIME:recolour:SOURCE:TARGET         repaint source as target
 
     Agents arrive dark unless the trailing ``light`` flag is given.
-    Returns None for empty input.
+    Returns None for empty input.  With ``weights``, every colour an
+    entry names must exist when it fires: one of the run's ``k``, or
+    one an earlier ``colour`` entry adds.  So an entry an engine would
+    reject mid-run raises ``ValueError`` here instead.
     """
     if not text or not text.strip():
         return None
@@ -100,7 +101,7 @@ def _parse_schedule(text: str | None):
             elif kind == "colour":
                 dark = _schedule_shade(parts, 4)
                 event = AddColour(
-                    weight=float(parts[2]),
+                    weight=_schedule_weight(parts[2]),
                     count=_schedule_count(parts[3]),
                     dark=dark,
                 )
@@ -116,11 +117,37 @@ def _parse_schedule(text: str | None):
                     "(use agents, colour or recolour)"
                 )
         except (IndexError, ValueError) as error:
-            raise SystemExit(
+            raise ValueError(
                 f"invalid --schedule entry {raw.strip()!r}: {error}"
             ) from error
-        entries.append((time_step, event))
-    return InterventionSchedule(entries)
+        entries.append((time_step, event, raw.strip()))
+    if weights is not None:
+        _check_schedule_colours(entries, weights.k)
+    return InterventionSchedule((t, event) for t, event, _ in entries)
+
+
+def _check_schedule_colours(entries, k: int) -> None:
+    """Replay ``(time, event, raw)`` entries in firing order (by time,
+    ties in the order given) and raise ``ValueError`` for the first
+    that names a colour which does not exist yet."""
+    from .adversary.interventions import AddAgents, AddColour
+
+    colours = k
+    for time_step, event, raw in sorted(entries, key=lambda entry: entry[0]):
+        if isinstance(event, AddColour):
+            colours += 1
+            continue
+        if isinstance(event, AddAgents):
+            named = (event.colour,)
+        else:
+            named = (event.source, event.target)
+        for colour in named:
+            if not 0 <= colour < colours:
+                raise ValueError(
+                    f"invalid --schedule entry {raw!r}: colour {colour} "
+                    f"does not exist at time {time_step} "
+                    f"({colours} colours)"
+                )
 
 
 def _schedule_count(text: str) -> int:
@@ -128,6 +155,13 @@ def _schedule_count(text: str) -> int:
     if count < 0:
         raise ValueError("COUNT must be non-negative")
     return count
+
+
+def _schedule_weight(text: str) -> float:
+    weight = float(text)
+    if not math.isfinite(weight) or weight < MIN_WEIGHT:
+        raise ValueError(f"WEIGHT must be finite and >= {MIN_WEIGHT}")
+    return weight
 
 
 def _schedule_shade(parts: list[str], base: int) -> bool:
@@ -344,14 +378,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    weights = _parse_weights(args.weights)
-    error = _population_error(args.n, args.rounds, weights)
-    if error is None and args.replications < 1:
-        error = "--replications must be >= 1"
-    if error is not None:
+    try:
+        weights = _parse_weights(args.weights)
+        _check_population(args.n, args.rounds, weights)
+        if args.replications < 1:
+            raise ValueError("--replications must be >= 1")
+        schedule = _parse_schedule(args.schedule, weights)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    schedule = _parse_schedule(args.schedule)
     steps = args.rounds * args.n
     if args.replications > 1:
         return _demo_replicated(args, weights, steps, schedule)
@@ -461,9 +496,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
     from .experiments.phases import potential_series
     from .experiments.report import format_series
 
-    weights = _parse_weights(args.weights)
-    error = _population_error(args.n, args.rounds, weights)
-    if error is not None:
+    try:
+        weights = _parse_weights(args.weights)
+        _check_population(args.n, args.rounds, weights)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     steps = args.rounds * args.n

@@ -35,14 +35,9 @@ from .array_engine import (
 from .batched import BatchedAggregateSimulation
 from .hetero import HeterogeneousAggregateBatch
 from .multishade import MultiShadeAggregate
-from .observers import (
-    ConvergenceDetector,
-    MinCountTracker,
-    Observer,
-    OccupancyTracker,
-)
+from .observers import MinCountTracker, Observer, OccupancyTracker
 from .population import Population
-from .rng import make_rng, seed_stream, spawn
+from .rng import make_rng, spawn
 from .scheduler import RoundRobinScheduler, Scheduler, UniformScheduler
 from .simulator import Simulation
 from .streams import RowStreams, geometric_from_uniform
@@ -62,13 +57,11 @@ __all__ = [
     "Observer",
     "OccupancyTracker",
     "MinCountTracker",
-    "ConvergenceDetector",
     "Scheduler",
     "UniformScheduler",
     "RoundRobinScheduler",
     "make_rng",
     "spawn",
-    "seed_stream",
     "checkpoint",
     "RowStreams",
     "geometric_from_uniform",

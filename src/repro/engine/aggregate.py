@@ -108,7 +108,6 @@ class AggregateSimulation:
         self.rng = make_rng(rng)
         self.time = 0
         self._pending: int | None = None
-        self._taps: list = []
         if self.n < 2:
             raise ValueError("need at least two agents")
 
@@ -245,8 +244,6 @@ class AggregateSimulation:
             self.time = self._pending
             self._pending = None
             self._apply_active_event(adopt, lighten, lighten_terms)
-            self._notify_taps()
-        self._sync_taps()
         return self
 
     def run_until(
@@ -343,45 +340,6 @@ class AggregateSimulation:
         self._dark[source] = 0
         self._light[source] = 0
         self._pending = None  # rates changed: redraw the next arrival
-
-    # ------------------------------------------------------------------
-    # Streaming analysis taps
-
-    def attach_stream(self, accumulator) -> None:
-        """Feed a streaming accumulator from inside the event loop.
-
-        The accumulator is reset to the current configuration and then
-        updated after every applied event and at each horizon, so it
-        integrates the trajectory exactly while the engine holds no
-        history.
-        """
-        accumulator.reset(
-            np.asarray([self.time], dtype=INT64),
-            self.dark_counts()[None, :].astype(FLOAT64),
-            self.light_counts()[None, :].astype(FLOAT64),
-        )
-        self._taps.append(accumulator)
-
-    def detach_streams(self) -> None:
-        """Drop all attached streaming accumulators."""
-        self._taps.clear()
-
-    def _notify_taps(self) -> None:
-        if not self._taps:
-            return
-        rows = np.zeros(1, dtype=INT64)
-        times = np.asarray([self.time], dtype=INT64)
-        dark = self.dark_counts()[None, :].astype(FLOAT64)
-        light = self.light_counts()[None, :].astype(FLOAT64)
-        for tap in self._taps:
-            tap.update(rows, times, dark, light)
-
-    def _sync_taps(self) -> None:
-        if not self._taps:
-            return
-        times = np.asarray([self.time], dtype=INT64)
-        for tap in self._taps:
-            tap.sync(times)
 
     # ------------------------------------------------------------------
     # State view

@@ -1,13 +1,12 @@
-"""Array-API backend seam for the vectorised engine and analysis layers.
+"""Array-API backend seam for the vectorised engine layer.
 
-Every module under :mod:`repro.engine` (and
-:mod:`repro.analysis.streaming`) obtains its array namespace, dtypes and
-host/device boundary converters from here instead of importing ``numpy``
-directly.  This file is the *only* sanctioned ``import numpy`` site of
-those layers — a rule enforced by ``tests/unit/test_backend_seam.py`` —
-so lifting the ``(R, n)`` / ``(B, k_max)`` layouts onto another array
-backend is a matter of resolving a different :class:`Backend`, not of
-editing kernels.
+Every module under :mod:`repro.engine` obtains its array namespace,
+dtypes and host/device boundary converters from here instead of
+importing ``numpy`` directly.  This file is the *only* sanctioned
+``import numpy`` site of that layer — a rule enforced by
+``tests/unit/test_backend_seam.py`` — so lifting the ``(R, n)`` /
+``(B, k_max)`` layouts onto another array backend is a matter of
+resolving a different :class:`Backend`, not of editing kernels.
 
 Three backends are known:
 
@@ -36,7 +35,7 @@ Selection order: an explicit ``backend=`` argument on an engine wins,
 then the ``REPRO_BACKEND`` environment variable, then ``numpy``.
 
 Randomness deliberately stays on the host: :mod:`repro.engine.rng`
-seed streams and ``spawn_sequences`` remain the single source of
+(``make_rng``, ``spawn_sequences``) remains the single source of
 seeding truth, so a trajectory is reproducible from one integer seed on
 *every* backend.  Device backends receive CPU-drawn blocks via
 :meth:`Backend.uniform_block` / :meth:`Backend.integer_block`.
@@ -66,7 +65,7 @@ PCG64 = np.random.PCG64
 default_rng = np.random.default_rng
 
 #: Host dtype constants for host-only modules (snapshot views,
-#: PCG64 state words, scalar-engine tap buffers).  Device-aware code
+#: PCG64 state words, scalar-engine count vectors).  Device-aware code
 #: should prefer ``backend.dtypes`` so the dtype objects match ``xp``.
 INT64 = np.int64
 FLOAT64 = np.float64

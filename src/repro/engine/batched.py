@@ -9,8 +9,8 @@ interpreter overhead R times over.
 through the single event loop of
 :class:`~repro.engine.hetero.HeterogeneousAggregateBatch`, whose rows
 here all carry the same weight table, lightening coins and population
-size.  Stepping (per-step and event-driven), interventions, streaming
-taps and ``snapshot()`` are inherited; built from the same seed, the
+size.  Stepping (per-step and event-driven), interventions and
+``snapshot()`` are inherited; built from the same seed, the
 two engines produce the same trajectory bit for bit
 (``tests/property/test_hetero_invariants.py``).
 

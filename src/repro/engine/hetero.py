@@ -163,7 +163,6 @@ class HeterogeneousAggregateBatch:
         # docstring's split-invariance paragraph.
         self._streams = RowStreams.from_generator(self.rng, rows)
         self._pending = xp.full(rows, -1, dtype=INT64)
-        self._taps: list = []
 
     def _per_row(self, steps, name: str = "steps"):
         """Broadcast a scalar or per-row step count to ``(B,)``."""
@@ -315,10 +314,8 @@ class HeterogeneousAggregateBatch:
             self._streams,
             self._pending,
             self.k_max,
-            tap=self._tap_update if self._taps else None,
             backend=self._backend,
         )
-        self._sync_taps()
         return self
 
     # ------------------------------------------------------------------
@@ -416,42 +413,6 @@ class HeterogeneousAggregateBatch:
         pad = xp.zeros((rows, 1), dtype=FLOAT64)
         self._weights = xp.concatenate([self._weights, pad], axis=1)
         self._lighten = xp.concatenate([self._lighten, pad.copy()], axis=1)
-
-    # ------------------------------------------------------------------
-    # Streaming analysis taps
-
-    def attach_stream(self, accumulator) -> None:
-        """Feed a streaming accumulator from inside the event loop.
-
-        The accumulator is reset to the current padded ``(B, k_max)``
-        configuration and then updated after every applied event (per
-        affected rows) and synchronised at each horizon; padding columns
-        carry zero mass, so they contribute nothing to any potential.
-        """
-        accumulator.reset(
-            self._times.copy(),
-            self._dark.astype(FLOAT64),
-            self._light.astype(FLOAT64),
-        )
-        self._taps.append(accumulator)
-
-    def detach_streams(self) -> None:
-        """Drop all attached streaming accumulators."""
-        self._taps.clear()
-
-    def _tap_update(self, rows) -> None:
-        times = self._times[rows]
-        dark = self._dark[rows].astype(FLOAT64)
-        light = self._light[rows].astype(FLOAT64)
-        for tap in self._taps:
-            tap.update(rows, times, dark, light)
-
-    def _sync_taps(self) -> None:
-        if not self._taps:
-            return
-        times = self._times.copy()
-        for tap in self._taps:
-            tap.sync(times)
 
     # ------------------------------------------------------------------
     # State view
@@ -608,7 +569,6 @@ def advance_event_driven(
     streams: RowStreams,
     pending,
     k: int,
-    tap=None,
     backend: Backend = HOST,
 ) -> None:
     """Event-driven core of the row-batched engine: advance each row to
@@ -656,11 +616,12 @@ def advance_event_driven(
     their counts and cursors back and compacts once with ``compress``,
     which keeps every block C-contiguous (the row adds run on
     contiguous rows and the flat view stays a view), instead of
-    gathering by ``act`` on every iteration.  The rows still active are
-    written back in a ``finally`` (so an exception leaves the counts
-    consistent with ``times`` and ``pending``) and before every ``tap``
-    call, since taps read the engine arrays; their cursors also go back
-    before the first iteration's ``take`` on the same streams.
+    gathering by ``act`` on every iteration.  Counts, clocks and
+    cursors go back to the engine only when rows retire and, for the
+    rows still active, in a ``finally`` (so an exception leaves the
+    counts consistent with ``times`` and ``pending``); the cursors
+    alone also go back before the first iteration's ``take`` on the
+    same streams.
 
     Bit identity.  Trajectories are fixed functions of the seed
     (``tests/unit/test_event_loop_digest.py`` pins them), which
@@ -693,11 +654,6 @@ def advance_event_driven(
     as they are, the counts stay whole numbers far below 2**53, and the
     ±1 scatter changes one source and one distinct destination element
     per column, so no index repeats within it.
-
-    ``tap(rows)`` — if given — is called after each batch of applied
-    events with the absolute indices of the rows that just changed
-    (their clocks already advanced), letting engines feed streaming
-    accumulators from inside the loop.
 
     ``backend`` supplies the array namespace the loop computes in and
     the host converters for the stream boundary (``streams`` draws on
@@ -807,9 +763,6 @@ def advance_event_driven(
             move = r.moves.take(cls, axis=1)
             move += r.col
             r.flat[move] += r.step
-            if tap is not None:
-                r.store(times, dark, light)
-                tap(r.act)
             if landing:
                 rows = r.retire(~reach, times, dark, light)
     finally:

@@ -9,7 +9,6 @@ Snapshot-style recording at fixed intervals is handled separately by
 from __future__ import annotations
 
 from ..core.state import AgentState
-from ..core.weights import WeightTable
 from .backend import FLOAT64, HOST, INT64
 
 np = HOST.xp  # host namespace: observers instrument the scalar engine
@@ -154,30 +153,3 @@ class MinCountTracker(Observer):
             )
         np.minimum(self.min_colour_counts, counts, out=self.min_colour_counts)
         np.minimum(self.min_dark_counts, darks, out=self.min_dark_counts)
-
-
-class ConvergenceDetector(Observer):
-    """Records the first time the diversity error drops below a bound.
-
-    The error is recomputed only on state changes, which is exact: the
-    error is constant between changes.
-    """
-
-    def __init__(self, weights: WeightTable, bound: float):
-        self.weights = weights
-        self.bound = bound
-        self.hit_time: int | None = None
-
-    def on_start(self, simulation) -> None:
-        self._check(simulation)
-
-    def on_change(self, simulation, agent, old, new) -> None:
-        if self.hit_time is None:
-            self._check(simulation)
-
-    def _check(self, simulation) -> None:
-        counts = simulation.population.colour_counts()
-        shares = counts / counts.sum()
-        error = float(np.abs(shares - self.weights.fair_shares()).max())
-        if error <= self.bound:
-            self.hit_time = simulation.time

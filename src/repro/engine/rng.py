@@ -13,9 +13,7 @@ same on every backend.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
-from .backend import UINT64, Generator, SeedSequence, default_rng
+from .backend import Generator, SeedSequence, default_rng
 
 
 def make_rng(seed: int | Generator | None = None) -> Generator:
@@ -58,12 +56,3 @@ def spawn_sequences(
     else:
         sequence = SeedSequence(seed)
     return sequence.spawn(count)
-
-
-def seed_stream(base_seed: int) -> Iterator[int]:
-    """Infinite deterministic stream of distinct 63-bit seeds."""
-    sequence = SeedSequence(base_seed)
-    while True:
-        (child,) = sequence.spawn(1)
-        yield int(child.generate_state(1, dtype=UINT64)[0] >> 1)
-        sequence = child

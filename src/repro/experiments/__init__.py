@@ -25,8 +25,6 @@ from .export import (
     load_plan,
     plan_table,
     plan_to_json,
-    record_to_csv,
-    record_to_json,
     save_plan,
     save_table,
     table_to_csv,
@@ -36,7 +34,6 @@ from .replication import (
     Summary,
     is_aggregate_compatible,
     replicate,
-    replicate_and_summarise,
     replicate_colour_counts,
     summarise,
 )
@@ -309,11 +306,8 @@ __all__ = [
     "plan_to_json",
     "plan_table",
     "load_plan",
-    "record_to_csv",
-    "record_to_json",
     "replicate",
     "summarise",
-    "replicate_and_summarise",
     "replicate_colour_counts",
     "is_aggregate_compatible",
     "Summary",

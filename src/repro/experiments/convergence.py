@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.properties import diversity_bound, fair_share_deviation
+from ..core.properties import diversity_bound
 from ..core.weights import WeightTable
 from ..engine.aggregate import AggregateSimulation
 from ..analysis.statistics import fit_n_log_n, fit_power_law
@@ -258,26 +258,3 @@ def experiment_diversity_error(
             ns, weight_vector, seeds=seeds, base_seed=base_seed
         )
     ).table()
-
-
-def window_deviation_profile(
-    weights: WeightTable,
-    n: int,
-    *,
-    seed: int | np.random.Generator | None = None,
-    window_samples: int = 64,
-    settle_factor: float = 6.0,
-) -> np.ndarray:
-    """Per-colour deviation profile across a stabilised window, shape
-    ``(window_samples, k)`` — raw material for custom reporting."""
-    weights = weights.copy()
-    engine = AggregateSimulation(
-        weights, dark_counts=worst_case_counts(n, weights.k), rng=seed
-    )
-    w = weights.total
-    engine.run(int(settle_factor * w * w * n * np.log(n)))
-    rows = []
-    for _ in range(window_samples):
-        engine.run(n)
-        rows.append(engine.colour_counts())
-    return fair_share_deviation(np.asarray(rows), weights)

@@ -1,9 +1,7 @@
-"""Export of experiment tables, run records and executed plans to
-CSV / JSON.
+"""Export of experiment tables and executed plans to CSV / JSON.
 
 Downstream users typically want the raw rows for their own plotting
-pipelines; these helpers serialise :class:`ExperimentTable`,
-:class:`~repro.experiments.runner.RunRecord` and
+pipelines; these helpers serialise :class:`ExperimentTable` and
 :class:`~repro.experiments.pipeline.PlanResult` without any
 third-party dependency.  Executed plans persist as self-describing
 JSON artifacts (spec + per-shard results + timings + the rendered
@@ -21,7 +19,6 @@ import pathlib
 import numpy as np
 
 from .pipeline import PlanResult
-from .runner import RunRecord
 from .table import ExperimentTable
 
 PLAN_FORMAT = "repro-plan/v1"
@@ -252,42 +249,3 @@ def plan_table(payload: dict) -> ExperimentTable:
         rows=[list(row) for row in stored["rows"]],
         notes=list(stored["notes"]),
     )
-
-
-def record_to_csv(record: RunRecord) -> str:
-    """Serialise a run record's time series as CSV.
-
-    Columns: ``time, C_0..C_{k-1}, A_0..A_{k-1}, a_0..a_{k-1}``.
-    """
-    k = record.colour_counts.shape[1]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["time"]
-        + [f"C_{i}" for i in range(k)]
-        + [f"A_{i}" for i in range(k)]
-        + [f"a_{i}" for i in range(k)]
-    )
-    for index, time in enumerate(record.times):
-        writer.writerow(
-            [int(time)]
-            + [int(v) for v in record.colour_counts[index]]
-            + [int(v) for v in record.dark_counts[index]]
-            + [int(v) for v in record.light_counts[index]]
-        )
-    return buffer.getvalue()
-
-
-def record_to_json(record: RunRecord) -> str:
-    """Serialise a run record (metadata + series) as JSON."""
-    payload = {
-        "n": record.n,
-        "k": record.weights.k,
-        "weights": list(record.weights),
-        "steps": record.steps,
-        "times": [int(t) for t in record.times],
-        "colour_counts": record.colour_counts.tolist(),
-        "dark_counts": record.dark_counts.tolist(),
-        "light_counts": record.light_counts.tolist(),
-    }
-    return json.dumps(payload)

@@ -277,17 +277,3 @@ def replicate_colour_counts(
         )
         finals.append(record.final_colour_counts)
     return _pad_stack(finals)
-
-
-def replicate_and_summarise(
-    measurement: Callable[[np.random.Generator], float],
-    repetitions: int,
-    *,
-    base_seed: int | np.random.Generator | None = 0,
-    confidence: float = 0.95,
-) -> Summary:
-    """Convenience: :func:`replicate` then :func:`summarise`."""
-    return summarise(
-        replicate(measurement, repetitions, base_seed=base_seed),
-        confidence=confidence,
-    )

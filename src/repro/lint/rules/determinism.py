@@ -35,7 +35,7 @@ import ast
 
 from ..findings import Finding
 from ..registry import rule
-from ..walker import SourceModule, dotted_name
+from ..walker import SourceModule
 
 #: Explicit-state constructors reachable via ``np.random.`` that RL201
 #: must NOT flag (RL204 owns their seeding discipline).

@@ -88,10 +88,7 @@ GATE_FUNCTION = "require_engine_loops"
 def in_kernel_scope(relpath: str) -> bool:
     if relpath == "engine/backend.py":
         return False
-    return (
-        relpath.startswith("engine/")
-        or relpath == "analysis/streaming.py"
-    )
+    return relpath.startswith("engine/")
 
 
 @rule

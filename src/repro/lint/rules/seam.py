@@ -1,15 +1,14 @@
 """RL1 — backend-seam rules.
 
-``src/repro/engine/`` and ``src/repro/analysis/streaming.py`` obtain
-their array namespace and dtypes from :mod:`repro.engine.backend`, the
-one sanctioned ``import numpy`` site of those layers.  These AST rules
-supersede the regex grep that used to live in
-``tests/unit/test_backend_seam.py`` and close its gaps: aliased
-imports (``import numpy as _np``), parenthesised multi-line
-``from numpy import (...)`` and dynamic ``__import__("numpy")`` /
-``importlib.import_module("numpy")`` forms are all statements or
-expressions the AST sees directly, where a line-oriented regex saw
-nothing.
+Modules under ``src/repro/engine/`` obtain their array namespace and
+dtypes from :mod:`repro.engine.backend`, the one sanctioned ``import
+numpy`` site of that layer.  These AST rules supersede the regex grep
+that used to live in ``tests/unit/test_backend_seam.py`` and close its
+gaps: aliased imports (``import numpy as _np``), parenthesised
+multi-line ``from numpy import (...)`` and dynamic
+``__import__("numpy")`` / ``importlib.import_module("numpy")`` forms
+are all statements or expressions the AST sees directly, where a
+line-oriented regex saw nothing.
 
 Allowed by design (exactly as before): host aliases like
 ``np = HOST.xp`` and ``np.random`` *attribute access* — RL1 targets
@@ -38,10 +37,7 @@ def in_seam_scope(relpath: str) -> bool:
     """Whether RL1 applies to this (root-relative) module path."""
     if relpath == SANCTIONED:
         return False
-    return (
-        relpath.startswith("engine/")
-        or relpath == "analysis/streaming.py"
-    )
+    return relpath.startswith("engine/")
 
 
 def _is_numpy(module_name: str | None) -> bool:

@@ -2,7 +2,7 @@
 
 A :class:`SourceModule` bundles one parsed file with the pieces every
 rule needs: the AST, the package-relative posix path (rules scope on
-it — ``engine/batched.py``, ``analysis/streaming.py``, ...), the
+it — ``engine/batched.py``, ``experiments/cache.py``, ...), the
 waiver table, and import-alias maps for resolving dotted call targets
 (``_time.perf_counter`` -> ``time.perf_counter``).
 

@@ -6,7 +6,6 @@ from .graphs import (
     AdjacencyTopology,
     CycleGraph,
     TorusGrid,
-    erdos_renyi,
     random_regular,
     stochastic_block_model,
 )
@@ -18,6 +17,5 @@ __all__ = [
     "CycleGraph",
     "TorusGrid",
     "random_regular",
-    "erdos_renyi",
     "stochastic_block_model",
 ]

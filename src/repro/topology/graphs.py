@@ -163,22 +163,3 @@ def stochastic_block_model(
     raise RuntimeError(
         "could not sample a connected SBM; increase p_in/p_out"
     )
-
-
-def erdos_renyi(
-    n: int, p: float, seed: int | np.random.Generator | None = None
-) -> AdjacencyTopology:
-    """Connected Erdős–Rényi ``G(n, p)`` sample (resampled until
-    connected; choose ``p`` comfortably above ``ln(n)/n``)."""
-    import networkx as nx
-
-    rng = make_rng(seed)
-    for _ in range(64):
-        graph = nx.gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))
-        if graph.number_of_nodes() and nx.is_connected(graph):
-            topo = AdjacencyTopology.from_networkx(graph)
-            topo.name = f"erdos-renyi-{p}"
-            return topo
-    raise RuntimeError(
-        f"could not sample a connected G({n}, {p}); increase p"
-    )

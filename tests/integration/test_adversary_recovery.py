@@ -1,7 +1,6 @@
 """Integration tests: adversarial robustness (Sec 1 claims)."""
 
 import numpy as np
-import pytest
 
 from repro.adversary import (
     AddAgents,

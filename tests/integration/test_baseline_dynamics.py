@@ -1,6 +1,5 @@
 """Integration tests: qualitative behaviour of the baseline dynamics."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (

@@ -19,7 +19,6 @@ from repro.experiments.pipeline import (
     ScenarioSpec,
     ShardError,
     execute,
-    plan,
 )
 
 

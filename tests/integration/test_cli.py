@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.core.weights import WeightTable
 
 
 def test_cli_import_leaves_heavy_dependencies_unloaded():
@@ -265,8 +266,12 @@ class TestCommands:
         assert "fair share" in out
 
     def test_demo_invalid_weights(self):
-        with pytest.raises(SystemExit):
-            main(["demo", "--weights", "0.2,zzz"])
+        """A bad ``--weights`` is a ``ValueError``, which ``demo`` and
+        ``series`` report as a usage error (exit 2, below)."""
+        from repro.cli import _parse_weights
+
+        with pytest.raises(ValueError, match="invalid --weights '0.2,zzz'"):
+            _parse_weights("0.2,zzz")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -280,6 +285,26 @@ class TestCommands:
              "--rounds must be >= 0"),
             (["demo", "--n", "50", "--rounds", "5", "--replications", "0"],
              "--replications must be >= 1"),
+            (["demo", "--weights", "0.2,zzz"], "invalid --weights '0.2,zzz'"),
+            (["series", "--weights", "0.2,zzz"],
+             "invalid --weights '0.2,zzz'"),
+            (["demo", "--schedule", "x:agents"],
+             "invalid --schedule entry 'x:agents'"),
+            (["demo", "--schedule", "50:recolour:1"],
+             "invalid --schedule entry '50:recolour:1'"),
+            (["demo", "--schedule", "5:colour:nan:1"],
+             "invalid --schedule entry '5:colour:nan:1'"),
+            (["demo", "--schedule", "5:colour:0.5:1"],
+             "invalid --schedule entry '5:colour:0.5:1'"),
+            (["demo", "--schedule", "5:agents:7:1"],
+             "invalid --schedule entry '5:agents:7:1'"),
+            (["demo", "--schedule", "5:agents:-1:1"],
+             "invalid --schedule entry '5:agents:-1:1'"),
+            (["demo", "--schedule", "5:recolour:0:3"],
+             "invalid --schedule entry '5:recolour:0:3'"),
+            (["demo", "--replications", "4",
+              "--schedule", "10:colour:2:1,5:agents:3:1"],
+             "invalid --schedule entry '5:agents:3:1'"),
         ],
     )
     def test_demo_and_series_reject_bad_input(self, capsys, argv, message):
@@ -379,13 +404,49 @@ class TestDemoSchedule:
 
     @pytest.mark.parametrize(
         "spec",
-        ["100:bogus:1:2", "x:agents:0:5", "100:agents:0", "50:recolour:1"],
+        ["100:bogus:1:2", "x:agents:0:5", "100:agents:0", "50:recolour:1",
+         "5:colour:nan:1", "5:colour:inf:1", "5:colour:0.5:1"],
     )
     def test_parse_schedule_rejects_bad_entries(self, spec):
         from repro.cli import _parse_schedule
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="invalid --schedule entry"):
             _parse_schedule(spec)
+
+    def test_parse_schedule_accepts_colours_added_earlier(self):
+        """A colour a ``colour`` entry adds may be named by any later
+        entry, whatever order the entries are written in."""
+        from repro.cli import _parse_schedule
+
+        schedule = _parse_schedule(
+            "20:recolour:3:0,10:agents:3:1,5:colour:2:1",
+            WeightTable([1.0, 2.0, 3.0]),
+        )
+        assert [t for t, _ in schedule.entries()] == [5, 10, 20]
+
+    @pytest.mark.parametrize(
+        "spec, culprit",
+        [
+            ("5:agents:3:1", "5:agents:3:1"),
+            ("5:recolour:3:0", "5:recolour:3:0"),
+            ("10:colour:2:1,5:agents:3:1", "5:agents:3:1"),
+            # Same time: entries fire in the order given.
+            ("5:agents:3:1,5:colour:2:1", "5:agents:3:1"),
+        ],
+    )
+    def test_parse_schedule_rejects_colours_not_yet_added(
+        self, spec, culprit
+    ):
+        from repro.cli import _parse_schedule
+
+        weights = WeightTable([1.0, 2.0, 3.0])
+        _parse_schedule(spec)  # well-formed without the colour check
+        with pytest.raises(
+            ValueError,
+            match=f"invalid --schedule entry '{culprit}': colour 3 does "
+            "not exist at time 5",
+        ):
+            _parse_schedule(spec, weights)
 
     def test_demo_single_with_schedule_widens_table(self, capsys):
         code = main(

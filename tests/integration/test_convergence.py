@@ -1,7 +1,6 @@
 """Integration tests: end-to-end convergence behaviour (Thms 1.3, 2.13)."""
 
 import numpy as np
-import pytest
 
 from repro.core.properties import (
     diversity_bound,

@@ -1,8 +1,6 @@
 """Integration smoke tests: every experiment in the suite runs with
 small parameters and produces a sane table."""
 
-import pytest
-
 from repro.experiments import (
     experiment_ablations,
     experiment_adversary,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.markov import theoretical_stationary
 from repro.core.diversification import Diversification
-from repro.core.properties import fairness_error, is_fair
+from repro.core.properties import is_fair
 from repro.core.weights import WeightTable
 from repro.engine.observers import OccupancyTracker
 from repro.engine.population import Population

@@ -222,6 +222,41 @@ class TestFusedPhaseMeasurements:
         assert fvalue["phi"][-1] < 0.01 * fvalue["phi"][0]
         assert svalue["phi"][-1] < 0.01 * svalue["phi"][0]
 
+    def test_e3_mixed_widths_use_each_rows_own_colours(self):
+        """Fused rows of different ``k`` share one zero-padded engine;
+        each row's potentials must read only its own colours, so every
+        row starts at the serial path's value for its own table."""
+        import dataclasses
+
+        from repro.analysis.potentials import phi
+        from repro.experiments.phases import spec_potentials
+        from repro.experiments.workloads import worst_case_counts
+
+        n = 60
+        vectors = [(1.0, 2.0), (1.0, 2.0, 3.0), (2.0,)]
+        spec = dataclasses.replace(
+            spec_potentials(n=n, settle_factor=0.5),
+            grid={"vector": vectors},
+            fixed={"n": n, "settle_factor": 0.5},
+            seed_scope="cell",
+        )
+        from repro.experiments.fusion import fuse
+
+        assert fuse(plan(spec)).fused_shards == len(vectors)
+        fused = execute(spec, fused=True).values()
+        serial = execute(spec).values()
+        for vector, fvalue, svalue in zip(vectors, fused, serial):
+            weights = WeightTable(vector)
+            start = worst_case_counts(n, weights.k)
+            assert fvalue["phi"][0] == pytest.approx(phi(start, weights))
+            assert fvalue["psi"][0] == 0.0
+            assert fvalue["sigma_sq"][0] == pytest.approx(
+                (n / weights.total) ** 2
+            )
+            assert fvalue["times"] == svalue["times"]
+            for key in ("phi", "psi", "sigma_sq"):
+                assert fvalue[key][0] == svalue[key][0], key
+
     def test_e4_window_means_near_targets(self):
         from repro.core.properties import (
             equilibrium_dark_counts,

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.weights import WeightTable
-from repro.engine.aggregate import AggregateSimulation, _pick_weighted
+from repro.engine.aggregate import (
+    AggregateSimulation,
+    _pick_weighted,
+    resolve_lighten_probabilities,
+)
+from repro.engine.batched import BatchedAggregateSimulation
 from repro.engine.rng import make_rng
 
 
@@ -48,6 +53,43 @@ class TestConstruction:
         engine = build(dark=(3, 4, 5), light=(1, 1, 1))
         assert engine.n == 15
         np.testing.assert_array_equal(engine.colour_counts(), [4, 5, 6])
+
+
+class TestResolveLightenProbabilities:
+    """The one validation of the lightening coins, shared by the scalar
+    and the replicated engine."""
+
+    def test_override_keeps_the_closed_interval(self):
+        """0 and 1 are legal coins (the A2 ablation uses 1); integers
+        come back as floats."""
+        weights = WeightTable([1.0, 2.0, 3.0])
+        resolved = resolve_lighten_probabilities(weights, [1, 0, 0.5])
+        assert resolved == [1.0, 0.0, 0.5]
+        assert all(isinstance(p, float) for p in resolved)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ([1.0, 1.0], "length k"),
+            ([1.0, -0.1, 0.5], r"in \[0, 1\]"),
+            ([1.0, 1.5, 0.5], r"in \[0, 1\]"),
+        ],
+        ids=["short", "negative", "above-one"],
+    )
+    def test_engines_reject_a_bad_override(self, engine, override, message):
+        weights = WeightTable([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=message):
+            if engine == "scalar":
+                AggregateSimulation(
+                    weights, dark_counts=[5, 5, 5], rng=0,
+                    lighten_probabilities=override,
+                )
+            else:
+                BatchedAggregateSimulation(
+                    weights, [5, 5, 5], replications=2, rng=0,
+                    lighten_probabilities=override,
+                )
 
 
 class TestPerStep:

@@ -171,18 +171,6 @@ class TestEngineLoopGate:
                 [weights], [[5, 5]], backend=gated
             )
 
-    def test_streaming_accumulators_reject_gated_backend(self):
-        from repro.analysis.streaming import (
-            RunningMoments,
-            StreamingPotentials,
-        )
-
-        gated = self._kernel_only_backend()
-        with pytest.raises(ValueError, match="streaming accumulators"):
-            StreamingPotentials(np.ones(2), backend=gated)
-        with pytest.raises(ValueError, match="streaming accumulators"):
-            RunningMoments(3, backend=gated)
-
 
 class TestEngineBackendPlumbing:
     def test_engines_expose_resolved_backend(self):

@@ -1,13 +1,13 @@
 """Static guard for the backend seam — now delegated to ``repro.lint``.
 
-``src/repro/engine/`` and ``src/repro/analysis/streaming.py`` must
-obtain their array namespace and dtypes from ``repro.engine.backend``
-— the *only* sanctioned ``import numpy`` site in those layers.  The
-detection used to live here as line-oriented regexes; it is now the
-AST-based RL1 rule family (:mod:`repro.lint.rules.seam`), which also
-catches the forms the regexes missed — aliased imports
-(``import numpy as _np``), parenthesised multi-line
-``from numpy import (...)`` and dynamic ``__import__("numpy")``.
+Modules under ``src/repro/engine/`` must obtain their array namespace
+and dtypes from ``repro.engine.backend`` — the *only* sanctioned
+``import numpy`` site in that layer.  The detection used to live here
+as line-oriented regexes; it is now the AST-based RL1 rule family
+(:mod:`repro.lint.rules.seam`), which also catches the forms the
+regexes missed — aliased imports (``import numpy as _np``),
+parenthesised multi-line ``from numpy import (...)`` and dynamic
+``__import__("numpy")``.
 This test keeps the pytest gate (the seam cannot erode even where CI
 skips the dedicated lint job) and guards the guard: the scope must be
 populated, the sanctioned module must really import numpy, and the

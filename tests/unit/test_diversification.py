@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.diversification import Diversification
 from repro.core.state import DARK, LIGHT, AgentState, dark, light
-from repro.core.weights import WeightTable
 
 
 class FixedRng:

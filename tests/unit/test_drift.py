@@ -10,7 +10,6 @@ from repro.analysis.drift import (
     verify_psi_contraction,
 )
 from repro.analysis.potentials import phi, psi
-from repro.core.weights import WeightTable
 from repro.engine.aggregate import AggregateSimulation
 from repro.experiments.workloads import equilibrium_split
 

@@ -5,8 +5,7 @@ heterogeneous engine and its replicated special case, the batched
 engine, and every trajectory it produces is a fixed function of the
 seed.  Each case below runs one engine from a fixed seed through one
 path of the loop and hashes (SHA-256) the final counts, clocks,
-pending arrivals and row-stream state, plus the state of an attached
-streaming tap where there is one.
+pending arrivals and row-stream state.
 
 The constants were recorded from the original loop, before it was
 restructured for speed, so they pin the exact draws and the exact
@@ -22,7 +21,6 @@ import hashlib
 
 import numpy as np
 
-from repro.analysis.streaming import StreamingPotentials
 from repro.core.weights import WeightTable
 from repro.engine import BatchedAggregateSimulation, HeterogeneousAggregateBatch
 from repro.engine.backend import HOST
@@ -31,9 +29,9 @@ from repro.engine.hetero import _ActiveRows
 STREAM_FIELDS = ("pool", "pos", "state", "inc", "has_uint32", "uinteger")
 
 
-def digest(engine, *extra) -> str:
-    """SHA-256 over counts, clocks, pending arrivals, the row-stream
-    snapshot and any ``extra`` arrays, each with its dtype and shape."""
+def digest(engine) -> str:
+    """SHA-256 over counts, clocks, pending arrivals and the row-stream
+    snapshot, each array with its dtype and shape."""
     snap = engine.snapshot()
     parts = [
         engine.dark_counts(),
@@ -41,7 +39,6 @@ def digest(engine, *extra) -> str:
         engine.times(),
         snap["pending"],
         *(snap["streams"][field] for field in STREAM_FIELDS),
-        *extra,
     ]
     sha = hashlib.sha256()
     for part in parts:
@@ -49,11 +46,6 @@ def digest(engine, *extra) -> str:
         sha.update(f"{array.dtype.str}{array.shape}".encode())
         sha.update(array.tobytes())
     return sha.hexdigest()
-
-
-def tap_arrays(tap) -> list:
-    state = tap.state_dict()
-    return [state[key] for key in sorted(state)]
 
 
 def batched(**kwargs) -> BatchedAggregateSimulation:
@@ -107,16 +99,12 @@ DIGESTS = {
         "bb4a69eeecf757997e822026cb6963680a6cd6d00bb0fccf1c0aea8b420258b5",
     "batched_add_colour":
         "a6176a393c9c3ac36855ef8dfc3d5f4476dbf28129708a31095a12b78231d859",
-    "batched_tap":
-        "68c03a0980c6c4d4d3b672c8f0496cb0037c307ff71f84f981e6cd0631868faa",
     "hetero_ragged":
         "af8aa65d4684db145569863714000f322353ca4ffd0a4e055151c0004e46064b",
     "hetero_lighten_rows":
         "4f44d1f8beb92305bd75a78e58eb279aa215779775c131a98a553faa500321eb",
     "hetero_add_colour":
         "2d692246e1fc3c40dc187e218f256fe22dbb4f456cf7a9c655b62c5096ae1f7d",
-    "hetero_tap":
-        "c38e53d1817819c06ee246357d01a2c16a91b92f26c99e7abb3d40bb5ebb3636",
     "hetero_wide":
         "fe110e79269a0ab9436b8bd6b15c3254e294d9ebfac6dc4467376fe434ebd889",
 }
@@ -159,14 +147,6 @@ class TestBatchedDigests:
         assert engine.k == 4
         assert digest(engine) == DIGESTS["batched_add_colour"]
 
-    def test_streaming_tap(self):
-        engine = batched()
-        tap = StreamingPotentials(engine.weights)
-        engine.attach_stream(tap)
-        engine.run(1200)
-        engine.run(600)
-        assert digest(engine, *tap_arrays(tap)) == DIGESTS["batched_tap"]
-
 
 class TestHeteroDigests:
     def test_ragged_targets(self):
@@ -192,13 +172,6 @@ class TestHeteroDigests:
         assert engine.k_max == 5
         engine.run(np.array([500, 900, 700, 300]))
         assert digest(engine) == DIGESTS["hetero_add_colour"]
-
-    def test_streaming_tap(self):
-        engine = hetero()
-        tap = StreamingPotentials(engine.weights_matrix)
-        engine.attach_stream(tap)
-        engine.run_to(TARGETS)
-        assert digest(engine, *tap_arrays(tap)) == DIGESTS["hetero_tap"]
 
     def test_wide_batch_retiring_rows(self):
         """Hundreds of rows retiring at many different iterations, run

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.weights import WeightTable
-from repro.experiments.convergence import window_deviation_profile
 from repro.experiments.phase1 import hitting_times
 from repro.experiments.phases import potential_series
 from repro.experiments.robustness import recovery_time_after
@@ -62,17 +61,6 @@ class TestRecoveryTimeAfter:
         assert recovery_time_after(
             times, counts, skewed_weights, 15, 0.05
         ) is None
-
-
-class TestWindowDeviationProfile:
-    def test_shape_and_range(self):
-        weights = WeightTable([1.0, 2.0])
-        profile = window_deviation_profile(
-            weights, 96, seed=0, window_samples=8, settle_factor=2.0
-        )
-        assert profile.shape == (8, 2)
-        assert (profile >= 0).all()
-        assert (profile <= 1).all()
 
 
 class TestStabilisedShareError:

@@ -1,4 +1,4 @@
-"""Unit tests for the export helpers (CSV/JSON serialisation)."""
+"""Unit tests for the table export helpers (CSV/JSON serialisation)."""
 
 import csv
 import io
@@ -8,13 +8,10 @@ import numpy as np
 import pytest
 
 from repro.experiments.export import (
-    record_to_csv,
-    record_to_json,
     save_table,
     table_to_csv,
     table_to_json,
 )
-from repro.experiments.runner import run_aggregate
 from repro.experiments.table import ExperimentTable
 
 
@@ -25,13 +22,6 @@ def table():
     table.add_row(256, 0.0625, False)
     table.add_note("a note")
     return table
-
-
-@pytest.fixture
-def record(skewed_weights):
-    return run_aggregate(
-        skewed_weights, n=60, steps=3000, seed=0, record_interval=500
-    )
 
 
 class TestTableCsv:
@@ -73,23 +63,3 @@ class TestSaveTable:
     def test_unknown_format_rejected(self, table, tmp_path):
         with pytest.raises(ValueError):
             save_table(table, tmp_path, formats=("yaml",))
-
-
-class TestRecordExport:
-    def test_csv_header_and_width(self, record):
-        rows = list(csv.reader(io.StringIO(record_to_csv(record))))
-        assert rows[0] == [
-            "time", "C_0", "C_1", "C_2",
-            "A_0", "A_1", "A_2", "a_0", "a_1", "a_2",
-        ]
-        assert len(rows) == len(record.times) + 1
-        # Population conserved in every exported row.
-        for row in rows[1:]:
-            assert sum(int(v) for v in row[1:4]) == 60
-
-    def test_json_payload(self, record):
-        payload = json.loads(record_to_json(record))
-        assert payload["n"] == 60
-        assert payload["k"] == 3
-        assert payload["weights"] == [1.0, 2.0, 3.0]
-        assert len(payload["times"]) == len(payload["colour_counts"])

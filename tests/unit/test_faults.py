@@ -18,14 +18,44 @@ from repro.experiments.faults import (
     NO_RETRY,
     RetryPolicy,
     ShardOutcome,
+    fault_selection_rng,
     run_attempt,
     run_pool_shards,
     run_serial_shards,
 )
+from repro.experiments.pipeline import ScenarioSpec, plan
 
 
 def measure_sum(params, rng):
     return {"total": params["a"] + params["b"], "draw": float(rng.random())}
+
+
+class TestFaultSelectionRng:
+    def test_reproducible_from_the_base_seed_alone(self):
+        def draws(seed):
+            return fault_selection_rng(seed).random(5)
+
+        assert np.array_equal(draws(7), draws(7))
+        assert np.array_equal(draws(None), draws(None))
+        assert not np.array_equal(draws(7), draws(8))
+        assert not np.array_equal(draws(7), draws(None))
+
+    @pytest.mark.parametrize("scope", ["stream", "cell", "direct"])
+    def test_distinct_from_every_shard_stream(self, scope):
+        """Fault selection never replays a shard's own draws, so
+        injecting faults cannot perturb what a shard measures."""
+        spec = ScenarioSpec(
+            name="faults", measure=measure_sum,
+            grid={"a": [0, 1, 2]}, fixed={"b": 1},
+            replications=1 if scope == "direct" else 3,
+            base_seed=7, seed_scope=scope,
+        )
+        fault = fault_selection_rng(7).random(4)
+        shards = plan(spec).shards
+        assert len(shards) == (3 if scope == "direct" else 9)
+        for shard in shards:
+            own = np.random.default_rng(shard.seed).random(4)
+            assert not np.array_equal(own, fault)
 
 
 class TestRetryPolicy:

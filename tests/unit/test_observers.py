@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.diversification import Diversification
 from repro.core.weights import WeightTable
-from repro.engine.observers import (
-    ConvergenceDetector,
-    MinCountTracker,
-    OccupancyTracker,
-)
+from repro.engine.observers import MinCountTracker, OccupancyTracker
 from repro.engine.population import Population
 from repro.engine.simulator import Simulation
 
@@ -122,35 +118,3 @@ class TestMinCountTracker:
         simulation.population.add_agent(dark(2))
         simulation.run(100)
         assert len(tracker.min_colour_counts) == 3
-
-
-class TestConvergenceDetector:
-    def test_hits_eventually(self):
-        weights = WeightTable.uniform(2)
-        detector = ConvergenceDetector(weights, bound=0.2)
-        protocol = Diversification(weights)
-        population = Population.from_colours(
-            [0] * 19 + [1], protocol, k=2
-        )
-        simulation = Simulation(
-            protocol, population, rng=5, observers=[detector]
-        )
-        simulation.run(20_000)
-        assert detector.hit_time is not None
-        assert 0 <= detector.hit_time <= 20_000
-
-    def test_immediate_hit_at_start(self):
-        weights = WeightTable.uniform(2)
-        detector = ConvergenceDetector(weights, bound=0.5)
-        simulation = build_simulation(
-            n=10, weights=weights, observers=[detector]
-        )
-        simulation.run(1)
-        assert detector.hit_time == 0
-
-    def test_no_hit_with_impossible_bound(self):
-        weights = WeightTable.uniform(3)
-        detector = ConvergenceDetector(weights, bound=-1.0)
-        simulation = build_simulation(observers=[detector])
-        simulation.run(500)
-        assert detector.hit_time is None

@@ -7,12 +7,21 @@ from repro.core.diversification import Diversification
 from repro.core.weights import WeightTable
 from repro.experiments.recorder import CountRecorder, _pad_stack
 from repro.experiments.report import format_series, format_table, format_value
+from repro.adversary import (
+    AddAgents,
+    AddColour,
+    InterventionSchedule,
+    RecolourColour,
+)
 from repro.experiments.runner import (
+    array_schedule_supported,
+    initial_count_rows,
     initial_counts,
     run_agent,
     run_aggregate,
     run_diversification_agent,
 )
+from repro.topology import CompleteGraph, CycleGraph
 from repro.experiments.table import ExperimentTable
 
 
@@ -74,6 +83,63 @@ class TestInitialCounts:
     def test_unknown_start(self, skewed_weights):
         with pytest.raises(ValueError):
             initial_counts("bogus", 60, skewed_weights)
+
+    @pytest.mark.parametrize("start", ["worst", "uniform", "proportional"])
+    def test_rows_of_a_deterministic_start_are_identical(
+        self, skewed_weights, start
+    ):
+        rows = initial_count_rows(
+            start, 60, skewed_weights, np.random.default_rng(0), 4
+        )
+        assert rows.shape == (4, 3)
+        expected = initial_counts(start, 60, skewed_weights, rng=0)
+        assert (rows == expected).all()
+
+    def test_random_start_is_resampled_per_row(self, skewed_weights):
+        """Each replication draws its own random start, as the scalar
+        per-replication loop does, from the one generator in turn."""
+        rows = initial_count_rows(
+            "random", 60, skewed_weights, np.random.default_rng(4), 8
+        )
+        assert (rows.sum(axis=1) == 60).all()
+        assert len({tuple(row) for row in rows}) > 1
+        rng = np.random.default_rng(4)
+        looped = [
+            initial_counts("random", 60, skewed_weights, rng)
+            for _ in range(8)
+        ]
+        assert np.array_equal(rows, np.stack(looped))
+
+
+def _schedule(*interventions):
+    return InterventionSchedule(
+        (10 * (index + 1), intervention)
+        for index, intervention in enumerate(interventions)
+    )
+
+
+class TestArrayScheduleSupported:
+    """The array engine can grow the complete graph, but a CSR
+    adjacency cannot gain nodes: only recolourings run on it."""
+
+    @pytest.mark.parametrize(
+        "topology, schedule, supported",
+        [
+            (None, _schedule(AddAgents(0, 5)), True),
+            (CompleteGraph(20), _schedule(AddColour(2.0, 3)), True),
+            (CycleGraph(20), None, True),
+            (CycleGraph(20), _schedule(RecolourColour(0, 1)), True),
+            (CycleGraph(20),
+             _schedule(RecolourColour(0, 1), AddAgents(1, 2)), False),
+            (CycleGraph(20), _schedule(AddColour(2.0, 3)), False),
+        ],
+        ids=[
+            "complete-default", "complete-explicit", "cycle-no-schedule",
+            "cycle-recolour", "cycle-add-agents", "cycle-add-colour",
+        ],
+    )
+    def test_truth_table(self, topology, schedule, supported):
+        assert array_schedule_supported(schedule, topology) is supported
 
 
 class TestRunHelpers:

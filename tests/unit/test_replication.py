@@ -12,7 +12,6 @@ from repro.experiments.replication import (
     Summary,
     is_aggregate_compatible,
     replicate,
-    replicate_and_summarise,
     replicate_colour_counts,
     summarise,
 )
@@ -88,15 +87,6 @@ class TestSummarise:
     def test_as_row(self):
         summary = Summary(1.0, 0.5, 0.25, 0.5, 1.5, 4)
         assert summary.as_row() == [1.0, 0.5, 0.5, 1.5]
-
-
-class TestReplicateAndSummarise:
-    def test_end_to_end(self):
-        summary = replicate_and_summarise(
-            lambda rng: rng.normal(3.0, 0.1), 30, base_seed=6
-        )
-        assert summary.mean == pytest.approx(3.0, abs=0.1)
-        assert summary.count == 30
 
 
 class TestAggregateCompatibility:

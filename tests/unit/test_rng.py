@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.rng import make_rng, seed_stream, spawn, spawn_sequences
+from repro.engine.rng import make_rng, spawn, spawn_sequences
 
 
 class TestSpawnSequences:
@@ -69,21 +69,3 @@ class TestSpawn:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             spawn(make_rng(0), -1)
-
-
-class TestSeedStream:
-    def test_deterministic(self):
-        stream_a = seed_stream(42)
-        stream_b = seed_stream(42)
-        assert [next(stream_a) for _ in range(5)] == [
-            next(stream_b) for _ in range(5)
-        ]
-
-    def test_distinct_values(self):
-        stream = seed_stream(7)
-        values = [next(stream) for _ in range(50)]
-        assert len(set(values)) == 50
-
-    def test_values_fit_in_63_bits(self):
-        stream = seed_stream(1)
-        assert all(0 <= next(stream) < 2**63 for _ in range(20))

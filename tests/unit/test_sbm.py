@@ -1,6 +1,5 @@
 """Unit tests for the stochastic-block-model topology generator."""
 
-import numpy as np
 import pytest
 
 from repro.topology import stochastic_block_model

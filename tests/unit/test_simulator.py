@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.diversification import Diversification
-from repro.core.state import dark
 from repro.core.weights import WeightTable
 from repro.engine.observers import Observer
 from repro.engine.population import Population

@@ -14,6 +14,7 @@ from repro.analysis.statistics import (
     tv_distance,
 )
 from repro.core.weights import WeightTable
+from repro.experiments.runner import run_aggregate
 
 
 class TestTvDistance:
@@ -82,6 +83,45 @@ class TestConvergenceTime:
                 np.array([0]), np.array([[1, 2, 3]]), skewed_weights,
                 0.1, dwell_fraction=0.0,
             )
+
+
+class TestConvergenceTimeOnRecordedRuns:
+    """``convergence_time`` read off whole recorded runs: the offline
+    form of the question a live convergence watcher would answer."""
+
+    def test_hits_after_a_worst_case_start(self):
+        weights = WeightTable.uniform(2)
+        record = run_aggregate(
+            weights, 200, 200_000, start="worst", seed=5,
+            record_interval=1000,
+        )
+        hit = convergence_time(
+            record.times, record.colour_counts, weights, bound=0.2
+        )
+        # Colour 0 starts with 199 of 200 agents, far outside the band.
+        assert hit is not None
+        assert 0 < hit <= 200_000
+        assert hit in record.times
+
+    def test_immediate_hit_under_a_loose_bound(self):
+        # With two colours no share is more than 1/2 from its fair 1/2.
+        weights = WeightTable.uniform(2)
+        record = run_aggregate(
+            weights, 10, 500, start="worst", seed=1, record_interval=10
+        )
+        hit = convergence_time(
+            record.times, record.colour_counts, weights, bound=0.5
+        )
+        assert hit == 0
+
+    def test_no_hit_under_an_impossible_bound(self):
+        weights = WeightTable.uniform(3)
+        record = run_aggregate(
+            weights, 30, 500, start="uniform", seed=2, record_interval=10
+        )
+        assert convergence_time(
+            record.times, record.colour_counts, weights, bound=-1.0
+        ) is None
 
 
 class TestFits:

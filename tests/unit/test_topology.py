@@ -9,7 +9,6 @@ from repro.topology import (
     CompleteGraph,
     CycleGraph,
     TorusGrid,
-    erdos_renyi,
     random_regular,
 )
 
@@ -133,12 +132,3 @@ class TestGenerators:
         assert all(
             a.neighbours(v) == b.neighbours(v) for v in range(16)
         )
-
-    def test_erdos_renyi_connected(self):
-        topo = erdos_renyi(30, 0.3, seed=2)
-        assert topo.is_connected()
-        assert topo.n == 30
-
-    def test_erdos_renyi_impossible_p_raises(self):
-        with pytest.raises(RuntimeError):
-            erdos_renyi(40, 0.005, seed=3)
