@@ -74,7 +74,6 @@ def run_per_cell_loop(spec) -> list[np.ndarray]:
                 params["rounds"] * params["n"],
                 replications=REPLICATIONS,
                 base_seed=BASE_SEED + index,
-                batched=True,
             )
         )
     return finals

@@ -79,8 +79,15 @@ def run_with_interventions(
             index += 1
         if recorder is not None and recorder.is_due(engine.time):
             recorder.record_from(engine)
+    # Only a zero-step run leaves entries pending (the loop never ran):
+    # they are due at its start, which is also its horizon.
+    leftover = pending[index:]
+    for _, intervention in leftover:
+        intervention.apply(engine)
     # The horizon snapshot is unconditional: without it, an interval
     # that does not divide ``total_steps`` would leave the record's
     # final row up to interval-1 steps short of the requested state.
-    if recorder is not None and recorder.last_time() != engine.time:
+    if recorder is not None and (
+        leftover or recorder.last_time() != engine.time
+    ):
         recorder.record_from(engine)

@@ -8,7 +8,7 @@ Examples::
     repro run e2 e3b --profile quick --cache --cache-dir .repro-cache
     repro run --profile quick --out results
     repro demo --n 2000 --weights 1,2,3 --rounds 2000
-    repro demo --n 1000 --replications 100 --batched
+    repro demo --n 1000 --replications 100
     repro demo --n 10000 --engine array
     repro demo --n 1000 --replications 100 \\
         --schedule "500000:agents:0:500,1000000:colour:2.0:1"
@@ -264,6 +264,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.max_failures is not None and args.max_failures < 0:
         print("--max-failures must be >= 0", file=sys.stderr)
         return 2
+    # Make the output and cache directories before any shard runs, so
+    # a bad path exits here instead of after the first computed shard.
+    for flag, directory in (
+        ("--out", args.out),
+        ("--cache-dir", cache_dir if cache_enabled else None),
+    ):
+        if directory is None:
+            continue
+        try:
+            pathlib.Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            print(f"invalid {flag} {directory!r}: {error}", file=sys.stderr)
+            return 2
     shard_cache = None
     if cache_enabled:
         from .experiments.cache import ShardCache
@@ -431,14 +444,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _demo_replicated(
     args, weights: WeightTable, steps: int, schedule=None
 ) -> int:
-    """Replicated demo: R runs through the (batched) replication path."""
+    """Replicated demo: R runs of the aggregate engine share one batched
+    engine; the agent-level engines run one engine per replication."""
     if args.engine == "aggregate":
         batch = run_aggregate(
             weights, args.n, steps,
             start=args.start,
             seed=args.seed,
             replications=args.replications,
-            batched=args.batched,
             schedule=schedule,
         )
         counts = batch.final_colour_counts
@@ -452,7 +465,6 @@ def _demo_replicated(
             replications=args.replications,
             start=args.start,
             base_seed=args.seed,
-            batched=args.batched,
             engine=args.engine,
             schedule=schedule,
         )
@@ -611,11 +623,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--fused", action="store_true",
         help="mega-batch compatible shards into one vectorised engine "
-             "(heterogeneous per-row weights/n/horizons); shards "
-             "without a fused implementation fall back to the "
-             "per-shard path (honouring --jobs).  Fused results match "
-             "the per-shard path in distribution (per-cell "
-             "KS-equivalent), not bit for bit",
+             "(heterogeneous per-row weights/n/horizons); only the "
+             "aggregate family fuses (E3, E4, E17), and its results "
+             "match the per-shard path in distribution (per-cell "
+             "KS-equivalent), not bit for bit.  Shards without a fused "
+             "implementation (E9 and the rest) run on the per-shard "
+             "path (honouring --jobs), byte-identical to a plain run",
     )
     p_run.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=None,
@@ -719,20 +732,15 @@ def build_parser() -> argparse.ArgumentParser:
              "over runs",
     )
     p_demo.add_argument(
-        "--batched", action=argparse.BooleanOptionalAction, default=True,
-        help="fuse replications into the vectorised batched engine "
-             "(--no-batched loops scalar engines instead)",
-    )
-    p_demo.add_argument(
         "--engine", choices=("aggregate", "scalar", "array"),
         default="aggregate",
         help="simulation engine: 'aggregate' tracks colour counts only "
-             "(fastest; complete graph), 'array' runs the vectorised "
-             "agent-level engine (used automatically by run_agent for "
-             "kernelised protocols on complete/CSR graphs), 'scalar' "
-             "forces the per-step reference engine; every engine — "
-             "including the batched replicated paths — accepts "
-             "--schedule",
+             "(fastest; complete graph; --replications share one "
+             "batched engine), 'array' runs the vectorised agent-level "
+             "engine (used automatically by run_agent for kernelised "
+             "protocols on complete/CSR graphs), 'scalar' forces the "
+             "per-step reference engine; 'array' and 'scalar' run one "
+             "engine per replication; every engine accepts --schedule",
     )
     p_demo.add_argument(
         "--schedule", type=str, default=None, metavar="SPEC",

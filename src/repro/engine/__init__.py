@@ -4,8 +4,8 @@
   topology, any protocol, interventions, observers);
 * :class:`ArraySimulation` — vectorised agent-level engine
   (structure-of-arrays state, transition kernels over windows of
-  steps cut on effective writes, an optional batched ``(R, n)``
-  replication axis) for protocols with a registered kernel;
+  steps cut on effective writes; one run per engine) for protocols
+  with a registered kernel;
 * :class:`AggregateSimulation` — count-based engine (complete graph,
   Diversification family);
 * :class:`HeterogeneousAggregateBatch` — the row-batched count engine:

@@ -35,12 +35,6 @@ topology exposing ``neighbour_arrays()``
 (:class:`~repro.topology.graphs.AdjacencyTopology` and subclasses),
 sampled with vectorised gathers.
 
-A batched ``(R, n)`` axis advances R independent replications of the
-same instance together, mirroring
-:class:`~repro.engine.batched.BatchedAggregateSimulation`: one step is
-applied to all replications per iteration, so the Python-level loop
-count is paid once instead of R times.
-
 The engine shares the scalar engine's seeding contract: draws are
 buffered in fixed-size blocks anchored to the executed-step count, so
 ``step()`` equals ``run(1)`` and ``run(a); run(b)`` equals
@@ -49,8 +43,7 @@ buffered in fixed-size blocks anchored to the executed-step count, so
 :meth:`ArraySimulation.add_agents`, :meth:`ArraySimulation.add_colour`
 and :meth:`ArraySimulation.recolour`; population growth discards the
 draw buffer (re-anchoring the stream, exactly like the scalar engine)
-and requires the complete graph, since CSR adjacency cannot grow.  In
-batched mode an intervention applies to every replication at once.
+and requires the complete graph, since CSR adjacency cannot grow.
 
 Backends.  All array work routes through :mod:`repro.engine.backend`:
 the transition kernels restrict themselves to the array-API standard
@@ -95,8 +88,6 @@ from .rng import make_rng
 from .scheduler import Scheduler, UniformScheduler
 
 _BLOCK = 8192
-#: Target total draws (steps x replications) per batched refill.
-_BATCH_DRAWS = 65536
 #: Single-run window: the first one's length, and the least a cut one
 #: shrinks to (windows grow and shrink with the committed lengths).
 _FIRST_WINDOW = 32
@@ -117,14 +108,7 @@ _MIN_WINDOW = 16
 class _DiversificationKernel:
     """Vectorised Eq. (2): adopt when light meets dark, lighten a dark
     pair of equal colour with the per-colour coin ``1/w_i`` (or 1 for
-    the unweighted ablation).
-
-    In batched ``(R, n)`` mode the kernel optionally carries a *per-row*
-    ``(R, k)`` lighten table (:meth:`set_row_lighten`), so replications
-    with different weight tables fuse into one engine: Diversification's
-    dynamics depend on the weights only through the lightening coins, so
-    per-row coins capture per-row weight tables exactly.
-    """
+    the unweighted ablation)."""
 
     coins = 1
 
@@ -135,38 +119,22 @@ class _DiversificationKernel:
         self._unweighted = unweighted
         self._backend = backend
         self._lighten = None
-        self._row_lighten = None
-
-    def set_row_lighten(self, table) -> None:
-        """Install a per-row ``(R, k)`` lighten table (batched mode;
-        row ``r`` holds the coins of replication ``r``)."""
-        bk = self._backend
-        self._row_lighten = bk.asarray(table, dtype=bk.dtypes.float64)
 
     def refresh(self, k: int) -> None:
         bk = self._backend
         xp = bk.xp
         dt = bk.dtypes
-        if self._row_lighten is not None:
-            if self._row_lighten.shape[1] != k:
-                raise ValueError(
-                    f"per-row lighten table has {self._row_lighten.shape[1]} "
-                    f"columns but the engine has k={k}; colour addition "
-                    "is not supported with per-row tables"
-                )
-            self._lighten = self._row_lighten
+        weights = self._protocol.weights
+        if weights.k != k:
+            raise ValueError(
+                f"weight table grew to {weights.k} colours but the array "
+                f"engine was built for k={k}; colour addition needs the "
+                "scalar engines"
+            )
+        if self._unweighted:
+            self._lighten = xp.ones(k, dtype=dt.float64)
         else:
-            weights = self._protocol.weights
-            if weights.k != k:
-                raise ValueError(
-                    f"weight table grew to {weights.k} colours but the array "
-                    f"engine was built for k={k}; colour addition needs the "
-                    "scalar engines"
-                )
-            if self._unweighted:
-                self._lighten = xp.ones(k, dtype=dt.float64)
-            else:
-                self._lighten = bk.from_host(1.0 / weights.as_array())
+            self._lighten = bk.from_host(1.0 / weights.as_array())
         self._dark0 = xp.asarray(DARK, dtype=dt.int64)
         self._light0 = xp.asarray(LIGHT, dtype=dt.int64)
 
@@ -177,24 +145,11 @@ class _DiversificationKernel:
         u_dark = us > LIGHT
         v_dark = v0s > LIGHT
         adopt = ~u_dark & v_dark
-        if self._lighten.ndim == 2:
-            # Per-row table: batched calls pass one scheduled agent per
-            # replication, so position i of ``uc`` is replication i.
-            # Gather with a flat take — strict has no 2-D fancy index.
-            k = self._lighten.shape[1]
-            rows = xp.arange(
-                uc.shape[0], dtype=self._backend.dtypes.int64
-            )
-            threshold = xp.take(
-                xp.reshape(self._lighten, (-1,)), rows * k + uc
-            )
-        else:
-            threshold = xp.take(self._lighten, uc)
         lighten = (
             u_dark
             & v_dark
             & (uc == v0c)
-            & (coins[..., 0] < threshold)
+            & (coins[..., 0] < xp.take(self._lighten, uc))
         )
         new_c = xp.where(adopt, v0c, uc)
         new_s = xp.where(
@@ -478,6 +433,18 @@ def supports_topology(topology) -> bool:
     )
 
 
+def _whole_numbers(values, name: str, backend: Backend):
+    """``values`` as an int64 array; ``ValueError`` unless every entry
+    is a whole number (``1.0`` is one, ``0.5`` is not)."""
+    xp = backend.xp
+    raw = xp.asarray(values)
+    if raw.dtype.kind == "f" and not bool(
+        (xp.isfinite(raw) & (xp.floor(raw) == raw)).all()
+    ):
+        raise ValueError(f"{name} must be whole numbers")
+    return xp.asarray(raw, dtype=backend.dtypes.int64)
+
+
 # ----------------------------------------------------------------------
 
 
@@ -541,32 +508,23 @@ class ArraySimulation:
             (see :func:`has_kernel`).
         colours: Initial colours — a
             :class:`~repro.engine.population.Population` (colours and
-            shades are copied out), a flat length-``n`` sequence, or an
-            ``(R, n)`` matrix giving each replication its own start.
-        shades: Optional initial shades, same shape as ``colours``;
+            shades are copied out) or a flat length-``n`` sequence of
+            whole numbers.
+        shades: Optional initial shades, same length as ``colours``;
             defaults to each colour's ``protocol.initial_state`` shade.
         k: Number of colour slots (default: inferred from the
             protocol's weight table, else ``max(colour) + 1``).
         topology: ``None`` / complete graph, or a CSR-adjacency
             topology (see :func:`supports_topology`).
         scheduler: Activation policy (default uniform; reset at
-            construction).  Batched runs require the uniform scheduler.
-        rng: Seed or generator driving all randomness (one shared
-            stream for all replications, vectorised draws).  Draws are
-            host-resident on every backend — the seeding contract.
-        observers: Change-driven instrumentation (single-run mode
-            only).  With observers attached, kernel evaluation stays
-            vectorised but changes are applied one at a time so each
-            callback sees the exact mid-trajectory state.
-        replications: Fuse R replications into an ``(R, n)`` state
-            matrix.  ``None`` (with 1-D ``colours``) selects single-run
-            mode; 2-D ``colours`` implies batched mode.
-        lighten_rows: Optional ``(R, k)`` per-row lightening coins for
-            the Diversification kernel in batched mode, letting rows
-            with *different* weight tables share one fused engine (the
-            dynamics depend on the weights only through these coins).
-            Incompatible with colour addition (the per-row table cannot
-            grow).
+            construction).
+        rng: Seed or generator driving all randomness (vectorised
+            draws).  Draws are host-resident on every backend — the
+            seeding contract.
+        observers: Change-driven instrumentation.  With observers
+            attached, kernel evaluation stays vectorised but changes
+            are applied one at a time so each callback sees the exact
+            mid-trajectory state.
         backend: Array backend for state and kernels — a name, a
             resolved :class:`~repro.engine.backend.Backend`, or None
             (``REPRO_BACKEND`` env var, default NumPy).  The step loops
@@ -586,8 +544,6 @@ class ArraySimulation:
         scheduler: Scheduler | None = None,
         rng: int | Generator | None = None,
         observers: Iterable[Observer] = (),
-        replications: int | None = None,
-        lighten_rows=None,
         backend: str | Backend | None = None,
     ):
         self.protocol = protocol
@@ -605,31 +561,19 @@ class ArraySimulation:
             )
         if isinstance(colours, Population):
             if shades is None:
-                shades = xp.asarray(colours.shades_view(), dtype=dt.int64)
+                shades = colours.shades_view()
             if k is None:
                 k = colours.k
-            colours = xp.asarray(colours.colours_view(), dtype=dt.int64)
-        colours = xp.asarray(colours, dtype=dt.int64)
-        if colours.ndim == 1 and replications is not None:
-            if replications < 1:
-                raise ValueError("need at least one replication")
-            colours = xp.tile(colours, (replications, 1))
-        elif colours.ndim == 2:
-            if replications is not None and replications != colours.shape[0]:
-                raise ValueError(
-                    f"colours has {colours.shape[0]} rows but "
-                    f"replications={replications}"
-                )
-            replications = colours.shape[0]
-        elif colours.ndim != 1:
-            raise ValueError("colours must be 1-D (n,) or 2-D (R, n)")
-        self._batched = colours.ndim == 2
-        self._n = int(colours.shape[-1])
+            colours = colours.colours_view()
+        colours = _whole_numbers(colours, "colours", bk)
+        if colours.ndim != 1:
+            raise ValueError("colours must be a flat (n,) sequence")
+        self._n = int(colours.shape[0])
         if self._n < 2:
             raise ValueError("need at least two agents to interact")
-        if colours.size and int(colours.min()) < 0:
+        if int(colours.min()) < 0:
             raise ValueError("colours must be non-negative")
-        observed_k = int(colours.max()) + 1 if colours.size else 1
+        observed_k = int(colours.max()) + 1
         if k is None:
             weights = getattr(protocol, "weights", None)
             k = weights.k if weights is not None else observed_k
@@ -645,12 +589,10 @@ class ArraySimulation:
             )
             shades = shade_map[colours]
         else:
-            shades = xp.asarray(shades, dtype=dt.int64)
-            if self._batched and shades.ndim == 1:
-                shades = xp.tile(shades, (colours.shape[0], 1))
+            shades = _whole_numbers(shades, "shades", bk)
             if shades.shape != colours.shape:
                 raise ValueError("shades must match the shape of colours")
-            if shades.size and int(shades.min()) < 0:
+            if int(shades.min()) < 0:
                 raise ValueError("shades must be non-negative")
         self._colours = colours.copy()
         self._shades = shades.copy()
@@ -677,64 +619,26 @@ class ArraySimulation:
         self.scheduler = scheduler or UniformScheduler()
         self.scheduler.reset()
         self.observers: list[Observer] = list(observers)
-        if self._batched:
-            if self.observers:
-                raise ValueError(
-                    "observers are only supported in single-run mode"
-                )
-            if not isinstance(self.scheduler, UniformScheduler):
-                raise ValueError(
-                    "batched replications require the uniform scheduler"
-                )
-        if lighten_rows is not None:
-            if not self._batched:
-                raise ValueError(
-                    "lighten_rows requires batched (R, n) mode"
-                )
-            table = xp.asarray(lighten_rows, dtype=dt.float64)
-            expected = (self._colours.shape[0], self._k)
-            if table.shape != expected:
-                raise ValueError(
-                    f"lighten_rows must have shape {expected}, "
-                    f"got {table.shape}"
-                )
-            if bool((table < 0.0).any()) or bool((table > 1.0).any()):
-                raise ValueError(
-                    "lighten probabilities must be in [0, 1]"
-                )
-            if not hasattr(self._kernel, "set_row_lighten"):
-                raise ValueError(
-                    "per-row lighten tables are only supported by the "
-                    "Diversification kernel"
-                )
-            self._kernel.set_row_lighten(table)
         self.rng = make_rng(rng)
         self._time = 0
         self.changes = 0
         self._arity = int(protocol.arity)
         self._ncoins = int(self._kernel.coins)
-        self._batch_block = (
-            max(1, _BATCH_DRAWS // colours.shape[0])
-            if self._batched
-            else _BLOCK
-        )
-        self._buf_pos = self._batch_block  # empty; first run() refills
+        self._buf_pos = _BLOCK  # empty; first run() refills
         self._step_index = xp.arange(_BLOCK, dtype=dt.int64)
         self._reset_window()
         # Live (k,) count tables are maintained only while observers
         # need per-change snapshots; otherwise counts are recomputed on
         # demand with one bincount.
         self._live_counts: dict | None = None
-        self._population_view = (
-            None if self._batched else ArrayPopulationView(self)
-        )
+        self._population_view = ArrayPopulationView(self)
 
     # ------------------------------------------------------------------
     # Introspection
 
     @property
     def n(self) -> int:
-        """Number of agents (per replication, in batched mode)."""
+        """Number of agents."""
         return self._n
 
     @property
@@ -748,68 +652,46 @@ class ArraySimulation:
         return self._backend
 
     @property
-    def replications(self) -> int:
-        """Number of fused replications (1 in single-run mode)."""
-        return self._colours.shape[0] if self._batched else 1
-
-    @property
     def time(self) -> int:
-        """Executed time-steps (shared by all replications)."""
+        """Executed time-steps."""
         return self._time
 
     @property
     def population(self) -> ArrayPopulationView:
-        """Population facade (single-run mode only)."""
-        if self._population_view is None:
-            raise ValueError(
-                "batched runs have no single population view; use the "
-                "(R, k) count matrices"
-            )
+        """Population facade over the state arrays."""
         return self._population_view
 
     def add_observer(self, observer: Observer) -> None:
         """Attach an observer before (or between) runs."""
-        if self._batched:
-            raise ValueError(
-                "observers are only supported in single-run mode"
-            )
         self.observers.append(observer)
 
     def colour_counts(self):
-        """``C_i`` per colour — ``(k,)``, or ``(R, k)`` batched."""
+        """``C_i`` per colour, shape ``(k,)``."""
         if self._live_counts is not None:
             return self._live_counts["colour"].copy()
         return self._bincount(None)
 
     def dark_counts(self):
-        """``A_i`` (shade > 0) — ``(k,)``, or ``(R, k)`` batched."""
+        """``A_i`` (shade > 0), shape ``(k,)``."""
         if self._live_counts is not None:
             return self._live_counts["dark"].copy()
         return self._bincount(self._shades > LIGHT)
 
     def light_counts(self):
-        """``a_i`` (shade == 0) — ``(k,)``, or ``(R, k)`` batched."""
+        """``a_i`` (shade == 0), shape ``(k,)``."""
         if self._live_counts is not None:
             return self._live_counts["light"].copy()
         return self._bincount(self._shades == LIGHT)
 
     def _bincount(self, mask):
-        xp = self._backend.xp
-        k = self._k
-        if not self._batched:
-            data = self._colours if mask is None else self._colours[mask]
-            return xp.bincount(data, minlength=k)
-        rows = self._colours.shape[0]
-        keys = self._colours + (xp.arange(rows) * k)[:, None]
-        data = keys.ravel() if mask is None else keys[mask]
-        return xp.bincount(data, minlength=rows * k).reshape(rows, k)
+        data = self._colours if mask is None else self._colours[mask]
+        return self._backend.xp.bincount(data, minlength=self._k)
 
     # ------------------------------------------------------------------
     # Adversary support (between, never during, ``run`` calls)
 
     def add_agents(self, colour: int, count: int, dark: bool = True) -> None:
-        """Inject ``count`` fresh agents of an existing colour (into
-        every replication, in batched mode).
+        """Inject ``count`` fresh agents of an existing colour.
 
         Growth discards the draw buffer — partner draws are relative to
         the population size — which re-anchors the stream exactly like
@@ -830,19 +712,14 @@ class ArraySimulation:
         xp = self._backend.xp
         dt = self._backend.dtypes
         shade = DARK if dark else LIGHT
-        shape = (
-            (self.replications, count) if self._batched else (count,)
-        )
         self._colours = xp.concatenate(
-            [self._colours, xp.full(shape, colour, dtype=dt.int64)],
-            axis=-1,
+            [self._colours, xp.full(count, colour, dtype=dt.int64)]
         )
         self._shades = xp.concatenate(
-            [self._shades, xp.full(shape, shade, dtype=dt.int64)],
-            axis=-1,
+            [self._shades, xp.full(count, shade, dtype=dt.int64)]
         )
         self._n += count
-        self._buf_pos = self._batch_block  # discard stale partner draws
+        self._buf_pos = _BLOCK  # discard stale partner draws
         self._reset_window()
         if self._live_counts is not None:
             counts = self._live_counts
@@ -868,8 +745,8 @@ class ArraySimulation:
 
     def recolour(self, source: int, target: int) -> None:
         """Repaint every agent of ``source`` colour as ``target``
-        (shades kept; batch-wide in batched mode).  Indices are stable,
-        so the draw buffer stays valid."""
+        (shades kept).  Indices are stable, so the draw buffer stays
+        valid."""
         if not (0 <= source < self._k and 0 <= target < self._k):
             raise ValueError("source and target must be existing colours")
         if source == target:
@@ -909,10 +786,7 @@ class ArraySimulation:
         """
         before = self.changes
         self._prepare()
-        if self._batched:
-            self._run_batched(1)
-        else:
-            self._run_single(1)
+        self._run_single(1)
         return self.changes > before
 
     def run(self, steps: int) -> "ArraySimulation":
@@ -922,10 +796,7 @@ class ArraySimulation:
         self._prepare()
         for observer in self.observers:
             observer.on_start(self)
-        if self._batched:
-            self._run_batched(steps)
-        else:
-            self._run_single(steps)
+        self._run_single(steps)
         for observer in self.observers:
             observer.on_end(self)
         return self
@@ -940,7 +811,7 @@ class ArraySimulation:
             }
 
     # ------------------------------------------------------------------
-    # Single-run mode: windows cut on effective writes
+    # Windows cut on effective writes
 
     def _reset_window(self) -> None:
         """Size the window scratch for the current ``n``: every agent's
@@ -1089,81 +960,6 @@ class ArraySimulation:
         self._time = base + length
 
     # ------------------------------------------------------------------
-    # Batched mode: one step for all replications per iteration
-
-    def _run_batched(self, steps: int) -> None:
-        xp = self._backend.xp
-        remaining = steps
-        rows = xp.arange(self._colours.shape[0])
-        while remaining > 0:
-            if self._buf_pos >= self._batch_block:
-                self._refill_batched()
-            take = min(remaining, self._batch_block - self._buf_pos)
-            start = self._buf_pos
-            for t in range(start, start + take):
-                self._step_batched(rows, t)
-            self._buf_pos += take
-            remaining -= take
-
-    def _refill_batched(self) -> None:
-        bk = self._backend
-        xp = bk.xp
-        dt = bk.dtypes
-        n = self._n
-        rng = self.rng
-        block = self._batch_block
-        r = self._colours.shape[0]
-        initiators = xp.asarray(
-            self.scheduler.draw_block(n, block * r, rng), dtype=dt.int64
-        ).reshape(block, r)
-        partner_uniforms = bk.uniform_block(rng, (block, r, self._arity))
-        if self._ncoins:
-            self._buf_coins = bk.uniform_block(
-                rng, (block, r, self._ncoins)
-            )
-        else:
-            self._buf_coins = xp.zeros((block, r, 0), dtype=dt.float64)
-        if self._complete:
-            draw = xp.astype(partner_uniforms * (n - 1), dt.int64)
-            partners = draw + (draw >= initiators[..., None])
-        else:
-            degrees = (
-                self._offsets[initiators + 1] - self._offsets[initiators]
-            )
-            local = xp.astype(
-                partner_uniforms * degrees[..., None], dt.int64
-            )
-            partners = self._targets[
-                self._offsets[initiators][..., None] + local
-            ]
-        self._buf_init = initiators
-        self._buf_partners = partners
-        self._buf_pos = 0
-
-    def _step_batched(self, rows, t: int) -> None:
-        xp = self._backend.xp
-        colours = self._colours
-        shades = self._shades
-        u = self._buf_init[t]
-        v = self._buf_partners[t]
-        uc = colours[rows, u]
-        us = shades[rows, u]
-        new_c, new_s = self._kernel.apply(
-            uc,
-            us,
-            colours[rows[:, None], v],
-            shades[rows[:, None], v],
-            self._buf_coins[t],
-        )
-        changed = (new_c != uc) | (new_s != us)
-        target_rows = rows[changed]
-        target_cols = u[changed]
-        colours[target_rows, target_cols] = new_c[changed]
-        shades[target_rows, target_cols] = new_s[changed]
-        self.changes += int(xp.count_nonzero(changed))
-        self._time += 1
-
-    # ------------------------------------------------------------------
     # State view
 
     def snapshot(self) -> dict:
@@ -1178,10 +974,7 @@ class ArraySimulation:
         backend.
         """
         bk = self._backend
-        buffered = (
-            hasattr(self, "_buf_init")
-            and self._buf_pos < self._batch_block
-        )
+        buffered = hasattr(self, "_buf_init") and self._buf_pos < _BLOCK
         weights = getattr(self.protocol, "weights", None)
         fields = {
             "colours": bk.to_numpy(self._colours, copy=True),
@@ -1206,9 +999,8 @@ class ArraySimulation:
         return ckpt.payload("ArraySimulation", **fields)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = f"R={self.replications}, " if self._batched else ""
         return (
-            f"ArraySimulation(protocol={self.protocol.name!r}, {mode}"
+            f"ArraySimulation(protocol={self.protocol.name!r}, "
             f"n={self.n}, k={self.k}, t={self.time})"
         )
 

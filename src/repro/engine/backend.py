@@ -4,8 +4,8 @@ Every module under :mod:`repro.engine` obtains its array namespace,
 dtypes and host/device boundary converters from here instead of
 importing ``numpy`` directly.  This file is the *only* sanctioned
 ``import numpy`` site of that layer — a rule enforced by
-``tests/unit/test_backend_seam.py`` — so lifting the ``(R, n)`` /
-``(B, k_max)`` layouts onto another array backend is a matter of
+``tests/unit/test_backend_seam.py`` — so lifting the agent arrays and
+the ``(B, k_max)`` count layout onto another array backend is a matter of
 resolving a different :class:`Backend`, not of editing kernels.
 
 Three backends are known:

@@ -4,15 +4,12 @@ The declarative pipeline executes one shard (grid cell × replication)
 at a time — each shard pays its own engine construction and its own
 Python-level event loop.  This module fuses *compatible* shards of an
 :class:`~repro.experiments.pipeline.ExperimentPlan` into mega-batch
-jobs that advance together inside a single vectorised engine:
-
-* aggregate-family measurements pack one
-  :class:`~repro.engine.hetero.HeterogeneousAggregateBatch` row per
-  shard (per-row weight tables, populations and horizons), so an entire
-  weight-skew × k × n sweep runs through one event loop;
-* agent-level Diversification measurements pack one ``(R, n)``
-  :class:`~repro.engine.array_engine.ArraySimulation` row per shard,
-  with per-row lighten tables covering per-row weight vectors.
+jobs that advance together inside a single vectorised engine.  The one
+family is the aggregate one: its measurements (E3, E4, E17) pack one
+:class:`~repro.engine.hetero.HeterogeneousAggregateBatch` row per shard
+(per-row weight tables, populations and horizons), so an entire
+weight-skew × k × n sweep runs through one event loop.  Agent-level
+measurements (E9) have no fused implementation and run per shard.
 
 A measurement opts in by registering a :class:`FusedMeasurement`
 (:func:`register_fused`); :func:`fuse` groups a plan's shards by the
@@ -85,8 +82,9 @@ class FusedMeasurement:
     """Fused (mega-batch) implementation of one measurement function.
 
     Attributes:
-        family: Engine family label (``"aggregate"``, ``"array"``),
-            shown in docs/plans and part of the grouping key.
+        family: Engine family label (``"aggregate"``), part of the
+            fused cache key space (``fused:<family>``) and of degraded
+            group reports.
         group_key: Maps shard params to a hashable compatibility key —
             shards with equal keys share one mega-batch job; ``None``
             sends the shard to the per-shard fallback path.

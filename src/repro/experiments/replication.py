@@ -12,18 +12,16 @@ replications are fused into one
 :class:`~repro.engine.batched.BatchedAggregateSimulation` — including
 under an intervention schedule, which is applied batch-wide between
 event segments (so the E6/E7 adversarial sweeps share the batched fast
-path).  Agent-level runs (explicit topologies, baseline dynamics) that
-have a vectorised kernel fuse into one batched ``(R, n)``
-:class:`~repro.engine.array_engine.ArraySimulation` instead; protocols
-without a kernel — and population-growing schedules on explicit
-topologies — fall back to the scalar per-replication loop.  On every
-path a schedule sees an independent copy of the protocol's weight
-table per run, never the caller's.
+path).  Agent-level runs (explicit topologies, baseline dynamics) run
+one engine per replication through
+:func:`~repro.experiments.runner.run_agent`, which picks the array
+engine for protocols with a vectorised kernel and the scalar one
+otherwise.  On every path a schedule sees an independent copy of the
+protocol's weight table per run, never the caller's.
 """
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -158,40 +156,30 @@ def replicate_colour_counts(
     schedule=None,
     start: str = "worst",
     base_seed: int | np.random.Generator | None = 0,
-    batched: bool = True,
     lighten_probabilities: Sequence[float] | None = None,
     engine: str = "auto",
 ) -> np.ndarray:
     """Final colour counts of R replications, shape ``(R, k)``.
 
     Routes through :class:`~repro.engine.batched.BatchedAggregateSimulation`
-    when ``batched`` is set and the run is aggregate-compatible —
-    intervention schedules included, applied batch-wide.  Agent-level
-    runs fuse into one batched ``(R, n)``
-    :class:`~repro.engine.array_engine.ArraySimulation` when ``batched``
-    is set and the protocol/topology/schedule triple has a vectorised
-    path; otherwise each replication runs on its own engine seeded by
-    an independent child generator of ``base_seed``.  Rows are
+    when the run is aggregate-compatible — intervention schedules
+    included, applied batch-wide.  Agent-level runs call
+    :func:`~repro.experiments.runner.run_agent` once per replication,
+    seeded by the replication's child generator from
+    ``spawn(make_rng(base_seed), replications)``.  Rows are
     zero-padded to the widest colour set when an intervention schedule
     adds colours mid-run.  A schedule always mutates an independent
-    copy of the protocol (one per run on the scalar loop, one shared
-    batch copy on the fused paths), never the caller's instance.
+    copy of the protocol (one per run on the agent-level loop, one
+    shared batch copy on the aggregate path), never the caller's
+    instance.
 
     ``engine`` mirrors :func:`~repro.experiments.runner.run_agent`:
     ``"auto"`` applies the routing above, ``"scalar"``/``"array"``
     force the agent-level engines (skipping the aggregate fast path),
     e.g. to benchmark one engine in isolation.
     """
-    from ..adversary.schedule import run_with_interventions
-    from ..engine.array_engine import ArraySimulation
     from .recorder import _pad_stack
-    from .runner import (
-        initial_count_rows,
-        run_agent,
-        run_aggregate,
-        use_array_engine,
-    )
-    from .workloads import colours_from_counts
+    from .runner import run_agent, run_aggregate
 
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -212,7 +200,6 @@ def replicate_colour_counts(
                 else _aggregate_lighten_probabilities(protocol, weights)
             ),
             replications=replications,
-            batched=batched,
         )
         return batch.final_colour_counts
     if lighten_probabilities is not None:
@@ -224,45 +211,10 @@ def replicate_colour_counts(
             "protocol); use UnweightedLightening for the unit-coin "
             "ablation on the agent engines"
         )
-    # use_array_engine also validates the engine name and rejects
-    # engine="array" for population-growing schedules on an explicit
-    # topology.
-    run_protocol = protocol or Diversification(weights.copy())
-    if batched and use_array_engine(
-        run_protocol, topology=topology, schedule=schedule, engine=engine
-    ):
-        if protocol is not None and schedule is not None:
-            # The fused engine shares one protocol across all
-            # replications; a schedule that widens its weight table
-            # must mutate a copy, never the caller's instance.
-            run_protocol = copy.deepcopy(protocol)
-        # Fuse all R replications into one (R, n) array engine: one
-        # shared draw stream, one Python-level loop; interventions
-        # apply to every replication at once between segments.
-        rng = make_rng(base_seed)
-        colour_rows = np.array(
-            [
-                colours_from_counts(row)
-                for row in initial_count_rows(
-                    start, n, weights, rng, replications
-                )
-            ],
-            dtype=np.int64,
-        )
-        simulation = ArraySimulation(
-            run_protocol,
-            colour_rows,
-            k=weights.k,
-            topology=topology,
-            rng=rng,
-        )
-        run_with_interventions(simulation, steps, schedule)
-        return simulation.colour_counts()
-    # Per-replication fallback: one simulator per replication,
-    # independent child generators.  run_agent deep-copies the
-    # protocol under a schedule, so each replication mutates its own
-    # weight table — a shared weighted protocol no longer compounds
-    # colours across replications.
+    # One engine per replication, independent child generators.
+    # run_agent deep-copies the protocol under a schedule, so each
+    # replication mutates its own weight table — a shared weighted
+    # protocol never compounds colours across replications.
     children = spawn(make_rng(base_seed), replications)
     finals = []
     for child in children:

@@ -20,7 +20,6 @@ from ..core.derandomised import DerandomisedDiversification
 from ..core.diversification import Diversification
 from ..core.properties import diversity_bound
 from ..core.weights import WeightTable
-from .fusion import FusedMeasurement, fused_rng, register_fused
 from .pipeline import ScenarioSpec, execute
 from .runner import run_agent
 from .table import ExperimentTable
@@ -49,26 +48,17 @@ _ABLATION_FACTORIES = {
 }
 
 
-def _tail_share_error(
-    counts: np.ndarray, weights: WeightTable, tail_fraction: float = 0.25
-) -> tuple[float, np.ndarray]:
-    """(max deviation from fair shares, mean shares) over the final
-    ``tail_fraction`` of a ``(T, k)`` colour-count snapshot series —
-    shared by the per-shard and fused E9 paths so both stabilise over
-    the same window."""
-    tail = max(1, int(counts.shape[0] * tail_fraction))
-    window = counts[-tail:, : weights.k].astype(float)
-    shares = window / window.sum(axis=1, keepdims=True)
-    fair = weights.fair_shares()
-    return float(np.abs(shares - fair).max()), shares.mean(axis=0)
-
-
 def _stabilised_share_error(
     record, weights: WeightTable, tail_fraction: float = 0.25
 ) -> tuple[float, np.ndarray]:
     """(max deviation from fair shares, mean shares) over the record's
     final ``tail_fraction`` of snapshots."""
-    return _tail_share_error(record.colour_counts, weights, tail_fraction)
+    counts = record.colour_counts
+    tail = max(1, int(counts.shape[0] * tail_fraction))
+    window = counts[-tail:, : weights.k].astype(float)
+    shares = window / window.sum(axis=1, keepdims=True)
+    fair = weights.fair_shares()
+    return float(np.abs(shares - fair).max()), shares.mean(axis=0)
 
 
 def _measure_variant(params: dict, rng: np.random.Generator) -> dict:
@@ -81,72 +71,6 @@ def _measure_variant(params: dict, rng: np.random.Generator) -> dict:
     )
     error, shares = _stabilised_share_error(record, weights)
     return {"error": error, "shares": [float(s) for s in shares]}
-
-
-def _variant_group_key(params: dict):
-    """E9 fused-compatibility key: randomised (kernelised) cells with
-    equal ``(n, rounds, k)`` share one ``(R, n)`` array engine; the
-    derandomised variant has no vectorised kernel and falls back to the
-    per-shard path."""
-    if params["protocol"] != "randomised":
-        return None
-    return ("array", params["n"], params["rounds"], len(params["vector"]))
-
-
-def _fused_measure_variants(spec, shards) -> list[dict]:
-    """E9 mega-batch: all randomised shards as one batched ``(R, n)``
-    array engine, per-row lighten tables covering per-row weight
-    vectors, snapshots mirroring the scalar run's CountRecorder."""
-    from ..engine.array_engine import ArraySimulation
-    from .workloads import colours_from_counts, worst_case_counts
-
-    params0 = shards[0].params
-    n = int(params0["n"])
-    steps = int(params0["rounds"]) * n
-    tables = [WeightTable(shard.params["vector"]) for shard in shards]
-    k = tables[0].k
-    colour_rows = np.stack(
-        [
-            colours_from_counts(worst_case_counts(n, table.k))
-            for table in tables
-        ]
-    )
-    simulation = ArraySimulation(
-        Diversification(tables[0].copy()),
-        colour_rows,
-        k=k,
-        rng=fused_rng(shards),
-        lighten_rows=np.stack([1.0 / table.as_array() for table in tables]),
-    )
-    interval = max(1, steps // 256)
-    snapshots = [simulation.colour_counts()]
-    advanced = 0
-    while advanced < steps:
-        take = min(interval, steps - advanced)
-        simulation.run(take)
-        advanced += take
-        snapshots.append(simulation.colour_counts())
-    series = np.stack(snapshots)  # (T, R, k)
-    values = []
-    for row, table in enumerate(tables):
-        error, shares = _tail_share_error(series[:, row, :], table)
-        values.append(
-            {
-                "error": error,
-                "shares": [float(s) for s in shares],
-            }
-        )
-    return values
-
-
-register_fused(
-    _measure_variant,
-    FusedMeasurement(
-        family="array",
-        group_key=_variant_group_key,
-        run_group=_fused_measure_variants,
-    ),
-)
 
 
 def _build_derandomised(result) -> ExperimentTable:
@@ -212,9 +136,9 @@ def experiment_derandomised(
 
     Expected shape: both reach the fair shares ``w_i/w`` with errors of
     the same order; the derandomised variant needs no coin flips.
-    ``fused`` mega-batches the randomised cells into one ``(R, n)``
-    array engine (the derandomised variant has no kernel and stays on
-    the per-shard path).
+    ``fused`` is accepted for a uniform CLI: E9 has no fused
+    implementation, so every shard runs on the per-shard path and the
+    table is the same bytes as a plain run.
     """
     return execute(
         spec_derandomised(

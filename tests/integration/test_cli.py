@@ -44,17 +44,13 @@ class TestParser:
         assert args.experiments == ["e1", "e2"]
         assert args.quick
 
-    def test_demo_defaults_to_one_batched_replication(self):
+    def test_demo_defaults_to_one_replication(self):
         args = build_parser().parse_args(["demo"])
         assert args.replications == 1
-        assert args.batched
 
-    def test_demo_accepts_replications_and_batched_flags(self):
-        args = build_parser().parse_args(
-            ["demo", "--replications", "25", "--no-batched"]
-        )
+    def test_demo_accepts_replications(self):
+        args = build_parser().parse_args(["demo", "--replications", "25"])
         assert args.replications == 25
-        assert not args.batched
 
     def test_demo_engine_defaults_to_aggregate(self):
         args = build_parser().parse_args(["demo"])
@@ -255,6 +251,25 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--out"])
 
+    @pytest.mark.parametrize(
+        "flag, below",
+        [("--out", "x"), ("--cache-dir", "x"), ("--out", None)],
+        ids=["out-under-a-file", "cache-dir-under-a-file", "out-is-a-file"],
+    )
+    def test_run_bad_directory_exits_before_any_shard(
+        self, capsys, tmp_path, flag, below
+    ):
+        """A directory that cannot be made is a usage error, reported
+        before E8 computes anything."""
+        regular = tmp_path / "file"
+        regular.write_text("")
+        path = regular / below if below else regular
+        assert main(["run", "e8", "--quick", flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"invalid {flag} ")
+
     def test_demo(self, capsys):
         code = main(
             ["demo", "--n", "200", "--weights", "1,2", "--rounds", "400",
@@ -335,16 +350,6 @@ class TestCommands:
         assert "batched engine" in out
         assert "mean count" in out
         assert "diversity error" in out
-
-    def test_demo_replicated_scalar_fallback(self, capsys):
-        code = main(
-            ["demo", "--n", "80", "--weights", "1,2", "--rounds", "100",
-             "--seed", "5", "--replications", "4", "--no-batched"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "replications=4" in out
-        assert "scalar engine" in out
 
     def test_demo_array_engine(self, capsys):
         code = main(

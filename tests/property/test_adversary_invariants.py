@@ -1,7 +1,8 @@
 """Property-based tests: sustainability survives arbitrary adversarial
 schedules of agent/colour additions (the paper's robustness claim) —
-on the scalar aggregate engine and on the fused batched engines, where
-every intervention applies to all replications at once."""
+on the scalar aggregate engine, on the row-batched engine, where every
+intervention applies to all replications at once, and on the
+agent-level array engine, one engine per replication."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.core.weights import WeightTable
 from repro.engine.aggregate import AggregateSimulation
 from repro.engine.array_engine import ArraySimulation
 from repro.engine.batched import BatchedAggregateSimulation
+from repro.engine.rng import make_rng, spawn
 
 
 @st.composite
@@ -137,26 +139,28 @@ class TestBatchedAdversarialSustainability:
     @given(adversarial_run(), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
     def test_array_engine_matches_invariants(self, setup, replications):
-        """The fused (R, n) agent-level engine under the same schedule:
-        conservation and dark survival per replication."""
+        """The agent-level array engine under the same schedule, one
+        engine per replication: conservation and dark survival in
+        each."""
         weights, dark, total_steps, events, seed = setup
         colours = np.repeat(np.arange(len(dark)), dark)
-        engine = ArraySimulation(
-            Diversification(weights),
-            colours,
-            k=weights.k,
-            rng=seed,
-            replications=replications,
-        )
-        expected_n = engine.n + sum(event.count for _, event in events)
-        run_with_interventions(
-            engine, total_steps, InterventionSchedule(events)
-        )
-        assert engine.n == expected_n
-        counts = engine.colour_counts()
-        assert counts.shape == (replications, weights.k)
-        assert (counts.sum(axis=1) == expected_n).all()
-        assert (engine.dark_counts() >= 1).all()
+        added = sum(isinstance(event, AddColour) for _, event in events)
+        for child in spawn(make_rng(seed), replications):
+            engine = ArraySimulation(
+                Diversification(weights.copy()),
+                colours,
+                k=weights.k,
+                rng=child,
+            )
+            expected_n = engine.n + sum(event.count for _, event in events)
+            run_with_interventions(
+                engine, total_steps, InterventionSchedule(events)
+            )
+            assert engine.n == expected_n
+            counts = engine.colour_counts()
+            assert counts.shape == (weights.k + added,)
+            assert counts.sum() == expected_n
+            assert (engine.dark_counts() >= 1).all()
 
     @given(
         st.integers(2, 4),

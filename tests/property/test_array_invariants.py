@@ -182,27 +182,3 @@ class TestSingleRunInvariants:
         )
         simulation.run(steps)
         assert (simulation.dark_counts() >= 1).all()
-
-
-class TestBatchedInvariants:
-    @given(array_setup(), st.integers(1, 8))
-    @settings(max_examples=25, deadline=None)
-    def test_population_conserved_per_replication(self, setup, r):
-        steps = min(setup[-1], 800)
-        simulation = build(setup, replications=r)
-        simulation.run(steps)
-        counts = simulation.colour_counts()
-        assert counts.shape == (r, simulation.k)
-        assert (counts.sum(axis=1) == simulation.n).all()
-        np.testing.assert_array_equal(
-            simulation.dark_counts() + simulation.light_counts(), counts
-        )
-
-    @given(array_setup(), st.integers(1, 6))
-    @settings(max_examples=20, deadline=None)
-    def test_batched_seed_reproducibility(self, setup, r):
-        steps = min(setup[-1], 800)
-        a = build(setup, replications=r).run(steps)
-        b = build(setup, replications=r).run(steps)
-        np.testing.assert_array_equal(a.colour_counts(), b.colour_counts())
-        np.testing.assert_array_equal(a.dark_counts(), b.dark_counts())

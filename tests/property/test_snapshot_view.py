@@ -33,6 +33,7 @@ from repro.engine import (
     RoundRobinScheduler,
     Simulation,
 )
+from repro.engine.array_engine import _BLOCK as ARRAY_BLOCK
 from repro.engine.checkpoint import CKPT_FORMAT
 from repro.engine.simulator import _BLOCK as SIMULATION_BLOCK
 from repro.topology import CycleGraph
@@ -100,7 +101,7 @@ ENGINES = {
         seed, scheduler=RoundRobinScheduler(start=5)
     ),
     "array": array,
-    "array-batched": lambda seed: array(seed, replications=3),
+    "array-cycle": lambda seed: array(seed, topology=CycleGraph(16)),
     "array-round-robin": lambda seed: array(
         seed, scheduler=RoundRobinScheduler(start=5)
     ),
@@ -134,7 +135,7 @@ FIELDS = {
     "simulation-cycle": SIMULATION_FIELDS - {"buf_partners"},
     "simulation-round-robin": SIMULATION_FIELDS,
     "array": ARRAY_FIELDS,
-    "array-batched": ARRAY_FIELDS,
+    "array-cycle": ARRAY_FIELDS,
     "array-round-robin": ARRAY_FIELDS,
 }
 
@@ -147,7 +148,7 @@ CLASS_NAMES = {
     "simulation-cycle": "Simulation",
     "simulation-round-robin": "Simulation",
     "array": "ArraySimulation",
-    "array-batched": "ArraySimulation",
+    "array-cycle": "ArraySimulation",
     "array-round-robin": "ArraySimulation",
 }
 
@@ -173,8 +174,8 @@ LEAVES = {
     "simulation-round-robin": ["scheduler"],
     "array": ["colours", "shades", "buf_init", "buf_partners", "buf_coins",
               "weights", "rng"],
-    "array-batched": ["colours", "shades", "buf_init", "buf_partners",
-                      "buf_coins", "weights", "rng"],
+    "array-cycle": ["colours", "shades", "buf_init", "buf_partners",
+                    "buf_coins", "weights", "rng"],
     "array-round-robin": ["scheduler"],
 }
 
@@ -283,12 +284,6 @@ class TestEveryEngine:
         assert_same_view(chunked, build(SEED).run(TOTAL))
 
 
-def array_batched_small_block(seed):
-    """``(R, n)`` mode draws ``_BATCH_DRAWS // R`` steps per block;
-    sixteen rows keep the block, and the test, short."""
-    return array(seed, replications=16)
-
-
 #: Block-buffered agent engines and the steps one draw block covers.
 BUFFERED = {
     "simulation": (simulation, SIMULATION_BLOCK),
@@ -296,9 +291,9 @@ BUFFERED = {
     "simulation-round-robin": (
         ENGINES["simulation-round-robin"], SIMULATION_BLOCK
     ),
-    "array": (array, None),
-    "array-round-robin": (ENGINES["array-round-robin"], None),
-    "array-batched": (array_batched_small_block, None),
+    "array": (array, ARRAY_BLOCK),
+    "array-cycle": (ENGINES["array-cycle"], ARRAY_BLOCK),
+    "array-round-robin": (ENGINES["array-round-robin"], ARRAY_BLOCK),
 }
 
 
@@ -309,8 +304,6 @@ def test_split_at_a_block_boundary(engine, offset):
     cross a second one."""
     build, block = BUFFERED[engine]
     split_run = build(SEED)
-    if block is None:
-        block = split_run._batch_block
     total = 2 * block + 3
     split_run.run(block + offset)
     split_run.run(total - block - offset)

@@ -215,28 +215,6 @@ class TestArraySplitInvariance:
         split_run.run(total - split)
         assert_same_snapshot(split_run, whole)
 
-    @given(seed=st.integers(0, 2**31 - 1), split=st.integers(0, 400))
-    @settings(max_examples=10, deadline=None)
-    def test_batched_any_split_matches_uninterrupted(self, seed, split):
-        total = 400
-        colours = np.asarray([i % len(WEIGHTS) for i in range(10)])
-
-        def build():
-            return ArraySimulation(
-                Diversification(WeightTable(WEIGHTS)),
-                colours,
-                k=len(WEIGHTS),
-                replications=3,
-                rng=seed,
-            )
-
-        whole = build()
-        whole.run(total)
-        split_run = build()
-        split_run.run(split)
-        split_run.run(total - split)
-        assert_same_snapshot(split_run, whole)
-
 
 class TestScheduledSplitInvariance:
     """The segmented runner splits ``run`` at every intervention and

@@ -18,7 +18,6 @@ from repro.engine.array_engine import (
 )
 from repro.engine.observers import Observer
 from repro.engine.population import Population
-from repro.engine.scheduler import RoundRobinScheduler
 from repro.topology import CompleteGraph, CycleGraph
 
 
@@ -136,13 +135,38 @@ class TestConstruction:
                 shades=np.array([1, 1]),
             )
 
-    def test_replication_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+    def test_two_dimensional_colours_rejected(self):
+        """One engine is one run: a 2-D start is not a population."""
+        with pytest.raises(ValueError, match="flat"):
             ArraySimulation(
                 Diversification(WeightTable([1.0])),
                 np.zeros((3, 4), dtype=np.int64),
-                replications=2,
             )
+
+    @pytest.mark.parametrize(
+        "colours", [[0.5, 1.2, 1.0], [0.0, 1.0, np.nan], [0.0, np.inf, 1.0]]
+    )
+    def test_non_integer_colours_rejected(self, colours):
+        with pytest.raises(ValueError, match="colours must be whole"):
+            ArraySimulation(
+                Diversification(WeightTable.uniform(2)), colours, k=2
+            )
+
+    def test_non_integer_shades_rejected(self):
+        with pytest.raises(ValueError, match="shades must be whole"):
+            ArraySimulation(
+                Diversification(WeightTable.uniform(2)), [0, 1, 1],
+                shades=[1.7, 0.2, 1.0],
+            )
+
+    def test_whole_number_floats_accepted(self):
+        """``1.0`` is a whole number: float input runs as its integers."""
+        simulation = ArraySimulation(
+            Diversification(WeightTable.uniform(2)),
+            np.array([0.0, 1.0, 1.0]), shades=[1.0, 0.0, 1.0], rng=0,
+        )
+        np.testing.assert_array_equal(simulation.colour_counts(), [1, 2])
+        np.testing.assert_array_equal(simulation.dark_counts(), [1, 1])
 
     def test_colour_set_growth_rejected_between_runs(self):
         weights = WeightTable([1.0, 2.0])
@@ -191,42 +215,6 @@ class TestStepping:
         changes = simulation.changes
         simulation.run(500)
         assert simulation.changes == changes  # absorbed
-
-
-class TestBatchedMode:
-    def test_observers_rejected(self):
-        with pytest.raises(ValueError, match="single-run"):
-            build(replications=3, observers=[Observer()])
-        simulation = build(replications=3)
-        with pytest.raises(ValueError, match="single-run"):
-            simulation.add_observer(Observer())
-
-    def test_population_view_rejected(self):
-        simulation = build(replications=3)
-        with pytest.raises(ValueError):
-            simulation.population
-
-    def test_round_robin_rejected(self):
-        with pytest.raises(ValueError, match="uniform scheduler"):
-            build(replications=2, scheduler=RoundRobinScheduler())
-
-    def test_two_dimensional_colours_imply_batching(self):
-        colours = np.stack([np.arange(8) % 2, np.zeros(8, dtype=int)])
-        simulation = ArraySimulation(
-            Diversification(WeightTable.uniform(2)), colours, rng=0
-        )
-        assert simulation.replications == 2
-        counts = simulation.run(300).colour_counts()
-        assert counts.shape == (2, 2)
-        # Row 1 started monochrome and must stay monochrome.
-        np.testing.assert_array_equal(counts[1], [8, 0])
-
-    def test_replications_share_no_state(self):
-        """Identical start rows evolve independently (different draws)."""
-        simulation = build(n=30, replications=16, seed=9)
-        simulation.run(2000)
-        counts = simulation.colour_counts()
-        assert len({tuple(row) for row in counts}) > 1
 
 
 class TestObserverBridge:

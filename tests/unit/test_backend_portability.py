@@ -91,38 +91,6 @@ def test_kernel_matches_numpy_bit_for_bit(case):
     np.testing.assert_array_equal(STRICT.to_numpy(got_s), want_s)
 
 
-def test_diversification_row_lighten_table():
-    """The batched per-row (R, k) lighten gather — a flat ``take`` on
-    strict — matches the NumPy 2-D fancy index exactly."""
-    k, rows = 3, 64
-    rng = np.random.default_rng(3)
-    table = rng.random((rows, k))
-    uc = rng.integers(0, k, size=rows, dtype=np.int64)
-    us = np.ones(rows, dtype=np.int64)  # all dark: exercise lightening
-    vc = uc[:, None].copy()  # same colour: lighten is coin-gated
-    vs = np.ones((rows, 1), dtype=np.int64)
-    coins = rng.random((rows, 1))
-
-    def build(backend):
-        kernel = kernel_for(
-            Diversification(WeightTable.uniform(k)), backend=backend
-        )
-        kernel.set_row_lighten(backend.from_host(table))
-        kernel.refresh(k)
-        return kernel
-
-    want_c, want_s = build(HOST).apply(uc, us, vc, vs, coins)
-    got_c, got_s = build(STRICT).apply(
-        STRICT.from_host(uc),
-        STRICT.from_host(us),
-        STRICT.from_host(vc),
-        STRICT.from_host(vs),
-        STRICT.from_host(coins),
-    )
-    np.testing.assert_array_equal(STRICT.to_numpy(got_c), want_c)
-    np.testing.assert_array_equal(STRICT.to_numpy(got_s), want_s)
-
-
 def test_float_tables_agree_to_fp_tolerance():
     """The kernels' float-valued internal tables (lighten thresholds,
     cumulative shares) round-trip the strict backend unchanged."""

@@ -40,15 +40,11 @@ def build_batched_engine(seed=0, replications=3):
     return engine, weights
 
 
-def build_array_engine(seed=0, replications=None):
+def build_array_engine(seed=0):
     weights = WeightTable([1.0, 2.0])
     protocol = Diversification(weights)
     engine = ArraySimulation(
-        protocol,
-        np.array([0] * 6 + [1] * 6),
-        k=2,
-        rng=seed,
-        replications=replications,
+        protocol, np.array([0] * 6 + [1] * 6), k=2, rng=seed
     )
     return engine, weights
 
@@ -157,8 +153,7 @@ class TestBatchedEngineInterventions:
 
 
 class TestArrayEngineInterventions:
-    """Interventions dispatch onto the vectorised agent-level engine,
-    in single-run and batched mode."""
+    """Interventions dispatch onto the vectorised agent-level engine."""
 
     def test_add_agents_single(self):
         engine, _ = build_array_engine()
@@ -172,16 +167,6 @@ class TestArrayEngineInterventions:
         engine, _ = build_array_engine()
         AddAgents(colour=0, count=2, dark=False).apply(engine)
         assert engine.light_counts()[0] == 2
-
-    def test_add_agents_batched(self):
-        engine, _ = build_array_engine(replications=4)
-        AddAgents(colour=0, count=3, dark=True).apply(engine)
-        assert engine.n == 15
-        counts = engine.colour_counts()
-        assert counts.shape == (4, 2)
-        np.testing.assert_array_equal(counts.sum(axis=1), 15)
-        engine.run(200)
-        assert (engine.colour_counts().sum(axis=1) == 15).all()
 
     def test_add_colour_grows_weights_and_slots(self):
         engine, weights = build_array_engine()
@@ -317,3 +302,39 @@ class TestRunWithInterventions:
         engine, _ = build_aggregate_engine()
         with pytest.raises(ValueError):
             run_with_interventions(engine, -1, None)
+
+
+#: Every engine that takes interventions, each holding 6 + 6 agents.
+ENGINE_BUILDERS = {
+    "aggregate": build_aggregate_engine,
+    "row-batched": build_batched_engine,
+    "array": build_array_engine,
+    "simulation": build_agent_engine,
+}
+
+
+class TestZeroStepRun:
+    @pytest.mark.parametrize("name", sorted(ENGINE_BUILDERS))
+    def test_applies_the_entries_due_at_its_start(self, name):
+        """A run of 0 steps applies the entries at ``engine.time``, as a
+        run of one step or more applies those at its horizon; a later
+        entry stays unapplied."""
+        engine, _ = ENGINE_BUILDERS[name]()
+        engine.run(30)
+        schedule = InterventionSchedule(
+            [(30, AddAgents(0, 5, dark=True)), (31, AddAgents(1, 9))]
+        )
+        run_with_interventions(engine, 0, schedule)
+        assert engine.time == 30
+        counts = np.asarray(engine.colour_counts())
+        np.testing.assert_array_equal(counts.sum(axis=-1), 17)
+
+    def test_record_ends_with_the_applied_state(self):
+        engine, _ = build_aggregate_engine()
+        recorder = CountRecorder(interval=10)
+        schedule = InterventionSchedule([(0, AddColour(3.0, 4))])
+        run_with_interventions(engine, 0, schedule, recorder=recorder)
+        np.testing.assert_array_equal(recorder.times(), [0, 0])
+        np.testing.assert_array_equal(
+            recorder.colour_counts(), [[6, 6, 0], [6, 6, 4]]
+        )

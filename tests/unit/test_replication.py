@@ -7,6 +7,7 @@ from repro.core.ablations import EagerRecolouring, UnweightedLightening
 from repro.core.derandomised import DerandomisedDiversification
 from repro.core.diversification import Diversification
 from repro.core.weights import WeightTable
+from repro.engine.rng import make_rng, spawn
 from repro.experiments import runner as runner_module
 from repro.experiments.replication import (
     Summary,
@@ -152,15 +153,6 @@ class TestReplicateColourCountsRouting:
         assert counts.shape == (6, 2)
         assert (counts.sum(axis=1) == 30).all()
 
-    def test_batched_false_uses_scalar_loop(self, spy_batched):
-        weights = WeightTable([1.0, 2.0])
-        counts = replicate_colour_counts(
-            weights, 30, 500, replications=4, base_seed=0, batched=False
-        )
-        assert spy_batched.instances == 0
-        assert counts.shape == (4, 2)
-        assert (counts.sum(axis=1) == 30).all()
-
     def test_agent_level_protocol_falls_back(self, spy_batched):
         weights = WeightTable([1.0, 2.0])
         counts = replicate_colour_counts(
@@ -225,8 +217,9 @@ class TestReplicateColourCountsRouting:
         assert weights.k == 2
 
     def test_schedule_fused_array_copies_protocol(self):
-        """The fused (R, n) array path under a schedule must mutate a
-        copy of the passed protocol, not the caller's instance."""
+        """On the array engine each replication under a schedule
+        mutates its own copy of the passed protocol, never the
+        caller's instance."""
         from repro.adversary.interventions import AddColour
         from repro.adversary.schedule import InterventionSchedule
 
@@ -295,3 +288,54 @@ class TestReplicateColourCountsRouting:
                 lighten_probabilities=[1.0, 1.0],
                 topology=CycleGraph(20),
             )
+
+
+class TestAgentLevelReplications:
+    """Agent-level replications are an explicit ``run_agent`` loop over
+    ``spawn(make_rng(base_seed), R)``, bit for bit."""
+
+    WEIGHTS = (1.0, 2.0, 3.0)
+    N = 36
+    STEPS = 1800
+    REPLICATIONS = 4
+
+    @pytest.mark.parametrize(
+        "protocol, topology, engine, start",
+        [
+            (None, None, "array", "random"),
+            (None, None, "scalar", "worst"),
+            ("voter", None, "auto", "worst"),
+            (None, "cycle", "auto", "worst"),
+        ],
+        ids=["array", "scalar", "voter-auto", "cycle-auto"],
+    )
+    def test_equals_an_explicit_run_agent_loop(
+        self, protocol, topology, engine, start
+    ):
+        from repro.baselines.voter import VoterModel
+        from repro.experiments.runner import run_agent
+        from repro.topology.graphs import CycleGraph
+
+        weights = WeightTable(self.WEIGHTS)
+
+        def make_protocol():
+            if protocol == "voter":
+                return VoterModel()
+            return Diversification(weights.copy())
+
+        graph = CycleGraph(self.N) if topology == "cycle" else None
+        counts = replicate_colour_counts(
+            weights, self.N, self.STEPS,
+            replications=self.REPLICATIONS,
+            protocol=make_protocol() if protocol else None,
+            topology=graph, start=start, base_seed=17, engine=engine,
+        )
+        expected = [
+            run_agent(
+                make_protocol(), weights, self.N, self.STEPS,
+                start=start, seed=child, record_interval=self.STEPS,
+                topology=graph, engine=engine,
+            ).final_colour_counts
+            for child in spawn(make_rng(17), self.REPLICATIONS)
+        ]
+        np.testing.assert_array_equal(counts, np.asarray(expected))
