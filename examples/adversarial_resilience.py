@@ -9,8 +9,6 @@ blind to it because every agent carries a frozen private weight table.
 Run:  python examples/adversarial_resilience.py
 """
 
-import numpy as np
-
 from repro import Diversification, Population, Simulation, WeightTable
 from repro.baselines import TrivialResampling
 from repro.core.state import dark

@@ -23,7 +23,7 @@ Run:  python examples/ant_task_allocation.py
 
 import numpy as np
 
-from repro import AggregateSimulation, WeightTable, weights_from_demands
+from repro import AggregateSimulation, weights_from_demands
 from repro.experiments.report import format_series, format_table
 from repro.experiments.workloads import proportional_counts
 

@@ -264,6 +264,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.max_failures is not None and args.max_failures < 0:
         print("--max-failures must be >= 0", file=sys.stderr)
         return 2
+    if args.jobs is not None and args.jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return 2
     # Make the output and cache directories before any shard runs, so
     # a bad path exits here instead of after the first computed shard.
     for flag, directory in (
@@ -638,9 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
              "rerunning an interrupted or failed run with --cache "
              "resumes it, computing only the unfinished shards.  Keys "
              "cover the measurement source, the repro code version, "
-             "the backend dtype table, the shard params and the "
-             "resolved seed, so any code or dtype change recomputes "
-             "instead of replaying.  --no-cache forces a full recompute",
+             "the shard params and the resolved seed, so any code "
+             "change recomputes instead of replaying.  --no-cache "
+             "forces a full recompute",
     )
     p_run.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
@@ -768,10 +771,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's AST-based invariant checks (repro.lint)",
         description=(
             "Static checks for the repo's reproducibility invariants: "
-            "RL1 backend seam, RL2 determinism, RL4 kernel purity, RL5 "
-            "fingerprint hygiene.  Exits 1 when findings remain, 0 on "
-            "a clean run, 2 on a usage error.  Waive a finding inline "
-            "with '# repro-lint: disable=CODE -- justification'."
+            "RL2 determinism and RL5 fingerprint hygiene.  Exits 1 "
+            "when findings remain, 0 on a clean run, 2 on a usage "
+            "error.  Waive a finding inline with "
+            "'# repro-lint: disable=CODE -- justification'."
         ),
     )
     p_lint.add_argument(
@@ -782,8 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--select", action="append", default=None, metavar="CODES",
         help="only report these rule codes (comma-separated, "
-             "repeatable; prefixes select families: RL4 = "
-             "RL401+RL402+RL403)",
+             "repeatable; prefixes select families: RL2 = "
+             "RL201+RL202+RL203+RL204)",
     )
     p_lint.add_argument(
         "--ignore", action="append", default=None, metavar="CODES",

@@ -19,12 +19,6 @@
 
 from . import checkpoint
 from .aggregate import AggregateSimulation
-from .backend import (
-    Backend,
-    available_backends,
-    require_engine_loops,
-    resolve_backend,
-)
 from .array_engine import (
     ArrayPopulationView,
     ArraySimulation,
@@ -65,8 +59,4 @@ __all__ = [
     "checkpoint",
     "RowStreams",
     "geometric_from_uniform",
-    "Backend",
-    "available_backends",
-    "require_engine_loops",
-    "resolve_backend",
 ]

@@ -42,12 +42,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..core.weights import WeightTable
 from . import checkpoint as ckpt
-from .backend import FLOAT64, HOST, INT64, Generator
 from .rng import make_rng
-
-np = HOST.xp  # host namespace: the scalar count engine is CPU-resident
 
 
 def resolve_lighten_probabilities(
@@ -87,7 +86,7 @@ class AggregateSimulation:
         dark_counts: Sequence[int],
         light_counts: Sequence[int] | None = None,
         *,
-        rng: int | Generator | None = None,
+        rng: int | np.random.Generator | None = None,
         lighten_probabilities: Sequence[float] | None = None,
     ):
         self.weights = weights
@@ -126,11 +125,11 @@ class AggregateSimulation:
 
     def dark_counts(self):
         """``A_i`` per colour."""
-        return np.asarray(self._dark, dtype=INT64)
+        return np.asarray(self._dark, dtype=np.int64)
 
     def light_counts(self):
         """``a_i`` per colour."""
-        return np.asarray(self._light, dtype=INT64)
+        return np.asarray(self._light, dtype=np.int64)
 
     def colour_counts(self):
         """``C_i = A_i + a_i`` per colour."""
@@ -351,7 +350,7 @@ class AggregateSimulation:
             weights=self.weights.as_array(),
             dark=self.dark_counts(),
             light=self.light_counts(),
-            lighten=np.asarray(self._lighten, dtype=FLOAT64),
+            lighten=np.asarray(self._lighten, dtype=np.float64),
             time=int(self.time),
             pending=-1 if self._pending is None else int(self._pending),
             rng=ckpt.rng_state(self.rng),
@@ -362,7 +361,7 @@ class AggregateSimulation:
 
 
 def _pick_weighted(
-    masses: Sequence[float], rng: Generator
+    masses: Sequence[float], rng: np.random.Generator
 ) -> int:
     """Index sampled proportionally to non-negative masses."""
     total = float(sum(masses))

@@ -44,22 +44,13 @@ buffered in fixed-size blocks anchored to the executed-step count, so
 and :meth:`ArraySimulation.recolour`; population growth discards the
 draw buffer (re-anchoring the stream, exactly like the scalar engine)
 and requires the complete graph, since CSR adjacency cannot grow.
-
-Backends.  All array work routes through :mod:`repro.engine.backend`:
-the transition kernels restrict themselves to the array-API standard
-(``take`` instead of fancy indexing, ``astype`` as a function, no
-``out=``), so :func:`kernel_for` can build a kernel against any
-resolved backend — including ``array-api-strict`` — while the engine
-step loops, which need NumPy-compatible scatter (and the ``minimum.at``
-scatter-min) and ``bincount``, gate on
-:func:`~repro.engine.backend.require_engine_loops`.  Randomness
-stays on the host (see :mod:`repro.engine.rng`) and is device-placed
-per block; snapshots always hold host NumPy arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+
+import numpy as np
 
 from ..baselines.anti_voter import AntiVoterModel
 from ..baselines.epidemic import SISEpidemic
@@ -75,13 +66,6 @@ from ..core.state import DARK, LIGHT, AgentState
 from ..core.weights import WeightTable
 from ..topology.base import CompleteGraph
 from . import checkpoint as ckpt
-from .backend import (
-    HOST,
-    Backend,
-    Generator,
-    require_engine_loops,
-    resolve_backend,
-)
 from .observers import Observer
 from .population import Population
 from .rng import make_rng
@@ -96,34 +80,38 @@ _MIN_WINDOW = 16
 
 # ----------------------------------------------------------------------
 # Transition kernels
-#
-# Kernels are written against the array-API standard — element-wise
-# operators, ``xp.where`` on arrays, ``xp.take`` gathers, ``xp.astype``
-# — so the same source runs on NumPy, CuPy and ``array-api-strict``.
-# Scalar constants that feed ``xp.where`` branches are materialised as
-# 0-d arrays once per ``refresh`` (the strict namespace insists on
-# arrays where NumPy would promote a Python scalar).
 
 
-class _DiversificationKernel:
+class _Kernel:
+    """A transition kernel: :meth:`apply` maps a window of steps — the
+    initiators' colours and shades ``(m,)``, the sampled partners'
+    ``(m, arity)`` and the pre-drawn coins ``(m, coins)`` — to the
+    initiators' new colours and shades, and never mutates its inputs.
+    :meth:`refresh` runs before each run with the engine's colour slot
+    count ``k``."""
+
+    coins = 0
+
+    def __init__(self, protocol):
+        self._protocol = protocol
+
+    def refresh(self, k: int) -> None:
+        """Check ``k`` and rebind per-colour tables (none by default)."""
+
+
+class _DiversificationKernel(_Kernel):
     """Vectorised Eq. (2): adopt when light meets dark, lighten a dark
     pair of equal colour with the per-colour coin ``1/w_i`` (or 1 for
     the unweighted ablation)."""
 
     coins = 1
 
-    def __init__(
-        self, protocol, unweighted: bool = False, backend: Backend = HOST
-    ):
-        self._protocol = protocol
+    def __init__(self, protocol, unweighted: bool = False):
+        super().__init__(protocol)
         self._unweighted = unweighted
-        self._backend = backend
         self._lighten = None
 
     def refresh(self, k: int) -> None:
-        bk = self._backend
-        xp = bk.xp
-        dt = bk.dtypes
         weights = self._protocol.weights
         if weights.k != k:
             raise ValueError(
@@ -132,14 +120,11 @@ class _DiversificationKernel:
                 "scalar engines"
             )
         if self._unweighted:
-            self._lighten = xp.ones(k, dtype=dt.float64)
+            self._lighten = np.ones(k, dtype=np.float64)
         else:
-            self._lighten = bk.from_host(1.0 / weights.as_array())
-        self._dark0 = xp.asarray(DARK, dtype=dt.int64)
-        self._light0 = xp.asarray(LIGHT, dtype=dt.int64)
+            self._lighten = 1.0 / weights.as_array()
 
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
         v0c = vc[..., 0]
         v0s = vs[..., 0]
         u_dark = us > LIGHT
@@ -149,97 +134,57 @@ class _DiversificationKernel:
             u_dark
             & v_dark
             & (uc == v0c)
-            & (coins[..., 0] < xp.take(self._lighten, uc))
+            & (coins[..., 0] < self._lighten[uc])
         )
-        new_c = xp.where(adopt, v0c, uc)
-        new_s = xp.where(
-            adopt, self._dark0, xp.where(lighten, self._light0, us)
-        )
+        new_c = np.where(adopt, v0c, uc)
+        new_s = np.where(adopt, DARK, np.where(lighten, LIGHT, us))
         return new_c, new_s
 
 
-class _VoterKernel:
+class _VoterKernel(_Kernel):
     """Adopt the sampled colour unconditionally (dark shade)."""
 
-    coins = 0
-
-    def __init__(self, protocol, backend: Backend = HOST):
-        self._protocol = protocol
-        self._backend = backend
-
-    def refresh(self, k: int) -> None:
-        bk = self._backend
-        self._dark0 = bk.xp.asarray(DARK, dtype=bk.dtypes.int64)
-
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
         v0c = vc[..., 0]
-        same = v0c == uc
-        new_s = xp.where(same, us, self._dark0)
-        return xp.asarray(v0c, copy=True), new_s
+        new_s = np.where(v0c == uc, us, DARK)
+        return v0c.copy(), new_s
 
 
-class _ThreeMajorityKernel:
+class _ThreeMajorityKernel(_Kernel):
     """Majority of {own, sample, sample}; uniform pick among full ties."""
 
     coins = 1
 
-    def __init__(self, protocol, backend: Backend = HOST):
-        self._protocol = protocol
-        self._backend = backend
-
-    def refresh(self, k: int) -> None:
-        bk = self._backend
-        self._dark0 = bk.xp.asarray(DARK, dtype=bk.dtypes.int64)
-
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
         c1 = vc[..., 0]
         c2 = vc[..., 1]
         # 0, 1 or 2
-        pick = xp.astype(coins[..., 0] * 3.0, self._backend.dtypes.int64)
-        random_choice = xp.where(pick == 0, uc, xp.where(pick == 1, c1, c2))
-        winner = xp.where(
+        pick = (coins[..., 0] * 3.0).astype(np.int64)
+        random_choice = np.where(pick == 0, uc, np.where(pick == 1, c1, c2))
+        winner = np.where(
             (uc == c1) | (uc == c2),
             uc,
-            xp.where(c1 == c2, c1, random_choice),
+            np.where(c1 == c2, c1, random_choice),
         )
-        new_s = xp.where(winner == uc, us, self._dark0)
+        new_s = np.where(winner == uc, us, DARK)
         return winner, new_s
 
 
-class _TwoChoicesKernel:
+class _TwoChoicesKernel(_Kernel):
     """Adopt the sampled colour only when both samples agree on a
     colour different from one's own (dark shade on change)."""
 
-    coins = 0
-
-    def __init__(self, protocol, backend: Backend = HOST):
-        self._protocol = protocol
-        self._backend = backend
-
-    def refresh(self, k: int) -> None:
-        bk = self._backend
-        self._dark0 = bk.xp.asarray(DARK, dtype=bk.dtypes.int64)
-
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
         c1 = vc[..., 0]
         c2 = vc[..., 1]
         change = (c1 == c2) & (c1 != uc)
-        new_c = xp.where(change, c1, uc)
-        new_s = xp.where(change, self._dark0, us)
+        new_c = np.where(change, c1, uc)
+        new_s = np.where(change, DARK, us)
         return new_c, new_s
 
 
-class _AntiVoterKernel:
+class _AntiVoterKernel(_Kernel):
     """Adopt the opposite of the sampled colour (two-colour model)."""
-
-    coins = 0
-
-    def __init__(self, protocol, backend: Backend = HOST):
-        self._protocol = protocol
-        self._backend = backend
 
     def refresh(self, k: int) -> None:
         if k != 2:
@@ -247,19 +192,16 @@ class _AntiVoterKernel:
                 f"the anti-voter kernel needs exactly two colour slots, "
                 f"got k={k}"
             )
-        bk = self._backend
-        self._dark0 = bk.xp.asarray(DARK, dtype=bk.dtypes.int64)
 
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
         opposite = 1 - vc[..., 0]
         change = opposite != uc
-        new_c = xp.where(change, opposite, uc)
-        new_s = xp.where(change, self._dark0, us)
+        new_c = np.where(change, opposite, uc)
+        new_s = np.where(change, DARK, us)
         return new_c, new_s
 
 
-class _SISKernel:
+class _SISKernel(_Kernel):
     """SIS contact process: spontaneous recovery for infected agents,
     transmission on contact for susceptible ones.  The branches are
     exclusive per agent, so one pre-drawn coin serves both (the scalar
@@ -267,29 +209,14 @@ class _SISKernel:
 
     coins = 1
 
-    def __init__(self, protocol, backend: Backend = HOST):
-        self._protocol = protocol
-        self._backend = backend
-
     def refresh(self, k: int) -> None:
         if k != 2:
             raise ValueError(
                 f"the SIS kernel needs exactly two colour slots "
                 f"(susceptible/infected), got k={k}"
             )
-        bk = self._backend
-        xp = bk.xp
-        dt = bk.dtypes
-        self._dark0 = xp.asarray(DARK, dtype=dt.int64)
-        self._susceptible0 = xp.asarray(
-            self._protocol.SUSCEPTIBLE, dtype=dt.int64
-        )
-        self._infected0 = xp.asarray(
-            self._protocol.INFECTED, dtype=dt.int64
-        )
 
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
         protocol = self._protocol
         infected = uc == protocol.INFECTED
         coin = coins[..., 0]
@@ -299,24 +226,20 @@ class _SISKernel:
             & (vc[..., 0] == protocol.INFECTED)
             & (coin < protocol.transmission)
         )
-        new_c = xp.where(
+        new_c = np.where(
             recover,
-            self._susceptible0,
-            xp.where(catch, self._infected0, uc),
+            protocol.SUSCEPTIBLE,
+            np.where(catch, protocol.INFECTED, uc),
         )
-        new_s = xp.where(recover | catch, self._dark0, us)
+        new_s = np.where(recover | catch, DARK, us)
         return new_c, new_s
 
 
-class _RandomRecolouringKernel:
+class _RandomRecolouringKernel(_Kernel):
     """Relabel to a uniformly random colour on same-colour meetings
     (the strawman's global-knowledge redraw over all ``k`` colours)."""
 
     coins = 1
-
-    def __init__(self, protocol, backend: Backend = HOST):
-        self._protocol = protocol
-        self._backend = backend
 
     def refresh(self, k: int) -> None:
         if self._protocol.k > k:
@@ -324,32 +247,22 @@ class _RandomRecolouringKernel:
                 f"random recolouring redraws over {self._protocol.k} "
                 f"colours but the engine has only k={k} slots"
             )
-        bk = self._backend
-        xp = bk.xp
-        dt = bk.dtypes
-        self._dark0 = xp.asarray(DARK, dtype=dt.int64)
-        self._kmax0 = xp.asarray(self._protocol.k - 1, dtype=dt.int64)
 
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
         k = self._protocol.k
         redraw = vc[..., 0] == uc
-        pick = xp.astype(coins[..., 0] * k, self._backend.dtypes.int64)
-        pick = xp.minimum(pick, self._kmax0)  # ulp guard on coin ~ 1
-        new_c = xp.where(redraw, pick, uc)
-        new_s = xp.where(redraw, self._dark0, us)
+        pick = (coins[..., 0] * k).astype(np.int64)
+        pick = np.minimum(pick, k - 1)  # ulp guard on coin ~ 1
+        new_c = np.where(redraw, pick, uc)
+        new_s = np.where(redraw, DARK, us)
         return new_c, new_s
 
 
-class _TrivialResamplingKernel:
+class _TrivialResamplingKernel(_Kernel):
     """Redraw own colour proportionally to the protocol's private
     weight snapshot, gated by the resample probability."""
 
     coins = 2
-
-    def __init__(self, protocol, backend: Backend = HOST):
-        self._protocol = protocol
-        self._backend = backend
 
     def refresh(self, k: int) -> None:
         if self._protocol.known_k > k:
@@ -357,61 +270,44 @@ class _TrivialResamplingKernel:
                 f"trivial resampling draws over {self._protocol.known_k} "
                 f"colours but the engine has only k={k} slots"
             )
-        bk = self._backend
-        xp = bk.xp
-        dt = bk.dtypes
-        self._dark0 = xp.asarray(DARK, dtype=dt.int64)
-        self._kmax0 = xp.asarray(self._protocol.known_k - 1, dtype=dt.int64)
-        # The cumulative-share snapshot is private to the protocol and
-        # fixed after construction; device-place it once per refresh.
-        self._cum = bk.from_host(self._protocol.cumulative_shares())
 
     def apply(self, uc, us, vc, vs, coins):
-        xp = self._backend.xp
-        dt = self._backend.dtypes
-        resample = coins[..., 0] < self._protocol.resample_probability
-        pick = xp.searchsorted(self._cum, coins[..., 1], side="right")
-        pick = xp.astype(xp.minimum(pick, self._kmax0), dt.int64)
+        protocol = self._protocol
+        resample = coins[..., 0] < protocol.resample_probability
+        pick = np.searchsorted(
+            protocol.cumulative_shares(), coins[..., 1], side="right"
+        )
+        pick = np.minimum(pick, protocol.known_k - 1)
         change = resample & (pick != uc)
-        new_c = xp.where(change, pick, uc)
-        new_s = xp.where(change, self._dark0, us)
+        new_c = np.where(change, pick, uc)
+        new_s = np.where(change, DARK, us)
         return new_c, new_s
 
 
-#: Exact protocol type -> kernel factory (called with the protocol and
-#: the resolved backend).  Exact matches only: a subclass overriding
-#: ``transition`` must not inherit its parent's kernel.
+#: Exact protocol type -> kernel factory (called with the protocol).
+#: Exact matches only: a subclass overriding ``transition`` must not
+#: inherit its parent's kernel.
 _KERNEL_FACTORIES = {
-    Diversification: lambda p, bk: _DiversificationKernel(p, backend=bk),
-    UnweightedLightening: lambda p, bk: _DiversificationKernel(
-        p, unweighted=True, backend=bk
+    Diversification: _DiversificationKernel,
+    UnweightedLightening: lambda p: _DiversificationKernel(
+        p, unweighted=True
     ),
-    VoterModel: lambda p, bk: _VoterKernel(p, backend=bk),
-    ThreeMajority: lambda p, bk: _ThreeMajorityKernel(p, backend=bk),
-    TwoChoices: lambda p, bk: _TwoChoicesKernel(p, backend=bk),
-    AntiVoterModel: lambda p, bk: _AntiVoterKernel(p, backend=bk),
-    SISEpidemic: lambda p, bk: _SISKernel(p, backend=bk),
-    RandomRecolouring: lambda p, bk: _RandomRecolouringKernel(
-        p, backend=bk
-    ),
-    TrivialResampling: lambda p, bk: _TrivialResamplingKernel(
-        p, backend=bk
-    ),
+    VoterModel: _VoterKernel,
+    ThreeMajority: _ThreeMajorityKernel,
+    TwoChoices: _TwoChoicesKernel,
+    AntiVoterModel: _AntiVoterKernel,
+    SISEpidemic: _SISKernel,
+    RandomRecolouring: _RandomRecolouringKernel,
+    TrivialResampling: _TrivialResamplingKernel,
 }
 
 
-def kernel_for(protocol: Protocol, backend: str | Backend | None = None):
-    """The vectorised kernel for ``protocol``, or None if it has none.
-
-    ``backend`` selects the array namespace the kernel computes with
-    (name, resolved :class:`~repro.engine.backend.Backend`, or None for
-    the ``REPRO_BACKEND``/NumPy default).  Kernels run on *any* known
-    backend, including ``array-api-strict``.
-    """
+def kernel_for(protocol: Protocol):
+    """The vectorised kernel for ``protocol``, or None if it has none."""
     factory = _KERNEL_FACTORIES.get(type(protocol))
     if factory is None:
         return None
-    return factory(protocol, resolve_backend(backend))
+    return factory(protocol)
 
 
 def has_kernel(protocol: Protocol) -> bool:
@@ -433,16 +329,15 @@ def supports_topology(topology) -> bool:
     )
 
 
-def _whole_numbers(values, name: str, backend: Backend):
+def _whole_numbers(values, name: str):
     """``values`` as an int64 array; ``ValueError`` unless every entry
     is a whole number (``1.0`` is one, ``0.5`` is not)."""
-    xp = backend.xp
-    raw = xp.asarray(values)
+    raw = np.asarray(values)
     if raw.dtype.kind == "f" and not bool(
-        (xp.isfinite(raw) & (xp.floor(raw) == raw)).all()
+        (np.isfinite(raw) & (np.floor(raw) == raw)).all()
     ):
         raise ValueError(f"{name} must be whole numbers")
-    return xp.asarray(raw, dtype=backend.dtypes.int64)
+    return np.asarray(raw, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -519,18 +414,11 @@ class ArraySimulation:
         scheduler: Activation policy (default uniform; reset at
             construction).
         rng: Seed or generator driving all randomness (vectorised
-            draws).  Draws are host-resident on every backend — the
-            seeding contract.
+            draws).
         observers: Change-driven instrumentation.  With observers
             attached, kernel evaluation stays vectorised but changes
             are applied one at a time so each callback sees the exact
             mid-trajectory state.
-        backend: Array backend for state and kernels — a name, a
-            resolved :class:`~repro.engine.backend.Backend`, or None
-            (``REPRO_BACKEND`` env var, default NumPy).  The step loops
-            need a NumPy-compatible namespace, so ``array-api-strict``
-            is rejected here (use :func:`kernel_for` to exercise the
-            kernel layer on it).
     """
 
     def __init__(
@@ -542,18 +430,11 @@ class ArraySimulation:
         k: int | None = None,
         topology=None,
         scheduler: Scheduler | None = None,
-        rng: int | Generator | None = None,
+        rng: int | np.random.Generator | None = None,
         observers: Iterable[Observer] = (),
-        backend: str | Backend | None = None,
     ):
         self.protocol = protocol
-        self._backend = require_engine_loops(
-            resolve_backend(backend), "ArraySimulation"
-        )
-        bk = self._backend
-        xp = bk.xp
-        dt = bk.dtypes
-        self._kernel = kernel_for(protocol, backend=bk)
+        self._kernel = kernel_for(protocol)
         if self._kernel is None:
             raise ValueError(
                 f"protocol {protocol.name!r} has no vectorised kernel; "
@@ -565,7 +446,7 @@ class ArraySimulation:
             if k is None:
                 k = colours.k
             colours = colours.colours_view()
-        colours = _whole_numbers(colours, "colours", bk)
+        colours = _whole_numbers(colours, "colours")
         if colours.ndim != 1:
             raise ValueError("colours must be a flat (n,) sequence")
         self._n = int(colours.shape[0])
@@ -583,13 +464,13 @@ class ArraySimulation:
             )
         self._k = int(k)
         if shades is None:
-            shade_map = xp.asarray(
+            shade_map = np.asarray(
                 [protocol.initial_state(c).shade for c in range(self._k)],
-                dtype=dt.int64,
+                dtype=np.int64,
             )
             shades = shade_map[colours]
         else:
-            shades = _whole_numbers(shades, "shades", bk)
+            shades = _whole_numbers(shades, "shades")
             if shades.shape != colours.shape:
                 raise ValueError("shades must match the shape of colours")
             if int(shades.min()) < 0:
@@ -609,8 +490,8 @@ class ArraySimulation:
             self._offsets = self._targets = None
         elif hasattr(topology, "neighbour_arrays"):
             offsets, targets = topology.neighbour_arrays()
-            self._offsets = xp.asarray(offsets, dtype=dt.int64)
-            self._targets = xp.asarray(targets, dtype=dt.int64)
+            self._offsets = np.asarray(offsets, dtype=np.int64)
+            self._targets = np.asarray(targets, dtype=np.int64)
         else:
             raise ValueError(
                 f"topology {type(topology).__name__} exposes no CSR "
@@ -625,7 +506,7 @@ class ArraySimulation:
         self._arity = int(protocol.arity)
         self._ncoins = int(self._kernel.coins)
         self._buf_pos = _BLOCK  # empty; first run() refills
-        self._step_index = xp.arange(_BLOCK, dtype=dt.int64)
+        self._step_index = np.arange(_BLOCK, dtype=np.int64)
         self._reset_window()
         # Live (k,) count tables are maintained only while observers
         # need per-change snapshots; otherwise counts are recomputed on
@@ -645,11 +526,6 @@ class ArraySimulation:
     def k(self) -> int:
         """Number of colour slots (fixed for the engine's lifetime)."""
         return self._k
-
-    @property
-    def backend(self) -> Backend:
-        """The resolved array backend this engine computes with."""
-        return self._backend
 
     @property
     def time(self) -> int:
@@ -685,7 +561,7 @@ class ArraySimulation:
 
     def _bincount(self, mask):
         data = self._colours if mask is None else self._colours[mask]
-        return self._backend.xp.bincount(data, minlength=self._k)
+        return np.bincount(data, minlength=self._k)
 
     # ------------------------------------------------------------------
     # Adversary support (between, never during, ``run`` calls)
@@ -709,14 +585,12 @@ class ArraySimulation:
                 "population growth requires the complete graph; explicit "
                 "topologies cannot gain agents"
             )
-        xp = self._backend.xp
-        dt = self._backend.dtypes
         shade = DARK if dark else LIGHT
-        self._colours = xp.concatenate(
-            [self._colours, xp.full(count, colour, dtype=dt.int64)]
+        self._colours = np.concatenate(
+            [self._colours, np.full(count, colour, dtype=np.int64)]
         )
-        self._shades = xp.concatenate(
-            [self._shades, xp.full(count, shade, dtype=dt.int64)]
+        self._shades = np.concatenate(
+            [self._shades, np.full(count, shade, dtype=np.int64)]
         )
         self._n += count
         self._buf_pos = _BLOCK  # discard stale partner draws
@@ -762,13 +636,12 @@ class ArraySimulation:
     def _grow_colour_slots(self, new_k: int) -> None:
         if new_k < self._k:
             raise ValueError("colour slots can only grow")
-        xp = self._backend.xp
         extra = new_k - self._k
         self._k = int(new_k)
         if extra and self._live_counts is not None:
             self._live_counts = {
-                key: xp.concatenate(
-                    [table, xp.zeros(extra, dtype=table.dtype)]
+                key: np.concatenate(
+                    [table, np.zeros(extra, dtype=table.dtype)]
                 )
                 for key, table in self._live_counts.items()
             }
@@ -817,10 +690,7 @@ class ArraySimulation:
         """Size the window scratch for the current ``n``: every agent's
         first changing step in the window, ``_BLOCK`` (none) between
         windows, and the next window's length."""
-        bk = self._backend
-        self._first_change = bk.xp.full(
-            self._n, _BLOCK, dtype=bk.dtypes.int64
-        )
+        self._first_change = np.full(self._n, _BLOCK, dtype=np.int64)
         self._window = _FIRST_WINDOW
 
     def _run_single(self, steps: int) -> None:
@@ -835,27 +705,24 @@ class ArraySimulation:
 
     def _refill_single(self) -> None:
         """Draw a full block of steps."""
-        bk = self._backend
-        xp = bk.xp
-        dt = bk.dtypes
         n = self._n
         rng = self.rng
-        initiators = xp.asarray(
-            self.scheduler.draw_block(n, _BLOCK, rng), dtype=dt.int64
+        initiators = np.asarray(
+            self.scheduler.draw_block(n, _BLOCK, rng), dtype=np.int64
         )
-        partner_uniforms = bk.uniform_block(rng, (_BLOCK, self._arity))
+        partner_uniforms = rng.random((_BLOCK, self._arity))
         if self._ncoins:
-            self._buf_coins = bk.uniform_block(rng, (_BLOCK, self._ncoins))
+            self._buf_coins = rng.random((_BLOCK, self._ncoins))
         else:
-            self._buf_coins = xp.zeros((_BLOCK, 0), dtype=dt.float64)
+            self._buf_coins = np.zeros((_BLOCK, 0), dtype=np.float64)
         if self._complete:
-            draw = xp.astype(partner_uniforms * (n - 1), dt.int64)
+            draw = (partner_uniforms * (n - 1)).astype(np.int64)
             partners = draw + (draw >= initiators[:, None])
         else:
             degrees = (
                 self._offsets[initiators + 1] - self._offsets[initiators]
             )
-            local = xp.astype(partner_uniforms * degrees[:, None], dt.int64)
+            local = (partner_uniforms * degrees[:, None]).astype(np.int64)
             partners = self._targets[
                 self._offsets[initiators][:, None] + local
             ]
@@ -868,7 +735,7 @@ class ArraySimulation:
         writes.
 
         The kernel runs over a window against the window-start state.
-        ``xp.minimum.at`` records each changed agent's first changing
+        ``np.minimum.at`` records each changed agent's first changing
         step (a scatter-min, well defined for repeated agents), and the
         window commits up to the first step that reads an agent with an
         earlier change, which opens the next window; only the committed
@@ -876,7 +743,6 @@ class ArraySimulation:
         commit doubles the window, a cut one sets it to twice the
         committed length.
         """
-        xp = self._backend.xp
         initiators = self._buf_init
         partners = self._buf_partners
         coins = self._buf_coins
@@ -901,7 +767,7 @@ class ArraySimulation:
             committed = length
             # A change at the window's last step is read by no later one.
             if changed.size and changed[0] < length - 1:
-                xp.minimum.at(first, writers, changed)
+                np.minimum.at(first, writers, changed)
                 steps = self._step_index[:length]
                 stale = (
                     (first[u] < steps)
@@ -910,7 +776,7 @@ class ArraySimulation:
                 first[writers] = _BLOCK
                 if stale.size:
                     committed = int(stale[0])
-                    kept = xp.searchsorted(changed, committed)
+                    kept = np.searchsorted(changed, committed)
                     changed = changed[:kept]
                     writers = writers[:kept]
             if self.observers:
@@ -969,16 +835,14 @@ class ArraySimulation:
         buffer (initiators, partners and coins), scheduler progress,
         the RNG bit-generator state, and the protocol's weight table
         when it has one.  An exhausted buffer is dropped (the next run
-        refills at the same stream position either way).  All arrays
-        cross ``Backend.to_numpy``, so the view is host NumPy on every
-        backend.
+        refills at the same stream position either way).  Every array
+        in the view is a copy.
         """
-        bk = self._backend
         buffered = hasattr(self, "_buf_init") and self._buf_pos < _BLOCK
         weights = getattr(self.protocol, "weights", None)
         fields = {
-            "colours": bk.to_numpy(self._colours, copy=True),
-            "shades": bk.to_numpy(self._shades, copy=True),
+            "colours": self._colours.copy(),
+            "shades": self._shades.copy(),
             "k": int(self._k),
             "n": int(self._n),
             "time": int(self._time),
@@ -989,11 +853,9 @@ class ArraySimulation:
             "rng": ckpt.rng_state(self.rng),
         }
         if buffered:
-            fields["buf_init"] = bk.to_numpy(self._buf_init, copy=True)
-            fields["buf_partners"] = bk.to_numpy(
-                self._buf_partners, copy=True
-            )
-            fields["buf_coins"] = bk.to_numpy(self._buf_coins, copy=True)
+            fields["buf_init"] = self._buf_init.copy()
+            fields["buf_partners"] = self._buf_partners.copy()
+            fields["buf_coins"] = self._buf_coins.copy()
         if isinstance(weights, WeightTable):
             fields["weights"] = weights.as_array()
         return ckpt.payload("ArraySimulation", **fields)

@@ -31,16 +31,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..core.weights import WeightTable
 from .aggregate import resolve_lighten_probabilities
-from .backend import (
-    FLOAT64,
-    INT64,
-    Backend,
-    Generator,
-    require_engine_loops,
-    resolve_backend,
-)
 from .hetero import HeterogeneousAggregateBatch
 
 
@@ -72,39 +66,32 @@ class BatchedAggregateSimulation(HeterogeneousAggregateBatch):
         light_counts=None,
         *,
         replications: int | None = None,
-        rng: int | Generator | None = None,
+        rng: int | np.random.Generator | None = None,
         lighten_probabilities: Sequence[float] | None = None,
-        backend: str | Backend | None = None,
     ):
-        self._backend = require_engine_loops(
-            resolve_backend(backend), type(self).__name__
-        )
-        xp = self._backend.xp
         k = weights.k
-        dark = _as_matrix(dark_counts, replications, k, "dark_counts", xp)
+        dark = _as_matrix(dark_counts, replications, k, "dark_counts")
         replications = dark.shape[0]
         if light_counts is None:
-            light = xp.zeros(dark.shape, dtype=INT64)
+            light = np.zeros(dark.shape, dtype=np.int64)
         else:
-            light = _as_matrix(
-                light_counts, replications, k, "light_counts", xp
-            )
+            light = _as_matrix(light_counts, replications, k, "light_counts")
         totals = dark.sum(axis=1) + light.sum(axis=1)
         if not (totals == totals[0]).all():
             raise ValueError(
                 "all replications must share the same population size"
             )
-        lighten = xp.asarray(
+        lighten = np.asarray(
             resolve_lighten_probabilities(weights, lighten_probabilities),
-            dtype=FLOAT64,
+            dtype=np.float64,
         )
         self._table = weights
         self._init_rows(
-            xp.tile(xp.asarray(weights.as_array()), (replications, 1)),
-            xp.full(replications, k, dtype=INT64),
+            np.tile(weights.as_array(), (replications, 1)),
+            np.full(replications, k, dtype=np.int64),
             dark,
             light,
-            xp.tile(lighten, (replications, 1)),
+            np.tile(lighten, (replications, 1)),
             rng,
         )
 
@@ -148,10 +135,10 @@ class BatchedAggregateSimulation(HeterogeneousAggregateBatch):
         return self._table.add_colour(weight)
 
 
-def _as_matrix(counts, replications: int | None, k: int, name: str, xp):
+def _as_matrix(counts, replications: int | None, k: int, name: str):
     """Initial counts as an ``(R, k)`` matrix: a ``(k,)`` vector is
     broadcast over ``replications``, an ``(R, k)`` matrix copied."""
-    counts = xp.asarray(counts, dtype=INT64)
+    counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim == 1:
         if counts.shape[0] != k:
             raise ValueError(
@@ -163,7 +150,7 @@ def _as_matrix(counts, replications: int | None, k: int, name: str, xp):
             )
         if replications < 1:
             raise ValueError("need at least one replication")
-        return xp.tile(counts, (replications, 1))
+        return np.tile(counts, (replications, 1))
     if counts.ndim != 2 or counts.shape[1] != k:
         raise ValueError(
             f"{name} must have shape (k,) or (R, k) with k={k}"

@@ -12,16 +12,11 @@ hash snapshot fields, and the split-invariance properties
 split, ``run(a); run(b)`` leaves the same snapshot as ``run(a + b)``.
 No engine restores a snapshot; an interrupted sweep resumes by
 rerunning it with the shard cache.
-
-Snapshots are host-side by contract: engines running on a device
-backend cross ``Backend.to_numpy`` before assembling one.
 """
 
 from __future__ import annotations
 
-from .backend import HOST, Generator
-
-np = HOST.xp  # host namespace: snapshots always hold NumPy arrays
+import numpy as np
 
 #: Snapshot format tag; bump on incompatible layout changes.
 CKPT_FORMAT = "repro-ckpt/v1"
@@ -34,7 +29,7 @@ def payload(engine: str, **fields) -> dict:
     return out
 
 
-def rng_state(rng: Generator) -> dict:
+def rng_state(rng: np.random.Generator) -> dict:
     """JSON-able snapshot of a generator's bit-generator state.
 
     NumPy's ``bit_generator.state`` is already a plain dict of strings

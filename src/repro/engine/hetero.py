@@ -63,18 +63,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..core.weights import MIN_WEIGHT, WeightTable
 from . import checkpoint as ckpt
-from .backend import (
-    BOOL,
-    FLOAT64,
-    HOST,
-    INT64,
-    Backend,
-    Generator,
-    require_engine_loops,
-    resolve_backend,
-)
 from .rng import make_rng
 from .streams import RowStreams, geometric_from_uniform
 
@@ -105,35 +97,30 @@ class HeterogeneousAggregateBatch:
         dark_counts,
         light_counts=None,
         *,
-        rng: int | Generator | None = None,
+        rng: int | np.random.Generator | None = None,
         lighten_rows=None,
-        backend: str | Backend | None = None,
     ):
-        self._backend = require_engine_loops(
-            resolve_backend(backend), type(self).__name__
-        )
-        xp = self._backend.xp
         tables = [
             row if isinstance(row, WeightTable) else WeightTable(row)
             for row in weight_rows
         ]
         if not tables:
             raise ValueError("need at least one row")
-        ks = xp.asarray([table.k for table in tables], dtype=INT64)
-        weights = xp.zeros((len(tables), int(ks.max())), dtype=FLOAT64)
+        ks = np.asarray([table.k for table in tables], dtype=np.int64)
+        weights = np.zeros((len(tables), int(ks.max())), dtype=np.float64)
         for r, table in enumerate(tables):
             weights[r, : table.k] = table.as_array()
-        dark = _padded(dark_counts, "dark_counts", INT64, ks, xp)
+        dark = _padded(dark_counts, "dark_counts", np.int64, ks)
         if light_counts is None:
-            light = xp.zeros(dark.shape, dtype=INT64)
+            light = np.zeros(dark.shape, dtype=np.int64)
         else:
-            light = _padded(light_counts, "light_counts", INT64, ks, xp)
+            light = _padded(light_counts, "light_counts", np.int64, ks)
         if lighten_rows is None:
-            lighten = xp.zeros(weights.shape, dtype=FLOAT64)
-            mass = _mass_columns(ks, weights.shape[1], xp)
+            lighten = np.zeros(weights.shape, dtype=np.float64)
+            mass = _mass_columns(ks, weights.shape[1])
             lighten[mass] = 1.0 / weights[mass]
         else:
-            lighten = _padded(lighten_rows, "lighten_rows", FLOAT64, ks, xp)
+            lighten = _padded(lighten_rows, "lighten_rows", np.float64, ks)
         self._init_rows(weights, ks, dark, light, lighten, rng)
 
     def _init_rows(self, weights, ks, dark, light, lighten, rng) -> None:
@@ -143,33 +130,31 @@ class HeterogeneousAggregateBatch:
         and calls this once, so building an engine enters exactly one
         ``__init__``.
         """
-        xp = self._backend.xp
-        n = _checked_rows(weights, ks, dark, light, lighten, xp)
+        n = _checked_rows(weights, ks, dark, light, lighten)
         k_max = weights.shape[1]
         self._weights = weights
         self._ks = ks
         # One contiguous (B, 2 k_max) state matrix; dark and light are
         # views on the left and right blocks.
-        self._state = xp.concatenate([dark, light], axis=1)
+        self._state = np.concatenate([dark, light], axis=1)
         self._dark = self._state[:, :k_max]
         self._light = self._state[:, k_max:]
         self._lighten = lighten
         self._n = n
-        self._denom = n.astype(FLOAT64) * (n - 1).astype(FLOAT64)
+        self._denom = n.astype(np.float64) * (n - 1).astype(np.float64)
         rows = ks.shape[0]
         self.rng = make_rng(rng)
-        self._times = xp.zeros(rows, dtype=INT64)
+        self._times = np.zeros(rows, dtype=np.int64)
         # Per-row substreams and pending arrivals: see the module
         # docstring's split-invariance paragraph.
         self._streams = RowStreams.from_generator(self.rng, rows)
-        self._pending = xp.full(rows, -1, dtype=INT64)
+        self._pending = np.full(rows, -1, dtype=np.int64)
 
     def _per_row(self, steps, name: str = "steps"):
         """Broadcast a scalar or per-row step count to ``(B,)``."""
-        xp = self._backend.xp
-        steps = xp.asarray(steps, dtype=INT64)
+        steps = np.asarray(steps, dtype=np.int64)
         if steps.ndim == 0:
-            steps = xp.full(self.rows, int(steps), dtype=INT64)
+            steps = np.full(self.rows, int(steps), dtype=np.int64)
         if steps.shape != (self.rows,):
             raise ValueError(
                 f"{name} must be a scalar or have shape ({self.rows},)"
@@ -181,17 +166,16 @@ class HeterogeneousAggregateBatch:
     def _resolve_rows(self, rows):
         """Row selection for interventions: None (all rows), a boolean
         mask, or an index array."""
-        xp = self._backend.xp
         if rows is None:
-            return xp.arange(self.rows)
-        rows = xp.asarray(rows)
-        if rows.dtype == BOOL:
+            return np.arange(self.rows)
+        rows = np.asarray(rows)
+        if rows.dtype == np.bool_:
             if rows.shape != (self.rows,):
                 raise ValueError(
                     f"boolean row mask must have shape ({self.rows},)"
                 )
-            return xp.flatnonzero(rows)
-        rows = rows.astype(INT64).reshape(-1)
+            return np.flatnonzero(rows)
+        rows = rows.astype(np.int64).reshape(-1)
         if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
             raise ValueError("row indices out of range")
         return rows
@@ -208,11 +192,6 @@ class HeterogeneousAggregateBatch:
     def k_max(self) -> int:
         """Width of the padded colour axis."""
         return self._weights.shape[1]
-
-    @property
-    def backend(self) -> Backend:
-        """The array backend this engine computes on."""
-        return self._backend
 
     def ks(self):
         """Per-row colour counts ``k_r``, shape ``(B,)``."""
@@ -251,7 +230,7 @@ class HeterogeneousAggregateBatch:
 
     def step(self):
         """One faithful time-step in every row; returns the changed mask."""
-        changed = self._step_rows(self._backend.xp.arange(self.rows))
+        changed = self._step_rows(np.arange(self.rows))
         self._times += 1
         return changed
 
@@ -259,9 +238,8 @@ class HeterogeneousAggregateBatch:
         """Advance each row by its own ``steps`` (scalar or ``(B,)``)
         in faithful per-step mode; rows past their horizon sit out."""
         horizon = self._times + self._per_row(steps)
-        xp = self._backend.xp
         while True:
-            act = xp.flatnonzero(self._times < horizon)
+            act = np.flatnonzero(self._times < horizon)
             if act.size == 0:
                 return self
             self._step_rows(act)
@@ -271,16 +249,13 @@ class HeterogeneousAggregateBatch:
         """One faithful step for the rows in ``act`` (returns per-``act``
         changed mask) through :func:`apply_step_rows`."""
         self._pending[act] = -1  # per-step mode re-examines every step
-        bk = self._backend
-        uniforms = bk.from_host(self._streams.take(bk.to_numpy(act), 3)).T
         return apply_step_rows(
             self._state,
             self._dark,
             self._light,
             self._lighten,
             act,
-            uniforms,
-            xp=bk.xp,
+            self._streams.take(act, 3).T,
         )
 
     # ------------------------------------------------------------------
@@ -314,7 +289,6 @@ class HeterogeneousAggregateBatch:
             self._streams,
             self._pending,
             self.k_max,
-            backend=self._backend,
         )
         return self
 
@@ -342,7 +316,7 @@ class HeterogeneousAggregateBatch:
         block = self._dark if dark else self._light
         block[sel, colour] += count
         self._n[sel] += count
-        self._denom[sel] = self._n[sel].astype(FLOAT64) * (
+        self._denom[sel] = self._n[sel].astype(np.float64) * (
             self._n[sel] - 1
         )
         self._pending[sel] = -1  # rates changed: redraw those arrivals
@@ -364,7 +338,7 @@ class HeterogeneousAggregateBatch:
             raise ValueError(f"weights must be finite and >= {MIN_WEIGHT}")
         sel = self._resolve_rows(rows)
         if sel.size == 0:
-            return self._backend.xp.zeros(0, dtype=INT64)
+            return np.zeros(0, dtype=np.int64)
         if (self._ks[sel] == self.k_max).any():
             self._widen()
         cols = self._ks[sel].copy()
@@ -374,7 +348,7 @@ class HeterogeneousAggregateBatch:
         block[sel, cols] += count
         self._ks[sel] += 1
         self._n[sel] += count
-        self._denom[sel] = self._n[sel].astype(FLOAT64) * (
+        self._denom[sel] = self._n[sel].astype(np.float64) * (
             self._n[sel] - 1
         )
         self._pending[sel] = -1  # rates changed: redraw those arrivals
@@ -401,35 +375,33 @@ class HeterogeneousAggregateBatch:
     def _widen(self) -> None:
         """Grow the padded colour axis by one column (dark and light
         blocks are re-laid out; padding stays zero)."""
-        xp = self._backend.xp
         k = self.k_max
         rows = self.rows
-        state = xp.zeros((rows, 2 * (k + 1)), dtype=INT64)
+        state = np.zeros((rows, 2 * (k + 1)), dtype=np.int64)
         state[:, :k] = self._dark
         state[:, k + 1 : 2 * k + 1] = self._light
         self._state = state
         self._dark = state[:, : k + 1]
         self._light = state[:, k + 1 :]
-        pad = xp.zeros((rows, 1), dtype=FLOAT64)
-        self._weights = xp.concatenate([self._weights, pad], axis=1)
-        self._lighten = xp.concatenate([self._lighten, pad.copy()], axis=1)
+        pad = np.zeros((rows, 1), dtype=np.float64)
+        self._weights = np.concatenate([self._weights, pad], axis=1)
+        self._lighten = np.concatenate([self._lighten, pad.copy()], axis=1)
 
     # ------------------------------------------------------------------
     # State view
 
     def snapshot(self) -> dict:
         """Read-only ``repro-ckpt/v1`` view of all run-relevant state."""
-        bk = self._backend
         return ckpt.payload(
             "HeterogeneousAggregateBatch",
-            weights=bk.to_numpy(self._weights, copy=True),
-            ks=bk.to_numpy(self._ks, copy=True),
-            dark=bk.to_numpy(self._dark, copy=True),
-            light=bk.to_numpy(self._light, copy=True),
-            lighten=bk.to_numpy(self._lighten, copy=True),
-            times=bk.to_numpy(self._times, copy=True),
-            pending=bk.to_numpy(self._pending, copy=True),
-            n=bk.to_numpy(self._n, copy=True),
+            weights=self._weights.copy(),
+            ks=self._ks.copy(),
+            dark=self._dark.copy(),
+            light=self._light.copy(),
+            lighten=self._lighten.copy(),
+            times=self._times.copy(),
+            pending=self._pending.copy(),
+            n=self._n.copy(),
             streams=self._streams.snapshot(),
             rng=ckpt.rng_state(self.rng),
         )
@@ -443,18 +415,18 @@ class HeterogeneousAggregateBatch:
         )
 
 
-def _mass_columns(ks, k_max: int, xp):
+def _mass_columns(ks, k_max: int):
     """Boolean ``(B, k_max)`` mask of the non-padding columns."""
-    return xp.arange(k_max)[None, :] < ks[:, None]
+    return np.arange(k_max)[None, :] < ks[:, None]
 
 
-def _padded(values, name: str, dtype, ks, xp):
+def _padded(values, name: str, dtype, ks):
     """Zero-pad ragged per-row vectors to ``(B, k_max)``; an already
     padded matrix is checked for shape and copied (its padding columns
     are checked by :func:`_checked_rows`)."""
     rows, k_max = ks.shape[0], int(ks.max())
     if getattr(values, "ndim", None) == 2:
-        values = xp.asarray(values)
+        values = np.asarray(values)
         if values.shape != (rows, k_max):
             raise ValueError(
                 f"padded {name} must have shape ({rows}, {k_max}), "
@@ -465,9 +437,9 @@ def _padded(values, name: str, dtype, ks, xp):
         raise ValueError(
             f"{name} has {len(values)} rows but the batch has {rows}"
         )
-    out = xp.zeros((rows, k_max), dtype=dtype)
+    out = np.zeros((rows, k_max), dtype=dtype)
     for r, row in enumerate(values):
-        row = xp.asarray(row, dtype=dtype)
+        row = np.asarray(row, dtype=dtype)
         if row.ndim != 1 or row.shape[0] != ks[r]:
             raise ValueError(
                 f"{name} row {r} must have length k_r={ks[r]}, "
@@ -477,7 +449,7 @@ def _padded(values, name: str, dtype, ks, xp):
     return out
 
 
-def _checked_rows(weights, ks, dark, light, lighten, xp):
+def _checked_rows(weights, ks, dark, light, lighten):
     """Check padded ``(B, k_max)`` rows an engine can run from and
     return their population sizes ``n_r``.
 
@@ -489,7 +461,7 @@ def _checked_rows(weights, ks, dark, light, lighten, xp):
     k_max = weights.shape[1]
     if ((ks < 1) | (ks > k_max)).any():
         raise ValueError(f"ks must lie in [1, {k_max}]")
-    mass = _mass_columns(ks, k_max, xp)
+    mass = _mass_columns(ks, k_max)
     if not (weights[mass] >= MIN_WEIGHT).all():
         raise ValueError(f"weights must be >= {MIN_WEIGHT}")
     for name, block in (
@@ -515,7 +487,6 @@ def apply_step_rows(
     lighten,
     rows,
     uniforms,
-    xp=None,
 ):
     """Per-step transition of the row-batched engine: one faithful
     time-step for the ``rows`` of a ``(B, 2k)`` state matrix, mutating
@@ -528,32 +499,29 @@ def apply_step_rows(
     excluded from the partner draw, then the adopt/lighten rules apply
     through boolean masks.  ``uniforms`` holds the step's three
     ``(len(rows),)`` draws and ``lighten`` the ``(B, k)`` per-row
-    coins.  Returns the per-``rows`` changed mask.  ``xp`` selects the
-    (NumPy-compatible) namespace; the default is the host.
+    coins.  Returns the per-``rows`` changed mask.
     """
-    if xp is None:
-        xp = HOST.xp
     k = state.shape[1] // 2
     # Fancy indexing yields a fresh copy, safe to mutate below.
     masses = state[rows]
-    sub = xp.arange(rows.size)
-    u_cls = _pick_rows(masses, uniforms[0], xp)
+    sub = np.arange(rows.size)
+    u_cls = _pick_rows(masses, uniforms[0])
     # Exclude u from its own class before the partner draw.
     masses[sub, u_cls] -= 1
-    v_cls = _pick_rows(masses, uniforms[1], xp)
+    v_cls = _pick_rows(masses, uniforms[1])
     coin = uniforms[2]
     u_dark = u_cls < k
     v_dark = v_cls < k
-    u_col = xp.where(u_dark, u_cls, u_cls - k)
-    v_col = xp.where(v_dark, v_cls, v_cls - k)
+    u_col = np.where(u_dark, u_cls, u_cls - k)
+    v_col = np.where(v_dark, v_cls, v_cls - k)
     adopt = ~u_dark & v_dark
     lightened = (
         u_dark & v_dark & (u_col == v_col) & (coin < lighten[rows, u_col])
     )
-    a_sel = xp.flatnonzero(adopt)
+    a_sel = np.flatnonzero(adopt)
     light[rows[a_sel], u_col[a_sel]] -= 1
     dark[rows[a_sel], v_col[a_sel]] += 1
-    l_sel = xp.flatnonzero(lightened)
+    l_sel = np.flatnonzero(lightened)
     dark[rows[l_sel], u_col[l_sel]] -= 1
     light[rows[l_sel], u_col[l_sel]] += 1
     return adopt | lightened
@@ -569,7 +537,6 @@ def advance_event_driven(
     streams: RowStreams,
     pending,
     k: int,
-    backend: Backend = HOST,
 ) -> None:
     """Event-driven core of the row-batched engine: advance each row to
     its own ``horizon[r]`` with per-row geometric event jumps, mutating
@@ -654,18 +621,12 @@ def advance_event_driven(
     as they are, the counts stay whole numbers far below 2**53, and the
     ±1 scatter changes one source and one distinct destination element
     per column, so no index repeats within it.
-
-    ``backend`` supplies the array namespace the loop computes in and
-    the host converters for the stream boundary (``streams`` draws on
-    the CPU on every backend).
     """
-    xp = backend.xp
-    act = xp.flatnonzero(times < horizon)
+    act = np.flatnonzero(times < horizon)
     if act.size == 0:
         return
     rows = _ActiveRows.gather(
-        act, times, horizon, dark, light, lighten, denom, k, streams,
-        backend,
+        act, times, horizon, dark, light, lighten, denom, k, streams
     )
     carried = True
     try:
@@ -678,19 +639,19 @@ def advance_event_driven(
             # hold the dark counts for the partner pick.  The dark
             # totals fill the buffer's last row first.
             r.dark.sum(axis=0, out=r.total_dark)
-            xp.multiply(r.light, r.total_dark, out=r.adopt)
-            xp.subtract(r.dark, 1.0, out=r.dark_less)
-            xp.multiply(r.dark, r.dark_less, out=r.terms)
-            xp.multiply(r.terms, r.lighten, out=r.terms)
+            np.multiply(r.light, r.total_dark, out=r.adopt)
+            np.subtract(r.dark, 1.0, out=r.dark_less)
+            np.multiply(r.dark, r.dark_less, out=r.terms)
+            np.multiply(r.terms, r.lighten, out=r.terms)
             r.partner[...] = r.dark
             for prev, cur in r.cumulate:
-                xp.add(prev, cur, out=cur)
+                np.add(prev, cur, out=cur)
             # Rows with no active events left (single colour, all dark,
             # w = 1 edge cases) coast to the horizon.  An absorbed row
             # can hold no pending arrival: rates only change through
             # events and interventions, and interventions clear
             # ``pending``.
-            if xp.count_nonzero(r.rate) < r.size:
+            if np.count_nonzero(r.rate) < r.size:
                 rows = r = r.retire(r.rate > 0.0, times, dark, light)
                 if not r.size:
                     break
@@ -706,19 +667,17 @@ def advance_event_driven(
                 carried = False
                 arrival = pending[r.act]
                 fresh = arrival < 0
-                if xp.count_nonzero(fresh):
-                    streams.set_cursors(r.rows, r.pos)
-                    u = streams.take(backend.to_numpy(r.act[fresh]), 1)
+                if np.count_nonzero(fresh):
+                    streams.set_cursors(r.act, r.pos)
+                    u = streams.take(r.act[fresh], 1)
                     arrival[fresh] = r.clock[fresh] + geometric_from_uniform(
-                        backend.from_host(u[:, 0]), chance[fresh], xp=xp
+                        u[:, 0], chance[fresh]
                     )
-                    r.pos = streams.cursors(r.rows)[0]
+                    r.pos = streams.cursors(r.act)[0]
                 pending[r.act] = -1
             else:
-                u, r.pos = streams.draw(r.rows, r.pos, r.start, 1)
-                arrival = geometric_from_uniform(
-                    backend.from_host(u), chance, xp=xp
-                )
+                u, r.pos = streams.draw(r.act, r.pos, r.start, 1)
+                arrival = geometric_from_uniform(u, chance)
                 arrival += r.clock
             # A jump past the horizon means the remaining steps are
             # no-ops: stop that row at the horizon and keep the arrival
@@ -727,10 +686,10 @@ def advance_event_driven(
             # split-invariant bit-for-bit).  The event uniforms are only
             # drawn on consumption, so nothing else is buffered.
             reach = arrival >= r.horizon
-            landing = xp.count_nonzero(reach)
+            landing = np.count_nonzero(reach)
             if landing:
                 over = arrival > r.horizon
-                overshoot = xp.count_nonzero(over)
+                overshoot = np.count_nonzero(over)
                 if overshoot:
                     pending[r.act[over]] = arrival[over]
                     keep = ~over
@@ -746,11 +705,10 @@ def advance_event_driven(
             # thresholds ``u0 * rate`` and ``u1 * total_dark + rate``.
             # Each pick is the count of cumulative masses at or below
             # its threshold.
-            u, r.pos = streams.draw(r.rows, r.pos, r.lanes, 2)
-            u = backend.from_host(u)
-            xp.multiply(u, r.scale, out=u)
+            u, r.pos = streams.draw(r.act, r.pos, r.lanes, 2)
+            np.multiply(u, r.scale, out=u)
             u[1] += r.rate
-            u = _below(u, r.totals, xp)
+            u = _below(u, r.totals)
             cls = (r.event <= u[0]).sum(axis=0)
             j = (r.partner <= u[1]).sum(axis=0)
             # Adopt moves light i -> dark j; lighten moves dark i ->
@@ -762,7 +720,7 @@ def advance_event_driven(
             cls += j
             move = r.moves.take(cls, axis=1)
             move += r.col
-            r.flat[move] += r.step
+            r.flat[move] += _MOVE
             if landing:
                 rows = r.retire(~reach, times, dark, light)
     finally:
@@ -771,7 +729,7 @@ def advance_event_driven(
 
 #: What one event adds to its source class (row 0) and destination
 #: class (row 1).
-_MOVE = HOST.xp.array([[-1.0], [1.0]], dtype=FLOAT64)
+_MOVE = np.array([[-1.0], [1.0]], dtype=np.float64)
 
 
 class _ActiveRows:
@@ -796,34 +754,31 @@ class _ActiveRows:
 
     The rows' stream cursors live here too: ``pos`` holds each row's
     cursor and ``lanes`` its flat pool offsets (``start`` is their first
-    row), host arrays from :class:`~repro.engine.streams.RowStreams`
-    for its cursor draws, indexed by the host row indices ``rows``.
-    They are compacted with the other blocks and written back to the
-    streams wherever the counts are written back to the engine.
-    ``dark_less`` is scratch, and ``moves`` the ``(2, 2k * k)`` lookup
-    of an event's source and destination offsets in ``flat`` by its
-    class ``c`` and partner ``j`` at column ``c * k + j``; both are
-    rebuilt with every compaction.  ``step`` is :data:`_MOVE` in the
-    loop's namespace.
+    row), from :class:`~repro.engine.streams.RowStreams` for its cursor
+    draws, indexed by the engine row indices ``act``.  They are
+    compacted with the other blocks and written back to the streams
+    wherever the counts are written back to the engine.  ``dark_less``
+    is scratch, and ``moves`` the ``(2, 2k * k)`` lookup of an event's
+    source and destination offsets in ``flat`` by its class ``c`` and
+    partner ``j`` at column ``c * k + j``; both are rebuilt with every
+    compaction.
     """
 
     __slots__ = (
-        "act", "rows", "size", "col", "counts", "flat", "dark", "light",
+        "act", "size", "col", "counts", "flat", "dark", "light",
         "clock", "horizon", "denom", "lighten", "mass", "cumulate",
         "adopt", "terms", "partner", "event", "rate", "total_dark",
-        "scale", "totals", "dark_less", "moves", "step", "streams",
-        "backend", "pos", "lanes", "start",
+        "scale", "totals", "dark_less", "moves", "streams", "pos",
+        "lanes", "start",
     )
 
     def __init__(
         self, act, counts, clock, horizon, denom, lighten, mass, col,
-        streams, backend, pos, lanes,
+        streams, pos, lanes,
     ):
-        xp = backend.xp
         k = counts.shape[0] // 2
         size = act.shape[0]
         self.act = act
-        self.rows = backend.to_numpy(act)
         self.size = size
         self.col = col[:size]
         self.counts = counts
@@ -845,27 +800,23 @@ class _ActiveRows:
         self.total_dark = mass[3 * k]
         self.scale = mass[2 * k - 1 :: k + 1]
         self.totals = mass[2 * k - 1 : 3 * k : k]
-        self.dark_less = xp.empty((k, size), dtype=FLOAT64)
-        self.moves = _moves(k, size, xp)
-        self.step = xp.asarray(_MOVE)
+        self.dark_less = np.empty((k, size), dtype=np.float64)
+        self.moves = _moves(k, size)
         self.streams = streams
-        self.backend = backend
         self.pos = pos
         self.lanes = lanes
         self.start = lanes[0]
 
     @classmethod
     def gather(
-        cls, act, times, horizon, dark, light, lighten, denom, k, streams,
-        backend,
+        cls, act, times, horizon, dark, light, lighten, denom, k, streams
     ):
         """Copy the engine rows ``act`` into a fresh working set."""
-        xp = backend.xp
         size = act.shape[0]
-        counts = xp.empty((2 * k, size), dtype=FLOAT64)
+        counts = np.empty((2 * k, size), dtype=np.float64)
         counts[:k] = dark[act].T
         counts[k:] = light[act].T
-        pos, lanes = streams.cursors(backend.to_numpy(act))
+        pos, lanes = streams.cursors(act)
         return cls(
             act,
             counts,
@@ -873,10 +824,9 @@ class _ActiveRows:
             horizon[act],
             denom[act],
             lighten[act].T.copy(),
-            xp.empty((3 * k + 1, size), dtype=FLOAT64),
-            xp.arange(size),
+            np.empty((3 * k + 1, size), dtype=np.float64),
+            np.arange(size),
             streams,
-            backend,
             pos,
             lanes,
         )
@@ -889,9 +839,7 @@ class _ActiveRows:
         times[rows] = self.horizon[gone]
         dark[rows] = self.dark[:, gone].T
         light[rows] = self.light[:, gone].T
-        host_keep = self.backend.to_numpy(keep)
-        host_gone = ~host_keep
-        self.streams.set_cursors(self.rows[host_gone], self.pos[host_gone])
+        self.streams.set_cursors(rows, self.pos[gone])
         return _ActiveRows(
             self.act[keep],
             self.counts.compress(keep, axis=1),
@@ -902,9 +850,8 @@ class _ActiveRows:
             self.mass.compress(keep, axis=1),
             self.col,
             self.streams,
-            self.backend,
-            self.pos[host_keep],
-            self.lanes.compress(host_keep, axis=1),
+            self.pos[keep],
+            self.lanes.compress(keep, axis=1),
         )
 
     def store(self, times, dark, light) -> None:
@@ -912,25 +859,25 @@ class _ActiveRows:
         times[self.act] = self.clock
         dark[self.act] = self.dark.T
         light[self.act] = self.light.T
-        self.streams.set_cursors(self.rows, self.pos)
+        self.streams.set_cursors(self.act, self.pos)
 
 
-def _moves(k: int, size: int, xp):
+def _moves(k: int, size: int):
     """``(2, 2k * k)`` flat offsets, in a ``(2k, ·)`` block of ``size``
     columns, of the classes an event of class ``c`` with partner ``j``
     (column ``c * k + j``) takes an agent from (row 0) and gives it to
     (row 1).  Adopt events (``c < k``) move light ``c`` (class ``k +
     c``) to dark ``j``; lighten events move dark ``c - k`` to light
     ``c - k`` (class ``c``) and ignore ``j``."""
-    c = xp.repeat(xp.arange(2 * k, dtype=INT64), k)
-    j = xp.tile(xp.arange(k, dtype=INT64), 2 * k)
+    c = np.repeat(np.arange(2 * k, dtype=np.int64), k)
+    j = np.tile(np.arange(k, dtype=np.int64), 2 * k)
     adopt = c < k
-    source = xp.where(adopt, c + k, c - k)
-    target = xp.where(adopt, j, c)
-    return xp.stack([source, target]) * size
+    source = np.where(adopt, c + k, c - k)
+    target = np.where(adopt, j, c)
+    return np.stack([source, target]) * size
 
 
-def _pick_rows(masses, uniforms, xp=None):
+def _pick_rows(masses, uniforms):
     """Row-wise weighted index: for each row r, the first index whose
     cumulative mass exceeds ``uniforms[r]`` times the row total.
 
@@ -942,14 +889,12 @@ def _pick_rows(masses, uniforms, xp=None):
     counterpart of the scalar engine's last-non-empty fallback.  Rows
     must have positive total mass.
     """
-    if xp is None:
-        xp = HOST.xp
-    cum = xp.cumsum(masses, axis=1, dtype=FLOAT64)
-    picks = _below(uniforms * cum[:, -1], cum[:, -1], xp)
-    return xp.argmax(cum > picks[:, None], axis=1)
+    cum = np.cumsum(masses, axis=1, dtype=np.float64)
+    picks = _below(uniforms * cum[:, -1], cum[:, -1])
+    return np.argmax(cum > picks[:, None], axis=1)
 
 
-def _below(picks, totals, xp=None):
+def _below(picks, totals):
     """Clamp thresholds strictly below their row totals.
 
     A threshold reaches its total only by rounding, so the clamp, whose
@@ -957,8 +902,6 @@ def _below(picks, totals, xp=None):
     event loop, runs only when one does; below it, the clamp would
     return every threshold unchanged.
     """
-    if xp is None:
-        xp = HOST.xp
     if (picks < totals).all():
         return picks
-    return xp.minimum(picks, xp.nextafter(totals, -xp.inf))
+    return np.minimum(picks, np.nextafter(totals, -np.inf))

@@ -79,12 +79,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..core.weights import WeightTable
 from . import checkpoint as ckpt
-from .backend import HOST, INT64, Generator
 from .rng import make_rng
 
-np = HOST.xp  # host namespace: the scalar shade engine is CPU-resident
 
 #: Uniforms per pooled ``rng.random`` call.
 _BLOCK = 1024
@@ -110,7 +110,7 @@ class MultiShadeAggregate:
         weights: WeightTable,
         colour_counts: Sequence[int],
         *,
-        rng: int | Generator | None = None,
+        rng: int | np.random.Generator | None = None,
     ):
         if not weights.is_integer():
             raise ValueError("derandomised protocol requires integer weights")
@@ -154,19 +154,19 @@ class MultiShadeAggregate:
     def colour_counts(self):
         """``C_i`` per colour."""
         return np.asarray(
-            [sum(row) for row in self._shades], dtype=INT64
+            [sum(row) for row in self._shades], dtype=np.int64
         )
 
     def dark_counts(self):
         """Positive-shade (committed) agents per colour, ``P_i``."""
         return np.asarray(
-            [sum(row[1:]) for row in self._shades], dtype=INT64
+            [sum(row[1:]) for row in self._shades], dtype=np.int64
         )
 
     def light_counts(self):
         """Shade-0 (open) agents per colour, ``Z_i``."""
         return np.asarray(
-            [row[0] for row in self._shades], dtype=INT64
+            [row[0] for row in self._shades], dtype=np.int64
         )
 
     # ------------------------------------------------------------------
@@ -262,13 +262,13 @@ class MultiShadeAggregate:
         per-colour offsets so the view stays a dict of plain arrays.
         """
         flat = [count for row in self._shades for count in row]
-        offsets = np.zeros(self.k + 1, dtype=INT64)
+        offsets = np.zeros(self.k + 1, dtype=np.int64)
         for colour, row in enumerate(self._shades):
             offsets[colour + 1] = offsets[colour] + len(row)
         return ckpt.payload(
             "MultiShadeAggregate",
             weights=self.weights.as_array(),
-            shades=np.asarray(flat, dtype=INT64),
+            shades=np.asarray(flat, dtype=np.int64),
             offsets=offsets,
             time=int(self.time),
             pending=-1 if self._pending is None else int(self._pending),
@@ -288,13 +288,13 @@ def _totals(shades: list[list[int]]) -> tuple[list[int], int, int, int]:
     return positive, zero, sum(positive), decrement
 
 
-def _block(rng: Generator) -> tuple[dict, list[float]]:
+def _block(rng: np.random.Generator) -> tuple[dict, list[float]]:
     """The generator's state, then the next ``_BLOCK`` uniforms it
     draws (see the module docstring)."""
     return rng.bit_generator.state, rng.random(_BLOCK).tolist()
 
 
-def _sync(rng: Generator, state: dict, used: int) -> None:
+def _sync(rng: np.random.Generator, state: dict, used: int) -> None:
     """Leave ``rng`` where one call per draw would: at ``state``, the
     start of the current block, plus the ``used`` uniforms served from
     it."""

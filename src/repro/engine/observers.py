@@ -8,10 +8,9 @@ Snapshot-style recording at fixed intervals is handled separately by
 
 from __future__ import annotations
 
-from ..core.state import AgentState
-from .backend import FLOAT64, HOST, INT64
+import numpy as np
 
-np = HOST.xp  # host namespace: observers instrument the scalar engine
+from ..core.state import AgentState
 
 
 class Observer:
@@ -49,8 +48,8 @@ class OccupancyTracker(Observer):
     def on_start(self, simulation) -> None:
         n, k = simulation.population.n, simulation.population.k
         if self._occupancy is None:
-            self._occupancy = np.zeros((n, k, 2), dtype=FLOAT64)
-            self._last_change = np.full(n, simulation.time, dtype=INT64)
+            self._occupancy = np.zeros((n, k, 2), dtype=np.float64)
+            self._last_change = np.full(n, simulation.time, dtype=np.int64)
             self._start_time = simulation.time
         else:
             self._ensure_capacity(n, k)
@@ -86,11 +85,11 @@ class OccupancyTracker(Observer):
     def _ensure_capacity(self, n: int, k: int) -> None:
         rows, cols, _ = self._occupancy.shape
         if n > rows or k > cols:
-            grown = np.zeros((max(n, rows), max(k, cols), 2), dtype=FLOAT64)
+            grown = np.zeros((max(n, rows), max(k, cols), 2), dtype=np.float64)
             grown[:rows, :cols, :] = self._occupancy
             self._occupancy = grown
             if n > rows:
-                last = np.full(n, 0, dtype=INT64)
+                last = np.full(n, 0, dtype=np.int64)
                 last[:rows] = self._last_change
                 # New agents start accumulating from their insertion time;
                 # callers adding agents mid-run should call flush() first.
@@ -132,8 +131,8 @@ class MinCountTracker(Observer):
         counts = simulation.population.colour_counts()
         darks = simulation.population.dark_counts()
         if self.min_colour_counts is None:
-            self.min_colour_counts = counts.astype(INT64)
-            self.min_dark_counts = darks.astype(INT64)
+            self.min_colour_counts = counts.astype(np.int64)
+            self.min_dark_counts = darks.astype(np.int64)
         else:
             self._refresh(simulation)
 

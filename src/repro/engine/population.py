@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from ..core.protocol import Protocol
 from ..core.state import AgentState
-from .backend import HOST, INT64
-
-np = HOST.xp  # host namespace: the scalar container is CPU-resident
 
 
 class Population:
@@ -91,15 +90,15 @@ class Population:
 
     def colour_counts(self):
         """``C_i``: agents per colour, shape ``(k,)``."""
-        return np.asarray(self._colour_counts, dtype=INT64)
+        return np.asarray(self._colour_counts, dtype=np.int64)
 
     def dark_counts(self):
         """``A_i``: committed (shade > 0) agents per colour."""
-        return np.asarray(self._dark_counts, dtype=INT64)
+        return np.asarray(self._dark_counts, dtype=np.int64)
 
     def light_counts(self):
         """``a_i``: open (shade == 0) agents per colour."""
-        return np.asarray(self._light_counts, dtype=INT64)
+        return np.asarray(self._light_counts, dtype=np.int64)
 
     def colours_view(self) -> Sequence[int]:
         """Read-only view of the internal colour list (do not mutate)."""

@@ -4,16 +4,11 @@ Every stochastic component in the library accepts a
 :class:`numpy.random.Generator`.  These helpers centralise construction
 and deterministic splitting so that experiments are reproducible from a
 single integer seed.
-
-Randomness is host-resident by design: even when an engine computes on
-a device backend, its draws originate from these CPU generators (see
-:mod:`repro.engine.backend`), so the seed-to-trajectory mapping is the
-same on every backend.
 """
 
 from __future__ import annotations
 
-from .backend import Generator, SeedSequence, default_rng
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 def make_rng(seed: int | Generator | None = None) -> Generator:

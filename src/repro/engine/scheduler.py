@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import abc
 
-from .backend import HOST, Generator
-
-np = HOST.xp  # host namespace: activation blocks are drawn on the CPU
+import numpy as np
 
 
 class Scheduler(abc.ABC):
@@ -25,7 +23,7 @@ class Scheduler(abc.ABC):
 
     @abc.abstractmethod
     def draw_block(
-        self, n: int, size: int, rng: Generator
+        self, n: int, size: int, rng: np.random.Generator
     ):
         """Return ``size`` activation indices for a population of ``n``."""
 
@@ -54,7 +52,7 @@ class UniformScheduler(Scheduler):
     name = "uniform"
 
     def draw_block(
-        self, n: int, size: int, rng: Generator
+        self, n: int, size: int, rng: np.random.Generator
     ):
         return rng.integers(0, n, size=size)
 
@@ -80,7 +78,7 @@ class RoundRobinScheduler(Scheduler):
         return {"start": self._start, "next": self._next}
 
     def draw_block(
-        self, n: int, size: int, rng: Generator
+        self, n: int, size: int, rng: np.random.Generator
     ):
         block = (self._next + np.arange(size)) % n
         self._next = int((self._next + size) % n)

@@ -55,16 +55,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from ..core.protocol import Protocol
 from ..core.weights import WeightTable
 from . import checkpoint as ckpt
-from .backend import HOST, INT64, Generator
 from .observers import Observer
 from .population import Population
 from .rng import make_rng
 from .scheduler import Scheduler, UniformScheduler
 
-np = HOST.xp  # host namespace: the agent-level loop is scalar/CPU
 
 _BLOCK = 4096
 
@@ -92,7 +92,7 @@ class Simulation:
         *,
         topology=None,
         scheduler: Scheduler | None = None,
-        rng: int | Generator | None = None,
+        rng: int | np.random.Generator | None = None,
         observers: Iterable[Observer] = (),
     ):
         if population.n < 2:
@@ -246,9 +246,9 @@ class Simulation:
         weights = getattr(self.protocol, "weights", None)
         fields = {
             "colours": np.asarray(
-                population.colours_view(), dtype=INT64
+                population.colours_view(), dtype=np.int64
             ),
-            "shades": np.asarray(population.shades_view(), dtype=INT64),
+            "shades": np.asarray(population.shades_view(), dtype=np.int64),
             "k": int(population.k),
             "time": int(self.time),
             "changes": int(self.changes),

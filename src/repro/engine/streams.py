@@ -44,30 +44,23 @@ serve the request, whatever other rows share the call.
 ``geometric_from_uniform`` skips its mask when every ``p < 1``.  The
 loop keeps its gap and event draws separate for the same reason (see
 :func:`repro.engine.hetero.advance_event_driven`).
-
-Streams are host-resident on every backend: the per-row PCG64 states
-*are* the split-invariance contract, so draws happen on the CPU and
-device backends receive the blocks via ``Backend.from_host`` at the
-call site (see :mod:`repro.engine.backend`).
 """
 
 from __future__ import annotations
 
-from .backend import FLOAT64, HOST, INT64, UINT64, Generator, PCG64, SeedSequence
-
-np = HOST.xp  # host namespace: streams never live on a device
+import numpy as np
 
 #: Uniforms pooled per row between refills.
 _POOL_BLOCK = 256
 
 #: Added to a row's pool start to address its next two draws.
-_LANE_STEP = np.arange(2, dtype=INT64)[:, None]
+_LANE_STEP = np.arange(2, dtype=np.int64)[:, None]
 
-_U64 = UINT64
+_U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
 
-def geometric_from_uniform(uniforms, p, xp=None):
+def geometric_from_uniform(uniforms, p):
     """Inverse-transform ``Geometric(p)`` on ``{1, 2, ...}``.
 
     ``G = 1 + floor(log1p(-U) / log1p(-p))`` maps ``U ~ Uniform[0, 1)``
@@ -75,61 +68,56 @@ def geometric_from_uniform(uniforms, p, xp=None):
     to 1.  Huge jumps (vanishing ``p`` with ``U`` within an ulp of 1)
     are clamped to ``2**62`` steps — far past any representable horizon
     — so the float-to-int cast never overflows.
-
-    ``xp`` selects the (NumPy-compatible) namespace the arithmetic runs
-    in; the default is the host.
     """
-    if xp is None:
-        xp = np
-    p = xp.asarray(p, dtype=FLOAT64)
-    uniforms = xp.asarray(uniforms, dtype=FLOAT64)
+    p = np.asarray(p, dtype=np.float64)
+    uniforms = np.asarray(uniforms, dtype=np.float64)
     rest = p < 1.0
-    if xp.count_nonzero(rest) == rest.size:
+    if np.count_nonzero(rest) == rest.size:
         # Every p < 1 (the event loop's case): the same arithmetic on
         # the whole arrays, without the masked gather and scatter.
-        return _jumps(uniforms, p, xp)
-    out = xp.ones(p.shape, dtype=INT64)
-    out[rest] = _jumps(uniforms[rest], p[rest], xp)
+        return _jumps(uniforms, p)
+    out = np.ones(p.shape, dtype=np.int64)
+    out[rest] = _jumps(uniforms[rest], p[rest])
     return out
 
 
-def _jumps(uniforms, p, xp):
+def _jumps(uniforms, p):
     """``1 + floor(log1p(-U) / log1p(-p))`` for ``p < 1``, clamped.
 
     The formula's operations in its order, applied in place to the
     first ``log1p``'s result; adding 1 on the right gives the same
     float as on the left.
     """
-    gaps = xp.log1p(-uniforms)
-    gaps /= xp.log1p(-p)
-    xp.floor(gaps, out=gaps)
+    gaps = np.log1p(-uniforms)
+    gaps /= np.log1p(-p)
+    np.floor(gaps, out=gaps)
     gaps += 1.0
-    xp.minimum(gaps, float(2**62), out=gaps)
-    return gaps.astype(INT64)
+    np.minimum(gaps, float(2**62), out=gaps)
+    return gaps.astype(np.int64)
 
 
 class RowStreams:
     """B independent per-row uniform streams with pooled draws."""
 
     def __init__(self, generators, *, block: int = _POOL_BLOCK):
-        self._gens: list[Generator] = list(generators)
+        self._gens: list[np.random.Generator] = list(generators)
         if not self._gens:
             raise ValueError("need at least one row stream")
         if block < 4:
             raise ValueError("block must hold at least one event's draws")
         self._block = int(block)
-        self._pool = np.zeros((len(self._gens), self._block), dtype=FLOAT64)
+        self._pool = np.zeros((len(self._gens), self._block), dtype=np.float64)
         # Row r's pool is _rows[r] and _flat[r * block : (r + 1) * block];
         # refills write the pool in place, so the views stay valid.
         self._rows = list(self._pool)
         self._flat = self._pool.reshape(-1)
         # Cursors start exhausted; the first take() refills on demand.
-        self._pos = np.full(len(self._gens), self._block, dtype=INT64)
+        self._pos = np.full(len(self._gens), self._block, dtype=np.int64)
 
     @classmethod
     def from_generator(
         cls,
-        rng: Generator,
+        rng: np.random.Generator,
         rows: int,
         *,
         block: int = _POOL_BLOCK,
@@ -147,9 +135,9 @@ class RowStreams:
             endpoint=True,
         )
         gens = [
-            Generator(
-                PCG64(
-                    SeedSequence([int(w) for w in row])
+            np.random.Generator(
+                np.random.PCG64(
+                    np.random.SeedSequence([int(w) for w in row])
                 )
             )
             for row in words
@@ -171,15 +159,14 @@ class RowStreams:
         row's pool into the next row's, and ``m < 1`` would move the
         cursor back over consumed draws.
 
-        Both the index argument and the returned block are host arrays;
-        device engines convert at the call site.  The block is a
-        transposed view, so each of its columns is contiguous.
+        The block is a transposed view, so each of its columns is
+        contiguous.
         """
         if not 1 <= m <= self._block:
             raise ValueError(
                 f"take needs 1 <= m <= {self._block} draws per row, got {m}"
             )
-        rows = np.asarray(rows, dtype=INT64)
+        rows = np.asarray(rows, dtype=np.int64)
         pos, end = self._serve(rows, self._pos[rows], m)
         self._pos[rows] = end
         # Gathered draw-major, an (m, len(rows)) block, and returned
@@ -194,12 +181,12 @@ class RowStreams:
         """The cursors of ``rows`` and their flat pool offsets, for
         :meth:`draw`.
 
-        Returns fresh host arrays ``(pos, lanes)``: ``pos[i]`` is row
+        Returns fresh arrays ``(pos, lanes)``: ``pos[i]`` is row
         ``rows[i]``'s cursor and ``lanes[:, i]`` is ``rows[i] * block +
         (0, 1)``, so ``lanes[:m] + pos`` addresses each row's next ``m
         <= 2`` draws in the flat pool.
         """
-        rows = np.asarray(rows, dtype=INT64)
+        rows = np.asarray(rows, dtype=np.int64)
         return self._pos[rows], rows * self._block + _LANE_STEP
 
     def set_cursors(self, rows, pos) -> None:
@@ -246,7 +233,7 @@ class RowStreams:
         rows = self.rows
         state = np.zeros((rows, 2), dtype=_U64)
         inc = np.zeros((rows, 2), dtype=_U64)
-        has_uint32 = np.zeros(rows, dtype=INT64)
+        has_uint32 = np.zeros(rows, dtype=np.int64)
         uinteger = np.zeros(rows, dtype=_U64)
         for row, gen in enumerate(self._gens):
             raw = gen.bit_generator.state

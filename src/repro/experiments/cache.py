@@ -11,10 +11,8 @@ is an on-disk store addressed by :func:`shard_key`, a stable SHA-256 of
   measurement callable plus a hash of its defining module's source;
 * the **code version** — a fingerprint over every ``*.py`` file of the
   installed ``repro`` package (:func:`package_fingerprint`), so any
-  library change invalidates rather than silently replaying;
-* the **backend selection** — resolved backend name and its dtype
-  table (:func:`backend_fingerprint`), so a dtype-width change can
-  never replay stale bits;
+  library change invalidates rather than silently replaying (a dtype
+  edited in an engine is such a change);
 * the shard's **parameters** (key-order independent: the JSON document
   is dumped with sorted keys) and its **resolved seed**
   (``SeedSequence`` entropy + spawn key);
@@ -52,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.backend import resolve_backend
 from .export import _plain_tree, spec_to_payload
 from .pipeline import ScenarioSpec, Shard
 
@@ -60,7 +57,6 @@ __all__ = [
     "CACHE_FORMAT",
     "CacheStats",
     "ShardCache",
-    "backend_fingerprint",
     "lookup_shards",
     "measurement_fingerprint",
     "package_fingerprint",
@@ -127,33 +123,6 @@ def measurement_fingerprint(measure) -> dict:
     }
 
 
-def _dtype_label(dtype) -> str:
-    """Canonical name of a backend dtype object (``'int64'``, ...)."""
-    try:
-        return str(np.dtype(dtype))
-    except TypeError:
-        return str(dtype)
-
-
-def backend_fingerprint(backend=None) -> dict:
-    """The resolved backend's name and dtype table.
-
-    Part of every shard key: values computed under one backend or
-    dtype-width configuration are never replayed under another.
-    """
-    resolved = resolve_backend(backend)
-    dtypes = resolved.dtypes
-    return {
-        "name": resolved.name,
-        "dtypes": {
-            "int64": _dtype_label(dtypes.int64),
-            "float64": _dtype_label(dtypes.float64),
-            "uint64": _dtype_label(dtypes.uint64),
-            "bool": _dtype_label(dtypes.bool_),
-        },
-    }
-
-
 def spec_fingerprint(spec: ScenarioSpec) -> str:
     """Stable hash of the spec's serialised form (grid, fixed params,
     replications, seeding rule): one identity for a whole sweep.  Shard
@@ -177,7 +146,6 @@ def shard_key(
     shard: Shard,
     *,
     mode: str = "shard",
-    backend=None,
     code_version: str | None = None,
 ) -> str:
     """Content address of one shard's measurement value.
@@ -185,10 +153,10 @@ def shard_key(
     The key is a SHA-256 over a sorted-keys JSON document, so it is
     independent of dict insertion order and of Python hash
     randomisation (``PYTHONHASHSEED``), and it changes whenever the
-    measurement source, the library code version, the backend dtype
-    table, the shard parameters, the resolved seed or the execution
-    mode change.  ``code_version`` overrides the package fingerprint
-    (tests use this to model a library edit).
+    measurement source, the library code version, the shard
+    parameters, the resolved seed or the execution mode change.
+    ``code_version`` overrides the package fingerprint (tests use this
+    to model a library edit).
     """
     doc = {
         "format": CACHE_FORMAT,
@@ -198,7 +166,6 @@ def shard_key(
             code_version if code_version is not None
             else package_fingerprint()
         ),
-        "backend": backend_fingerprint(backend),
         "params": _plain_tree(dict(shard.params)),
         "seed": _seed_payload(shard.seed),
     }

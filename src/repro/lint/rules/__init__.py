@@ -5,9 +5,4 @@ Importing this package registers every check with the registry (the
 does so lazily on first use.
 """
 
-from . import (  # noqa: F401
-    determinism,
-    fingerprint,
-    kernels,
-    seam,
-)
+from . import determinism, fingerprint  # noqa: F401

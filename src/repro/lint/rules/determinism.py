@@ -134,9 +134,8 @@ def check_determinism(module: SourceModule):
 def _looks_like_rng_constructor(target: str) -> bool:
     """Filter out unrelated ``something.default_rng`` methods.
 
-    Accept the bare names (imported from numpy.random or re-exported
-    by engine.backend) and the ``np.random.``/``numpy.random.``
-    qualified forms.
+    Accept the bare names (imported from numpy.random) and the
+    ``np.random.``/``numpy.random.`` qualified forms.
     """
     head, _, _tail = target.rpartition(".")
     return head in ("", "np.random", "numpy.random", "numpy.random._generator")

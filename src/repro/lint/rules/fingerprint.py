@@ -9,10 +9,9 @@ they hash must be ``sort_keys=True``.
 
 Scope: any module that defines one of the hash entry functions
 (``shard_key``, ``spec_fingerprint``, ``package_fingerprint``,
-``measurement_fingerprint``, ``backend_fingerprint``,
-``_seed_payload``), extended to the same-module functions those
-entries call (``package_fingerprint`` -> ``_module_source_hash`` and
-friends).  Inside that closure:
+``measurement_fingerprint``, ``_seed_payload``), extended to the
+same-module functions those entries call (``package_fingerprint`` ->
+``_module_source_hash`` and friends).  Inside that closure:
 
 ``RL501``
     a ``for`` loop or comprehension drawing from a set (literal,
@@ -37,7 +36,7 @@ from ..walker import SourceModule, dotted_name
 #: Functions whose return values feed SHA-256 content addresses.
 HASH_ENTRIES = frozenset({
     "shard_key", "spec_fingerprint", "package_fingerprint",
-    "measurement_fingerprint", "backend_fingerprint", "_seed_payload",
+    "measurement_fingerprint", "_seed_payload",
 })
 
 #: Benign wrappers to peel when looking for an ordering guarantee.

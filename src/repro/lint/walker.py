@@ -93,15 +93,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return ".".join(reversed(parts))
 
 
-def class_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    """Directly defined methods of a class (no inheritance)."""
-    return {
-        item.name: item
-        for item in cls.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
 def iter_python_files(path: pathlib.Path):
     """Yield ``*.py`` files under ``path`` (sorted, caches skipped)."""
     if path.is_file():
@@ -110,10 +101,3 @@ def iter_python_files(path: pathlib.Path):
     for candidate in sorted(path.rglob("*.py")):
         if "__pycache__" not in candidate.parts:
             yield candidate
-
-
-def string_constant(node: ast.AST) -> str | None:
-    """The value of a string literal node, else None."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None

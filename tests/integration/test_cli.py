@@ -270,6 +270,14 @@ class TestCommands:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"invalid {flag} ")
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_run_jobs_below_one_exits_before_any_shard(self, capsys, jobs):
+        """A worker count below 1 is a usage error, not a serial run."""
+        assert main(["run", "e2", "--profile", "quick", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--jobs must be >= 1\n"
+
     def test_demo(self, capsys):
         code = main(
             ["demo", "--n", "200", "--weights", "1,2", "--rounds", "400",

@@ -1,5 +1,5 @@
 """A violation carrying an inline waiver — must produce no findings."""
 
-import numpy as np  # repro-lint: disable=RL101 -- fixture: exercises the waiver path
+import time
 
-BUFFER = np.asarray([0])
+STARTED = time.time()  # repro-lint: disable=RL203 -- fixture: exercises the waiver path

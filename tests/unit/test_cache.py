@@ -3,14 +3,12 @@ on-disk store, key composition and the hit/miss partition helper."""
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.engine.backend import Backend, DtypeTable
-from repro.engine.backend import np as backend_np
 from repro.experiments.cache import (
     CACHE_FORMAT,
     ShardCache,
-    backend_fingerprint,
     lookup_shards,
     measurement_fingerprint,
     package_fingerprint,
@@ -19,8 +17,6 @@ from repro.experiments.cache import (
     verify_cache,
 )
 from repro.experiments.pipeline import ScenarioSpec, Shard, plan
-
-np = backend_np
 
 
 def _measure(params, rng):
@@ -185,17 +181,6 @@ class TestShardKey:
         default = shard_key(spec, shard)
         assert len({a, b, default}) == 3
 
-    def test_dtype_table_invalidates(self, spec):
-        shard = plan(spec).shards[0]
-        narrow = Backend(
-            "numpy",
-            np,
-            DtypeTable(np.int32, np.float32, np.uint32, np.bool_),
-        )
-        assert shard_key(spec, shard) != shard_key(
-            spec, shard, backend=narrow
-        )
-
     def test_seed_is_part_of_the_address(self, spec):
         shard = plan(spec).shards[0]
         reseeded = Shard(
@@ -220,12 +205,6 @@ class TestFingerprints:
         assert doc["ref"].endswith(":_measure")
         assert doc["ref"].startswith(_measure.__module__)
         assert doc["source"] is not None
-
-    def test_backend_fingerprint_reports_dtypes(self):
-        doc = backend_fingerprint()
-        assert doc["name"] == "numpy"
-        assert doc["dtypes"]["int64"] == "int64"
-        assert doc["dtypes"]["float64"] == "float64"
 
 
 class TestLookupShards:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.weights import WeightTable
 from repro.engine import BatchedAggregateSimulation, HeterogeneousAggregateBatch
-from repro.engine.backend import HOST
 from repro.engine.hetero import _ActiveRows
 
 STREAM_FIELDS = ("pool", "pos", "state", "inc", "has_uint32", "uinteger")
@@ -193,7 +192,7 @@ class TestWorkingLayout:
         rows = _ActiveRows.gather(
             np.arange(engine.rows), engine._times, TARGETS + 1,
             engine._dark, engine._light, engine._lighten, engine._denom,
-            k, engine._streams, HOST,
+            k, engine._streams,
         )
         keep = np.array([True, False, True, True])
         rest = rows.retire(keep, engine._times, engine._dark, engine._light)

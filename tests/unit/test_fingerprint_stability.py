@@ -1,7 +1,7 @@
 """Stability contract of the cache fingerprints (satellite of the
 shard-cache PR): keys must be invariant to dict insertion order and to
 Python hash randomisation, and must change when the measurement's
-source or the backend dtype table changes."""
+source changes."""
 
 import importlib.util
 import os
@@ -10,10 +10,7 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
-
 import repro
-from repro.engine.backend import Backend, DtypeTable
 from repro.experiments.cache import (
     _module_source_hash,
     measurement_fingerprint,
@@ -142,20 +139,3 @@ class TestSourceSensitivity:
         assert first["ref"] == second["ref"]
         assert first["source"] != second["source"]
         assert None not in (first["source"], second["source"])
-
-    def test_dtype_table_change_invalidates(self):
-        spec = _spec({})
-        shard = plan(spec).shards[0]
-        wide = Backend(
-            "numpy",
-            np,
-            DtypeTable(np.int64, np.float64, np.uint64, np.bool_),
-        )
-        narrow = Backend(
-            "numpy",
-            np,
-            DtypeTable(np.int32, np.float32, np.uint32, np.bool_),
-        )
-        assert shard_key(spec, shard, backend=wide) != shard_key(
-            spec, shard, backend=narrow
-        )

@@ -24,8 +24,8 @@ def test_findings_exit_nonzero_with_locations(capsys):
     code = main(["lint", str(FIXTURES)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "engine/seam_violations.py:5" in out
-    assert "RL101" in out and out.strip().endswith("findings")
+    assert "determinism_violations.py:19" in out
+    assert "RL203" in out and out.strip().endswith("findings")
 
 
 def test_select_and_ignore_compose(capsys):
@@ -69,7 +69,7 @@ def test_github_format_emits_error_annotations(capsys):
     main(["lint", str(FIXTURES), "--format", "github"])
     out = capsys.readouterr().out.strip().splitlines()
     assert out and all(line.startswith("::error file=") for line in out)
-    assert any("title=repro-lint RL101" in line for line in out)
+    assert any("title=repro-lint RL203" in line for line in out)
 
 
 def test_github_format_is_silent_on_clean_runs(capsys):

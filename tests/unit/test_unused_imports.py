@@ -1,13 +1,15 @@
-"""Guard against unused imports in the library and the test suite.
+"""Guard against unused imports in the library, the test suite, the
+examples and the benchmarks.
 
 Every non-``__init__`` module of ``src/repro`` and every module under
-``tests/`` is parsed, and each name an ``import`` statement binds must
-be read somewhere in the module as a ``Name`` node, which is also the
-root of every attribute chain such as ``np.asarray``.  ``__init__``
-modules are skipped, since their imports are re-exports, and so is
-``tests/unit/lint_fixtures/``, whose modules are linter inputs with
-planted faults.  An import kept on purpose, such as one that registers
-a side effect, carries ``# noqa: F401`` on its line.
+``tests/``, ``examples/`` and ``benchmarks/`` is parsed, and each name
+an ``import`` statement binds must be read somewhere in the module as a
+``Name`` node, which is also the root of every attribute chain such as
+``np.asarray``.  ``__init__`` modules are skipped, since their imports
+are re-exports, and so is ``tests/unit/lint_fixtures/``, whose modules
+are linter inputs with planted faults.  An import kept on purpose, such
+as one that registers a side effect, carries ``# noqa: F401`` on its
+line.
 """
 
 import ast
@@ -17,6 +19,8 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parents[1]
+REPO = TESTS.parent
+SCRIPT_DIRS = ("examples", "benchmarks")
 
 
 def _bound_names(node):
@@ -73,6 +77,14 @@ def suite_modules() -> list[Path]:
     ]
 
 
+def script_modules() -> list[Path]:
+    return [
+        path
+        for directory in SCRIPT_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+    ]
+
+
 def test_scan_covers_the_library():
     """Guard the guard: the scan must see the engine, the CLI and the
     experiments, not an empty or moved tree."""
@@ -107,6 +119,25 @@ def test_no_unused_imports_in_tests():
         entry
         for path in suite_modules()
         for entry in unused_imports(path, TESTS)
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_scan_covers_the_examples_and_benchmarks():
+    relpaths = {path.relative_to(REPO).as_posix() for path in script_modules()}
+    assert {
+        "examples/quickstart.py",
+        "benchmarks/bench_e14_array_engine.py",
+        "benchmarks/collect.py",
+    } <= relpaths
+    assert len(relpaths) >= 25
+
+
+def test_no_unused_imports_in_examples_and_benchmarks():
+    found = [
+        entry
+        for path in script_modules()
+        for entry in unused_imports(path, REPO)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
 
