@@ -22,10 +22,15 @@ State indexing: dark states first — ``D_i ↦ i`` and ``L_i ↦ k + i``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from ..core.weights import WeightTable
 from ..engine.rng import make_rng
+
+#: Uniforms :func:`simulate_chain` converts to Python floats at a time.
+_CHUNK = 4096
 
 
 def dark_state(colour: int) -> int:
@@ -221,18 +226,24 @@ def simulate_chain(
     """Simulate the chain and return per-state visit counts.
 
     Visits are counted for the ``steps`` states *after* leaving the
-    start (i.e. states at times 1..steps).
+    start (i.e. states at times 1..steps).  Each step takes the next of
+    ``steps`` uniforms drawn by one ``rng.random`` call, in chunks of
+    ``_CHUNK`` Python floats, and picks the state with ``bisect_right``
+    on the current row's cumulative sums: on the same floats this is
+    ``np.searchsorted(row, u, side="right")``.
     """
     P = np.asarray(P, dtype=np.float64)
     rng = make_rng(rng)
     size = P.shape[0]
-    cumulative = np.cumsum(P, axis=1)
-    visits = np.zeros(size, dtype=np.int64)
+    last = size - 1
+    cumulative = np.cumsum(P, axis=1).tolist()
+    visits = [0] * size
     state = start
     uniforms = rng.random(steps)
-    for t in range(steps):
-        state = int(np.searchsorted(cumulative[state], uniforms[t], side="right"))
-        if state >= size:  # numerical edge
-            state = size - 1
-        visits[state] += 1
-    return visits
+    for begin in range(0, steps, _CHUNK):
+        for u in uniforms[begin:begin + _CHUNK].tolist():
+            state = bisect_right(cumulative[state], u)
+            if state > last:  # numerical edge
+                state = last
+            visits[state] += 1
+    return np.asarray(visits, dtype=np.int64)

@@ -46,9 +46,10 @@ def _parse_weights(text: str) -> WeightTable:
         raise ValueError(f"invalid --weights {text!r}: {error}") from error
 
 
-def _check_population(n: int, rounds: int, weights: WeightTable) -> None:
-    """Raise ``ValueError`` if ``--n``/``--rounds`` cannot run
-    ``weights``."""
+def _check_run(args: argparse.Namespace, weights: WeightTable) -> None:
+    """Raise ``ValueError`` if ``--n``/``--rounds``/``--seed`` cannot
+    run ``weights``."""
+    n, rounds = args.n, args.rounds
     least = max(2, weights.k)
     if n < least:
         raise ValueError(
@@ -57,6 +58,8 @@ def _check_population(n: int, rounds: int, weights: WeightTable) -> None:
         )
     if rounds < 0:
         raise ValueError("--rounds must be >= 0")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
 
 
 def _parse_schedule(text: str | None, weights: WeightTable | None = None):
@@ -396,7 +399,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     try:
         weights = _parse_weights(args.weights)
-        _check_population(args.n, args.rounds, weights)
+        _check_run(args, weights)
         if args.replications < 1:
             raise ValueError("--replications must be >= 1")
         schedule = _parse_schedule(args.schedule, weights)
@@ -513,7 +516,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
     try:
         weights = _parse_weights(args.weights)
-        _check_population(args.n, args.rounds, weights)
+        _check_run(args, weights)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2

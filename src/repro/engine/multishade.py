@@ -26,11 +26,13 @@ Incremental totals
 The event rates only need four integer totals: ``Z``, the positive
 counts ``P_i`` with their sum ``P``, and the decrement total
 ``D = Σ_i P_i (P_i − 1)`` (the sum of every decrement rate; colours with
-``P_i < 2`` contribute 0).  Each ``run``/``step`` call rebuilds them
-from the shade table once, and every event updates them in O(1): an
-adopt into colour ``j`` does ``Z -= 1, P_j += 1`` and adds ``2 P_j`` (the
-old ``P_j``) to ``D``; a decrement at shade 1 of colour ``i`` does
-``P_i -= 1, Z += 1`` and subtracts ``2 (P_i − 1)``; a decrement at a
+``P_i < 2`` contribute 0).  The adopt's source pick also needs the
+zero-shade counts ``Z_i``.  One loop serves ``run`` and ``step``: each
+call rebuilds these from the shade table once, and every event updates
+them in O(1): an adopt from colour ``i`` into colour ``j`` does
+``Z_i -= 1, Z -= 1, P_j += 1`` and adds ``2 P_j`` (the old ``P_j``) to
+``D``; a decrement at shade 1 of colour ``i`` does ``P_i -= 1,
+Z_i += 1, Z += 1`` and subtracts ``2 (P_i − 1)``; a decrement at a
 higher shade changes no total.  The totals live in the call, not on the
 engine, so ``snapshot()`` is the shade table alone.
 
@@ -39,13 +41,21 @@ Draw-order contract
 For a fixed seed the trajectory is a fixed function of the generator.
 ``run`` draws each gap as ``geometric(min((Z·P + D) / (n (n − 1)),
 1.0))``; ``step`` draws one uniform per step against that probability.
-Each event then draws one uniform scaled by ``float(Z·P + D)`` to pick
-its type and, for an adopt, one uniform per :func:`_pick`, over the
-zero-shade counts (scaled by ``float(Z)``) and then over the positive
-counts (``float(P)``).  Every rate is an exact integer below 2**53, so
-the float arguments and each comparison of a uniform against a partial
-sum are exact, and any split of a horizon into ``run`` calls replays
-the same draws (``tests/unit/test_scalar_loop_digest.py`` pins them).
+Each event then draws one uniform ``u`` scaled by ``float(Z·P + D)`` to
+pick its type.  An adopt draws two more: one scaled by ``float(Z)`` to
+pick the source colour over the ``Z_i``, and one scaled by ``float(P)``
+to pick the target over the ``P_i``; each pick is the first index whose
+running sum of counts exceeds it (at the numerical edge where none
+does, the last non-empty one).  A decrement reuses ``u``: the first
+colour whose running sum of ``P_i (P_i − 1)`` exceeds ``u·(Z·P + D) −
+Z·P``, then, continuing that colour's running sum with the terms
+``S_i[s] (P_i − 1)``, its first shade ``s >= 1`` to exceed it.  These
+are the partial sums of one scan over every (colour, shade) term, so
+the colour-first pick lands on the same term.  Every rate is an exact
+integer below 2**53, so the float arguments and each comparison of a
+uniform against a partial sum are exact, and any split of a horizon
+into ``run`` calls replays the same draws
+(``tests/unit/test_scalar_loop_digest.py`` pins them).
 
 The draws are pooled, yet each call leaves the generator exactly where
 one generator call per draw would:
@@ -67,8 +77,11 @@ one generator call per draw would:
   before the current block and redraw the uniforms served from it.
   (``advance`` would zero PCG64's buffered 32-bit word, and MT19937 and
   SFC64 have none.)  ``run`` and ``step`` sync before each gap below
-  1/3 and at every exit, exceptions included.  This relies on nothing
-  else drawing from the generator during a call.
+  1/3 and at every exit, exceptions included.  The loop moves its pool
+  index past an event's uniforms before it writes a shade row, so an
+  exception raised by that write leaves them drawn, as it leaves the
+  per-call draws.  This relies on nothing else drawing from the
+  generator during a call.
 
 ``tests/property/test_multishade_pooled_draws.py`` checks both methods
 against a loop that makes one generator call per draw, on five bit
@@ -175,22 +188,7 @@ class MultiShadeAggregate:
     def step(self) -> bool:
         """One faithful time-step; True if the configuration changed."""
         self._pending = None  # per-step mode re-examines every step
-        self.time += 1
-        shades = self._shades
-        positive, zero, total, decrement = _totals(shades)
-        n = zero + total
-        rng = self.rng
-        start, pool = _block(rng)
-        used = 1
-        try:
-            if pool[0] >= (zero * total + decrement) / (n * (n - 1)):
-                return False
-            used = _apply_event(
-                shades, positive, zero, total, decrement, pool, used
-            )[3]
-            return True
-        finally:
-            _sync(rng, start, used)
+        return self._advance(1, per_step=True)
 
     def run(self, steps: int) -> "MultiShadeAggregate":
         """Advance exactly ``steps`` time-steps using event jumps.
@@ -202,28 +200,49 @@ class MultiShadeAggregate:
         """
         if steps < 0:
             raise ValueError("steps must be non-negative")
+        self._advance(steps, per_step=False)
+        return self
+
+    def _advance(self, steps: int, per_step: bool) -> bool:
+        """The event loop of ``run`` and ``step`` (see the module
+        docstring): advance ``steps`` time-steps, drawing each gap by
+        NumPy's geometric search or, ``per_step``, one uniform against
+        the event probability.  Returns whether the last step applied an
+        event (meaningful for ``per_step`` only)."""
         time, pending = self.time, self._pending
         horizon = time + steps
         shades = self._shades
-        positive, zero, total, decrement = _totals(shades)
-        n = zero + total
-        pairs = n * (n - 1)
+        light = [row[0] for row in shades]
+        positive = [sum(row[1:]) for row in shades]
+        zero, total = sum(light), sum(positive)
+        decrement = sum(count * (count - 1) for count in positive)
+        pairs = (zero + total) * (zero + total - 1)
+        last, search_from = _LAST, _SEARCH_FROM
+        changed = False
         rng = self.rng
         start, pool = _block(rng)
         used = 0
         try:
             while time < horizon:
-                rate = zero * total + decrement
-                if not rate:
-                    time = horizon
-                    break
-                if used > _LAST:
+                adopt = zero * total
+                rate = adopt + decrement
+                if used > last:
                     _sync(rng, start, used)
                     start, pool = _block(rng)
                     used = 0
-                if pending is None:
-                    p = min(rate / pairs, 1.0)
-                    if p >= _SEARCH_FROM:
+                if per_step:
+                    changed = pool[used] < rate / pairs
+                    used += 1
+                    if not changed:
+                        time = horizon
+                        break
+                    pending = horizon
+                elif pending is None:
+                    if not rate:
+                        time = horizon
+                        break
+                    p = rate / pairs if rate < pairs else 1.0
+                    if p >= search_from:
                         # NumPy's geometric search, on a pooled uniform.
                         u = pool[used]
                         used += 1
@@ -244,13 +263,71 @@ class MultiShadeAggregate:
                     time = horizon
                     break
                 time, pending = pending, None
-                zero, total, decrement, used = _apply_event(
-                    shades, positive, zero, total, decrement, pool, used
-                )
+                # The event.  Its uniforms are served (``used`` moves
+                # past them) before any row is written.
+                pick = pool[used] * rate
+                if pick < adopt:
+                    # Adopt: a shade-0 agent (colour i ∝ Z_i) joins
+                    # colour j (∝ P_j) at full shade.
+                    pick = pool[used + 1] * zero
+                    acc = 0
+                    for source, count in enumerate(light):
+                        acc += count
+                        if pick < acc:
+                            break
+                    else:  # numerical edge: the last non-empty colour
+                        source = max(i for i, c in enumerate(light) if c)
+                    pick = pool[used + 2] * total
+                    acc = 0
+                    for target, count in enumerate(positive):
+                        acc += count
+                        if pick < acc:
+                            break
+                    else:
+                        target = max(i for i, c in enumerate(positive) if c)
+                        count = positive[target]
+                    used += 3
+                    light[source] -= 1
+                    shades[source][0] -= 1
+                    shades[target][-1] += 1
+                    positive[target] = count + 1
+                    zero -= 1
+                    total += 1
+                    decrement += 2 * count
+                    continue
+                # Decrement: pick the colour i ∝ P_i (P_i − 1), then its
+                # shade s ∝ S_i[s] from the same running sum.
+                used += 1
+                pick -= adopt
+                acc = 0
+                for colour, count in enumerate(positive):
+                    acc += count * (count - 1)
+                    if pick < acc:
+                        break
+                else:  # numerical edge: the last positive term
+                    colour = max(i for i, c in enumerate(positive) if c > 1)
+                    count = positive[colour]
+                row = shades[colour]
+                partner = count - 1
+                acc -= count * partner
+                for shade in range(1, len(row)):
+                    acc += row[shade] * partner
+                    if pick < acc:
+                        break
+                else:
+                    shade = max(s for s in range(1, len(row)) if row[s])
+                row[shade] -= 1
+                row[shade - 1] += 1
+                if shade == 1:
+                    light[colour] += 1
+                    positive[colour] = partner
+                    zero += 1
+                    total -= 1
+                    decrement -= 2 * partner
         finally:
             _sync(rng, start, used)
         self.time, self._pending = time, pending
-        return self
+        return changed
 
     # ------------------------------------------------------------------
     # State view
@@ -279,15 +356,6 @@ class MultiShadeAggregate:
         return f"MultiShadeAggregate(n={self.n}, k={self.k}, t={self.time})"
 
 
-def _totals(shades: list[list[int]]) -> tuple[list[int], int, int, int]:
-    """``(P_i per colour, Z, P, D)`` of a shade table (see the module
-    docstring)."""
-    positive = [sum(row[1:]) for row in shades]
-    zero = sum(row[0] for row in shades)
-    decrement = sum(count * (count - 1) for count in positive)
-    return positive, zero, sum(positive), decrement
-
-
 def _block(rng: np.random.Generator) -> tuple[dict, list[float]]:
     """The generator's state, then the next ``_BLOCK`` uniforms it
     draws (see the module docstring)."""
@@ -300,88 +368,3 @@ def _sync(rng: np.random.Generator, state: dict, used: int) -> None:
     it."""
     rng.bit_generator.state = state
     rng.random(used)
-
-
-def _apply_event(
-    shades: list[list[int]],
-    positive: list[int],
-    zero: int,
-    total: int,
-    decrement: int,
-    pool: list[float],
-    used: int,
-) -> tuple[int, int, int, int]:
-    """Apply one active event drawn from ``pool[used:]``, which holds at
-    least three uniforms; returns the updated ``(Z, P, D)`` and the
-    index past the uniforms it took.  ``shades`` and ``positive`` are
-    updated in place."""
-    adopt = zero * total
-    pick = pool[used] * float(adopt + decrement)
-    if pick < adopt:
-        # Adopt: a shade-0 agent (colour i ∝ Z_i) joins colour j (∝ P_j)
-        # at full shade.
-        source = _pick([row[0] for row in shades], zero, pool[used + 1])
-        target = _pick(positive, total, pool[used + 2])
-        shades[source][0] -= 1
-        shades[target][-1] += 1
-        old = positive[target]
-        positive[target] = old + 1
-        return zero - 1, total + 1, decrement + 2 * old, used + 3
-    # Decrement: pick (colour, shade) ∝ S_i[s] (P_i − 1).
-    pick -= adopt
-    acc = 0
-    for colour, row in enumerate(shades):
-        partner = positive[colour] - 1
-        if partner > 0:
-            for shade in range(1, len(row)):
-                acc += row[shade] * partner
-                if pick < acc:
-                    return _decrement(
-                        shades, positive, colour, shade,
-                        zero, total, decrement, used + 1,
-                    )
-    # Numerical edge: apply to the last positive term.
-    colour = max(i for i, count in enumerate(positive) if count > 1)
-    row = shades[colour]
-    shade = max(s for s in range(1, len(row)) if row[s] > 0)
-    return _decrement(
-        shades, positive, colour, shade, zero, total, decrement, used + 1
-    )
-
-
-def _decrement(
-    shades: list[list[int]],
-    positive: list[int],
-    colour: int,
-    shade: int,
-    zero: int,
-    total: int,
-    decrement: int,
-    used: int,
-) -> tuple[int, int, int, int]:
-    """Move one agent of ``colour`` down from ``shade``; returns the
-    updated ``(Z, P, D)`` and, unchanged, the pool index ``used``."""
-    row = shades[colour]
-    row[shade] -= 1
-    row[shade - 1] += 1
-    if shade > 1:
-        return zero, total, decrement, used
-    old = positive[colour]
-    positive[colour] = old - 1
-    return zero + 1, total - 1, decrement - 2 * (old - 1), used
-
-
-def _pick(masses: Sequence[int], total: int, u: float) -> int:
-    """Index drawn by the uniform ``u`` with probability
-    ``masses[i] / total``, where ``total`` is the (positive) sum of the
-    integer ``masses``."""
-    pick = u * float(total)
-    acc = 0
-    for index, mass in enumerate(masses):
-        acc += mass
-        if pick < acc:
-            return index
-    for index in reversed(range(len(masses))):
-        if masses[index] > 0:
-            return index
-    raise ValueError("cannot sample from all-zero masses")

@@ -328,6 +328,12 @@ class TestCommands:
             (["demo", "--replications", "4",
               "--schedule", "10:colour:2:1,5:agents:3:1"],
              "invalid --schedule entry '5:agents:3:1'"),
+            (["demo", "--n", "50", "--seed", "-1"], "--seed must be >= 0"),
+            (["demo", "--n", "50", "--seed", "-1", "--replications", "3"],
+             "--seed must be >= 0"),
+            (["demo", "--n", "50", "--seed", "-1", "--engine", "array"],
+             "--seed must be >= 0"),
+            (["series", "--seed", "-1"], "--seed must be >= 0"),
         ],
     )
     def test_demo_and_series_reject_bad_input(self, capsys, argv, message):

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.weights import WeightTable
 from repro.engine import checkpoint as ckpt
-from repro.engine import multishade
 from repro.engine.multishade import _BLOCK, MultiShadeAggregate
 
 BIT_GENERATORS = ["PCG64", "PCG64-buffered", "MT19937", "Philox", "SFC64"]
@@ -223,32 +222,32 @@ class TestPooledDrawsArePerCallDraws:
         assert reference.uniforms > 2 * _BLOCK
 
     @pytest.mark.parametrize("kind", BIT_GENERATORS)
-    def test_interrupted_run_leaves_the_generator_synced(
-        self, kind, monkeypatch
-    ):
+    def test_interrupted_run_leaves_the_generator_synced(self, kind):
         """An exception raised at the 700th event, mid-block and after
         gaps below 1/3, leaves the generator where the per-call loop
         leaves it when interrupted at the same event."""
-
-        def interrupt_at(event, count=700):
-            calls = 0
-
-            def interrupted(*args):
-                nonlocal calls
-                calls += 1
-                if calls == count:
-                    raise KeyboardInterrupt
-                return event(*args)
-
-            return interrupted
-
         engine, reference = twins(kind, 3, [1, 3, 5, 7], [40, 40, 40, 40])
-        monkeypatch.setattr(
-            multishade, "_apply_event", interrupt_at(multishade._apply_event)
-        )
-        reference.event = interrupt_at(reference.event)
+        # Every event writes two shade items; the 1399th write is the
+        # first of the 700th event, after its uniforms are drawn.
+        engine._shades = tripwire(engine._shades, 1399)
+        reference.shades = tripwire(reference.shades, 1399)
         for loop in (engine, reference):
             with pytest.raises(KeyboardInterrupt):
                 loop.run(100_000)
         assert reference.gaps["below"] > 0
         assert ckpt.rng_state(engine.rng) == ckpt.rng_state(reference.rng)
+
+
+def tripwire(shades, writes):
+    """Copies of the shade rows whose ``writes``-th item assignment, in
+    any of them, raises ``KeyboardInterrupt`` instead."""
+    budget = [writes]
+
+    class Row(list):
+        def __setitem__(self, index, value):
+            budget[0] -= 1
+            if not budget[0]:
+                raise KeyboardInterrupt
+            super().__setitem__(index, value)
+
+    return [Row(row) for row in shades]
