@@ -231,10 +231,15 @@ def simulate_chain(
     ``_CHUNK`` Python floats, and picks the state with ``bisect_right``
     on the current row's cumulative sums: on the same floats this is
     ``np.searchsorted(row, u, side="right")``.
+
+    Raises:
+        ValueError: If ``start`` is not a state, ``0 <= start < size``.
     """
     P = np.asarray(P, dtype=np.float64)
-    rng = make_rng(rng)
     size = P.shape[0]
+    if not 0 <= start < size:
+        raise ValueError(f"start must be a state in [0, {size}), got {start}")
+    rng = make_rng(rng)
     last = size - 1
     cumulative = np.cumsum(P, axis=1).tolist()
     visits = [0] * size

@@ -24,19 +24,10 @@ import sys
 from .core.properties import assess_goodness
 from .core.weights import MIN_WEIGHT, WeightTable
 from .experiments import REGISTRY, run_aggregate
-from .experiments.export import save_plan, save_requeue, table_to_json
+from .experiments.export import save_plan, save_requeue
 from .experiments.pipeline import execute
 from .experiments.report import format_table
 from .experiments.runner import STARTS
-
-# Back-compat view of the per-experiment profiles that used to be
-# hardcoded here; the registry entries own them now.
-QUICK_OVERRIDES: dict[str, dict] = {
-    name: dict(definition.profiles["quick"])
-    for name, definition in REGISTRY.items()
-    if "quick" in definition.profiles
-}
-
 
 def _parse_weights(text: str) -> WeightTable:
     try:
@@ -297,101 +288,65 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        kwargs = dict(definition.profiles[profile])
-        if definition.spec is not None:
-            spec = definition.spec(**kwargs)
-            target = spec
-            fault_plan = None
-            if args.inject_faults:
-                # The fault plan draws probabilistic targets from the
-                # spec's own seed machinery, so it needs the expanded
-                # shard count up front.
-                from .experiments.faults import FaultPlan
-                from .experiments.pipeline import plan as expand_plan
+        spec = definition.spec(**definition.profiles[profile])
+        target = spec
+        fault_plan = None
+        if args.inject_faults:
+            # The fault plan draws probabilistic targets from the spec's
+            # own seed machinery, so it needs the expanded shard count
+            # up front.
+            from .experiments.faults import FaultPlan
+            from .experiments.pipeline import plan as expand_plan
 
-                target = expand_plan(spec)
-                try:
-                    fault_plan = FaultPlan.from_spec(
-                        args.inject_faults,
-                        shards=len(target.shards),
-                        base_seed=spec.base_seed,
-                    )
-                except ValueError as error:
-                    print(
-                        f"invalid --inject-faults: {error}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            result = execute(
-                target, jobs=args.jobs,
-                fused=args.fused, cache=shard_cache,
-                retry=retry, faults=fault_plan,
-                max_failures=args.max_failures,
-            )
-            if result.fault_report and result.fault_report.get("failed"):
-                # Partial run: some cells are missing replications, so
-                # the spec's table builder may legitimately refuse —
-                # the artifact/requeue file still captures everything.
-                try:
-                    table = result.table()
-                except Exception as error:
-                    table = None
-                    print(
-                        f"note: partial results ({name}); table not "
-                        f"rendered: {error}",
-                        file=sys.stderr,
-                    )
-            else:
+            target = expand_plan(spec)
+            try:
+                fault_plan = FaultPlan.from_spec(
+                    args.inject_faults,
+                    shards=len(target.shards),
+                    base_seed=spec.base_seed,
+                )
+            except ValueError as error:
+                print(f"invalid --inject-faults: {error}", file=sys.stderr)
+                return 2
+        result = execute(
+            target, jobs=args.jobs, fused=args.fused, cache=shard_cache,
+            retry=retry, faults=fault_plan, max_failures=args.max_failures,
+        )
+        if result.fault_report and result.fault_report.get("failed"):
+            # Partial run: some cells are missing replications, so the
+            # spec's table builder may legitimately refuse — the
+            # artifact/requeue file still captures everything.
+            try:
                 table = result.table()
-            if result.cache_stats is not None:
-                stats = result.cache_stats
+            except Exception as error:
+                table = None
                 print(
-                    f"cache: {stats['hits']} hit(s), "
-                    f"{stats['misses']} miss(es) ({stats['dir']})",
+                    f"note: partial results ({name}); table not "
+                    f"rendered: {error}",
                     file=sys.stderr,
                 )
-            if result.fault_report is not None:
-                _print_fault_summary(result.fault_report)
-                requeue_dir = args.out if args.out is not None else "."
-                requeue_path = save_requeue(
-                    result, requeue_dir, profile=profile
-                )
-                if requeue_path is not None:
-                    print(f"requeue file: {requeue_path}", file=sys.stderr)
         else:
-            ignored = [
-                flag
-                for flag, given in (
-                    ("--jobs", args.jobs is not None and args.jobs > 1),
-                    ("--fused", args.fused),
-                    ("--cache", cache_enabled),
-                    ("--inject-faults", bool(args.inject_faults)),
-                    ("--max-failures", args.max_failures is not None),
-                    ("--retries", retry is not None),
-                )
-                if given
-            ]
-            if ignored:
-                print(
-                    f"note: {name} runs outside the pipeline; "
-                    f"{'/'.join(ignored)} has no effect on it",
-                    file=sys.stderr,
-                )
-            result = None
-            table = definition.run(**kwargs)
+            table = result.table()
+        if result.cache_stats is not None:
+            stats = result.cache_stats
+            print(
+                f"cache: {stats['hits']} hit(s), "
+                f"{stats['misses']} miss(es) ({stats['dir']})",
+                file=sys.stderr,
+            )
+        if result.fault_report is not None:
+            _print_fault_summary(result.fault_report)
+            requeue_dir = args.out if args.out is not None else "."
+            requeue_path = save_requeue(result, requeue_dir, profile=profile)
+            if requeue_path is not None:
+                print(f"requeue file: {requeue_path}", file=sys.stderr)
         if table is not None:
             print(table.render())
             print()
         if args.out is not None:
-            directory = pathlib.Path(args.out)
-            if result is not None:
-                path = save_plan(result, table, directory, profile=profile)
-            else:
-                # Non-pipeline experiment: persist the table JSON under
-                # the same profile-suffixed naming as plan artifacts.
-                directory.mkdir(parents=True, exist_ok=True)
-                path = directory / f"{name}-{profile}.json"
-                path.write_text(table_to_json(table) + "\n")
+            path = save_plan(
+                result, table, pathlib.Path(args.out), profile=profile
+            )
             print(f"artifact: {path}", file=sys.stderr)
     return 0
 

@@ -3,8 +3,9 @@
 The paper's intuition (Sec 1.2) attributes the protocol's behaviour to
 two rules: (1) only light agents change colour, and (2) dark agents
 lighten with probability inversely proportional to their weight.  These
-ablations remove one rule each so benchmarks can quantify its
-contribution (see ``benchmarks/bench_ablations.py``).
+ablations remove one rule each so the ablation experiment can quantify
+its contribution (``repro run ablations``, built in
+:mod:`repro.experiments.variants`).
 """
 
 from __future__ import annotations

@@ -61,7 +61,8 @@ The draws are pooled, yet each call leaves the generator exactly where
 one generator call per draw would:
 
 * **Blocks.**  Uniforms are served by index from blocks of ``_BLOCK``
-  values drawn by one ``rng.random(_BLOCK)`` call.
+  values drawn by one ``rng.random(_BLOCK)`` call; ``step`` draws a
+  block of ``_STEP_BLOCK``, the most one step uses.
   ``Generator.random()`` and ``Generator.random(size)`` both take one
   ``next_double`` of the bit generator per value, so the i-th pooled
   value is the double the i-th scalar call would return, for every
@@ -99,11 +100,12 @@ from . import checkpoint as ckpt
 from .rng import make_rng
 
 
-#: Uniforms per pooled ``rng.random`` call.
+#: Uniforms per pooled ``rng.random`` call in ``run``.
 _BLOCK = 1024
-#: Last pool index from which one ``run`` iteration's uniforms (a gap,
-#: an event type and two picks) still fit in the block.
-_LAST = _BLOCK - 4
+#: Uniforms one iteration draws at most: a gap (or ``step``'s coin), an
+#: event type and two picks.  ``step``'s block holds exactly one
+#: iteration's.
+_STEP_BLOCK = 4
 #: NumPy's ``geometric`` searches on one uniform from this ``p`` up.
 _SEARCH_FROM = 1 / 3
 
@@ -217,10 +219,12 @@ class MultiShadeAggregate:
         zero, total = sum(light), sum(positive)
         decrement = sum(count * (count - 1) for count in positive)
         pairs = (zero + total) * (zero + total - 1)
-        last, search_from = _LAST, _SEARCH_FROM
+        block = _STEP_BLOCK if per_step else _BLOCK
+        # Last pool index from which one iteration's uniforms still fit.
+        last, search_from = block - _STEP_BLOCK, _SEARCH_FROM
         changed = False
         rng = self.rng
-        start, pool = _block(rng)
+        start, pool = _block(rng, block)
         used = 0
         try:
             while time < horizon:
@@ -228,7 +232,7 @@ class MultiShadeAggregate:
                 rate = adopt + decrement
                 if used > last:
                     _sync(rng, start, used)
-                    start, pool = _block(rng)
+                    start, pool = _block(rng, block)
                     used = 0
                 if per_step:
                     changed = pool[used] < rate / pairs
@@ -256,7 +260,7 @@ class MultiShadeAggregate:
                     else:
                         _sync(rng, start, used)
                         gap = int(rng.geometric(p))
-                        start, pool = _block(rng)
+                        start, pool = _block(rng, block)
                         used = 0
                     pending = time + gap
                 if pending > horizon:
@@ -356,10 +360,12 @@ class MultiShadeAggregate:
         return f"MultiShadeAggregate(n={self.n}, k={self.k}, t={self.time})"
 
 
-def _block(rng: np.random.Generator) -> tuple[dict, list[float]]:
-    """The generator's state, then the next ``_BLOCK`` uniforms it
-    draws (see the module docstring)."""
-    return rng.bit_generator.state, rng.random(_BLOCK).tolist()
+def _block(
+    rng: np.random.Generator, size: int
+) -> tuple[dict, list[float]]:
+    """The generator's state, then the next ``size`` uniforms it draws
+    (see the module docstring)."""
+    return rng.bit_generator.state, rng.random(size).tolist()
 
 
 def _sync(rng: np.random.Generator, state: dict, used: int) -> None:

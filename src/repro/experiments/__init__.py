@@ -3,11 +3,11 @@ scenario pipeline and the paper-claim experiment suite (E1-E12 +
 ablations).
 
 The suite is organised as a registry of :class:`ExperimentDef` entries:
-each experiment exposes a legacy direct callable (``run``), the named
-parameter profiles it supports (``quick``/``full``), and — for every
-migrated experiment — a :class:`~repro.experiments.pipeline.ScenarioSpec`
-builder so the CLI and benchmarks can execute it through the sharded
-serial/parallel pipeline.
+each experiment is a :class:`~repro.experiments.pipeline.ScenarioSpec`
+builder plus the named parameter profiles it supports
+(``quick``/``full``).  The CLI, the golden corpus and the tests run
+every experiment the same way, ``execute(definition.spec(**profile))``,
+through the sharded serial/parallel pipeline.
 """
 
 from collections.abc import Callable, Mapping
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from .baselines_exp import (
     E10_PROFILES,
     E10B_PROFILES,
-    experiment_baselines,
-    experiment_epidemic,
     spec_baselines,
     spec_epidemic,
 )
@@ -38,21 +36,18 @@ from .replication import (
     summarise,
 )
 from .cache import ShardCache, shard_key, spec_fingerprint, verify_cache
-from .chain import E8_PROFILES, experiment_markov_chain, spec_markov_chain
+from .chain import E8_PROFILES, spec_markov_chain
 from .convergence import (
     E1_PROFILES,
     E2_PROFILES,
-    experiment_convergence_scaling,
-    experiment_diversity_error,
     measure_convergence_time,
     measure_stabilised_error,
     spec_convergence_scaling,
     spec_diversity_error,
 )
-from .engines import E12_PROFILES, experiment_engines, paired_final_counts
+from .engines import E12_PROFILES, spec_engines
 from .fairness import (
     E5_PROFILES,
-    experiment_fairness,
     run_fairness,
     spec_fairness,
 )
@@ -76,15 +71,12 @@ from .fusion import (
 )
 from .phase1 import (
     E3B_PROFILES,
-    experiment_phase1,
     hitting_times,
     spec_phase1,
 )
 from .phases import (
     E3_PROFILES,
     E4_PROFILES,
-    experiment_equilibrium,
-    experiment_potentials,
     potential_series,
     spec_equilibrium,
     spec_potentials,
@@ -107,8 +99,6 @@ from .report import format_series, format_table, format_value
 from .robustness import (
     E6_PROFILES,
     E7_PROFILES,
-    experiment_adversary,
-    experiment_sustainability,
     spec_adversary,
     spec_sustainability,
 )
@@ -121,14 +111,11 @@ from .runner import (
     run_diversification_agent,
 )
 from .table import ExperimentTable
-from .topology_exp import E11_PROFILES, experiment_topology, spec_topology
+from .topology_exp import E11_PROFILES, spec_topology
 from .variants import (
     ABLATIONS_PROFILES,
     E9_PROFILES,
     E9B_PROFILES,
-    experiment_ablations,
-    experiment_derandomised,
-    experiment_derandomised_scaling,
     spec_ablations,
     spec_derandomised,
     spec_derandomised_scaling,
@@ -149,89 +136,46 @@ class ExperimentDef:
 
     Attributes:
         name: Registry id (``"e1"``, ``"ablations"``, ...).
-        run: Direct callable returning the experiment's table (profile
+        spec: Scenario builder for the declarative pipeline (profile
             kwargs applied as keyword arguments).
         profiles: Named parameter presets; ``"full"`` is the paper
             configuration (no overrides), ``"quick"`` a fast pass.
-        spec: Scenario builder for the declarative pipeline, or None
-            for experiments that have not been migrated (they run only
-            through ``run``).
     """
 
     name: str
-    run: Callable[..., ExperimentTable]
+    spec: Callable[..., ScenarioSpec]
     profiles: Mapping[str, Mapping] = field(default_factory=dict)
-    spec: Callable[..., ScenarioSpec] | None = None
 
     @property
     def description(self) -> str:
-        """First docstring line of the experiment callable, if any."""
-        doc = (self.run.__doc__ or "").strip()
+        """First docstring line of the spec builder, if any."""
+        doc = (self.spec.__doc__ or "").strip()
         return doc.splitlines()[0] if doc else ""
 
 
 REGISTRY: dict[str, ExperimentDef] = {
     definition.name: definition
     for definition in (
-        ExperimentDef(
-            "e1", experiment_convergence_scaling, E1_PROFILES,
-            spec_convergence_scaling,
-        ),
-        ExperimentDef(
-            "e2", experiment_diversity_error, E2_PROFILES,
-            spec_diversity_error,
-        ),
-        ExperimentDef(
-            "e3", experiment_potentials, E3_PROFILES, spec_potentials
-        ),
-        ExperimentDef("e3b", experiment_phase1, E3B_PROFILES, spec_phase1),
-        ExperimentDef(
-            "e4", experiment_equilibrium, E4_PROFILES, spec_equilibrium
-        ),
-        ExperimentDef("e5", experiment_fairness, E5_PROFILES, spec_fairness),
-        ExperimentDef(
-            "e6", experiment_sustainability, E6_PROFILES,
-            spec_sustainability,
-        ),
-        ExperimentDef(
-            "e7", experiment_adversary, E7_PROFILES, spec_adversary
-        ),
-        ExperimentDef(
-            "e8", experiment_markov_chain, E8_PROFILES, spec_markov_chain
-        ),
-        ExperimentDef(
-            "e9", experiment_derandomised, E9_PROFILES, spec_derandomised
-        ),
-        ExperimentDef(
-            "e9b", experiment_derandomised_scaling, E9B_PROFILES,
-            spec_derandomised_scaling,
-        ),
-        ExperimentDef(
-            "e10", experiment_baselines, E10_PROFILES, spec_baselines
-        ),
-        ExperimentDef(
-            "e10b", experiment_epidemic, E10B_PROFILES, spec_epidemic
-        ),
-        ExperimentDef(
-            "e11", experiment_topology, E11_PROFILES, spec_topology
-        ),
-        # E12 validates engine pairs with interleaved seed streams and
-        # in-process throughput timing — kept on the direct path.
-        ExperimentDef("e12", experiment_engines, E12_PROFILES),
-        ExperimentDef(
-            "ablations", experiment_ablations, ABLATIONS_PROFILES,
-            spec_ablations,
-        ),
+        ExperimentDef("e1", spec_convergence_scaling, E1_PROFILES),
+        ExperimentDef("e2", spec_diversity_error, E2_PROFILES),
+        ExperimentDef("e3", spec_potentials, E3_PROFILES),
+        ExperimentDef("e3b", spec_phase1, E3B_PROFILES),
+        ExperimentDef("e4", spec_equilibrium, E4_PROFILES),
+        ExperimentDef("e5", spec_fairness, E5_PROFILES),
+        ExperimentDef("e6", spec_sustainability, E6_PROFILES),
+        ExperimentDef("e7", spec_adversary, E7_PROFILES),
+        ExperimentDef("e8", spec_markov_chain, E8_PROFILES),
+        ExperimentDef("e9", spec_derandomised, E9_PROFILES),
+        ExperimentDef("e9b", spec_derandomised_scaling, E9B_PROFILES),
+        ExperimentDef("e10", spec_baselines, E10_PROFILES),
+        ExperimentDef("e10b", spec_epidemic, E10B_PROFILES),
+        ExperimentDef("e11", spec_topology, E11_PROFILES),
+        ExperimentDef("e12", spec_engines, E12_PROFILES),
+        ExperimentDef("ablations", spec_ablations, ABLATIONS_PROFILES),
     )
 }
 
-# Back-compat view of the registry: name -> direct callable.
-ALL_EXPERIMENTS = {
-    name: definition.run for name, definition in REGISTRY.items()
-}
-
 __all__ = [
-    "ALL_EXPERIMENTS",
     "REGISTRY",
     "ExperimentDef",
     "ExperimentTable",
@@ -284,21 +228,7 @@ __all__ = [
     "measure_stabilised_error",
     "potential_series",
     "run_fairness",
-    "paired_final_counts",
-    "experiment_convergence_scaling",
-    "experiment_diversity_error",
-    "experiment_potentials",
-    "experiment_phase1",
     "hitting_times",
-    "experiment_equilibrium",
-    "experiment_fairness",
-    "experiment_sustainability",
-    "experiment_adversary",
-    "experiment_markov_chain",
-    "experiment_derandomised",
-    "experiment_derandomised_scaling",
-    "experiment_baselines",
-    "experiment_epidemic",
     "table_to_csv",
     "table_to_json",
     "save_table",
@@ -311,9 +241,6 @@ __all__ = [
     "replicate_colour_counts",
     "is_aggregate_compatible",
     "Summary",
-    "experiment_topology",
-    "experiment_engines",
-    "experiment_ablations",
     "spec_convergence_scaling",
     "spec_diversity_error",
     "spec_potentials",
@@ -328,5 +255,6 @@ __all__ = [
     "spec_baselines",
     "spec_epidemic",
     "spec_topology",
+    "spec_engines",
     "spec_ablations",
 ]

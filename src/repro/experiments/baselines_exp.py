@@ -26,7 +26,7 @@ from ..core.weights import WeightTable
 from ..engine.observers import MinCountTracker
 from ..engine.population import Population
 from ..engine.simulator import Simulation
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .runner import run_agent
 from .table import ExperimentTable
 
@@ -100,7 +100,14 @@ def spec_baselines(
     rounds: int = 3000,
     seed: int = 2718,
 ) -> ScenarioSpec:
-    """E10 as a scenario: one shard per contender, shared run seed."""
+    """E10: colour survival and diversity error across protocols.
+
+    Expected shape: only Diversification is simultaneously diverse and
+    sustainable.  Consensus dynamics lose colours (min count 0);
+    trivial resampling tracks shares but lets counts touch zero and is
+    excluded from sustainability.  One shard per contender, all on the
+    same run seed.
+    """
     return ScenarioSpec(
         name="e10",
         measure=_measure_baseline,
@@ -110,25 +117,6 @@ def spec_baselines(
         seed_scope="direct",
         build=_build_baselines,
     )
-
-
-def experiment_baselines(
-    n: int = 128,
-    weight_vector=(1.0, 2.0, 3.0, 4.0),
-    *,
-    rounds: int = 3000,
-    seed: int = 2718,
-) -> ExperimentTable:
-    """E10: colour survival and diversity error across protocols.
-
-    Expected shape: only Diversification is simultaneously diverse and
-    sustainable.  Consensus dynamics lose colours (min count 0);
-    trivial resampling tracks shares but lets counts touch zero and is
-    excluded from sustainability.
-    """
-    return execute(
-        spec_baselines(n, weight_vector, rounds=rounds, seed=seed)
-    ).table()
 
 
 def _measure_epidemic(params: dict, rng: np.random.Generator) -> dict:
@@ -186,7 +174,15 @@ def spec_epidemic(
     seeds: int = 5,
     base_seed: int = 1848,
 ) -> ScenarioSpec:
-    """E10b as a scenario: ratio sweep × ``seeds`` replications."""
+    """E10b: SIS epidemic threshold — sustainability by contrast.
+
+    The contact process (Sec 1.1, refs [8, 24, 27]) has an absorbing
+    all-susceptible state: below the threshold the infected "colour"
+    dies out.  Expected shape: survival probability jumps from ≈0 to
+    ≈1 as ``transmission/recovery`` crosses 1, while Diversification
+    keeps every colour alive *by construction* at any parameters.  The
+    scenario is a ratio sweep × ``seeds`` replications.
+    """
     return ScenarioSpec(
         name="e10b",
         measure=_measure_epidemic,
@@ -202,31 +198,3 @@ def spec_epidemic(
         seed_scope="stream",
         build=_build_epidemic,
     )
-
-
-def experiment_epidemic(
-    n: int = 200,
-    *,
-    ratios=(0.1, 0.5, 1.0, 2.0, 8.0),
-    recovery: float = 0.1,
-    initial_infected_fraction: float = 0.1,
-    steps_per_agent: int = 1200,
-    seeds: int = 5,
-    base_seed: int = 1848,
-) -> ExperimentTable:
-    """E10b: SIS epidemic threshold — sustainability by contrast.
-
-    The contact process (Sec 1.1, refs [8, 24, 27]) has an absorbing
-    all-susceptible state: below the threshold the infected "colour"
-    dies out.  Expected shape: survival probability jumps from ≈0 to
-    ≈1 as ``transmission/recovery`` crosses 1, while Diversification
-    keeps every colour alive *by construction* at any parameters.
-    """
-    return execute(
-        spec_epidemic(
-            n, ratios=ratios, recovery=recovery,
-            initial_infected_fraction=initial_infected_fraction,
-            steps_per_agent=steps_per_agent, seeds=seeds,
-            base_seed=base_seed,
-        )
-    ).table()

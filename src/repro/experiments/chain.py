@@ -23,7 +23,7 @@ from ..analysis.markov import (
     total_variation,
 )
 from ..core.weights import WeightTable
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .table import ExperimentTable
 
 E8_PROFILES = {"full": {}, "quick": {"n": 128, "sim_steps": 60_000}}
@@ -135,7 +135,14 @@ def spec_markov_chain(
     sim_steps: int = 200_000,
     seed: int = 17,
 ) -> ScenarioSpec:
-    """E8 as a one-shard scenario (one simulated visit stream)."""
+    """E8: stationarity, mixing and perturbation of the chain ``M``.
+
+    Expected shape: ``πP = π`` holds to machine precision for the
+    theoretical π of Eqs. (18)-(19); the mixing time scales like
+    ``Θ(n log k / ·)`` (finite, small multiples of n); simulated visit
+    fractions match π; perturbed stationary mass moves by ``O(err·n)``
+    relative.  One shard (one simulated visit stream).
+    """
     return ScenarioSpec(
         name="e8",
         measure=_measure_chain,
@@ -149,27 +156,3 @@ def spec_markov_chain(
         seed_scope="direct",
         build=_build_chain,
     )
-
-
-def experiment_markov_chain(
-    n: int = 256,
-    weight_vector=(1.0, 2.0, 3.0),
-    *,
-    err_factor: float = 0.25,
-    sim_steps: int = 200_000,
-    seed: int = 17,
-) -> ExperimentTable:
-    """E8: stationarity, mixing and perturbation of the chain ``M``.
-
-    Expected shape: ``πP = π`` holds to machine precision for the
-    theoretical π of Eqs. (18)-(19); the mixing time scales like
-    ``Θ(n log k / ·)`` (finite, small multiples of n); simulated visit
-    fractions match π; perturbed stationary mass moves by ``O(err·n)``
-    relative.
-    """
-    return execute(
-        spec_markov_chain(
-            n, weight_vector, err_factor=err_factor, sim_steps=sim_steps,
-            seed=seed,
-        )
-    ).table()

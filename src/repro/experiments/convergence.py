@@ -20,7 +20,7 @@ from ..core.properties import diversity_bound
 from ..core.weights import WeightTable
 from ..engine.aggregate import AggregateSimulation
 from ..analysis.statistics import fit_n_log_n, fit_power_law
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .table import ExperimentTable
 from .workloads import worst_case_counts
 
@@ -118,7 +118,13 @@ def spec_convergence_scaling(
     seeds: int = 3,
     base_seed: int = 2021,
 ) -> ScenarioSpec:
-    """E1 as a scenario: ``(vector × n)`` grid, ``seeds`` shards each."""
+    """E1: convergence time vs n for uniform and skewed weights.
+
+    Paper claim (Thm 1.3): ``T = O(w² n log n)``.  Expected shape: the
+    column ``T/(n ln n)`` is roughly flat in ``n`` for each weight
+    vector, and grows with ``w`` across vectors.  The scenario is a
+    ``(vector × n)`` grid with ``seeds`` shards per cell.
+    """
     return ScenarioSpec(
         name="e1",
         measure=_measure_hitting,
@@ -132,26 +138,6 @@ def spec_convergence_scaling(
         cell_seed=lambda params: base_seed + params["n"],
         build=_build_convergence_scaling,
     )
-
-
-def experiment_convergence_scaling(
-    ns=(128, 256, 512, 1024),
-    weight_vectors=((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)),
-    *,
-    seeds: int = 3,
-    base_seed: int = 2021,
-) -> ExperimentTable:
-    """E1: convergence time vs n for uniform and skewed weights.
-
-    Paper claim (Thm 1.3): ``T = O(w² n log n)``.  Expected shape: the
-    column ``T/(n ln n)`` is roughly flat in ``n`` for each weight
-    vector, and grows with ``w`` across vectors.
-    """
-    return execute(
-        spec_convergence_scaling(
-            ns, weight_vectors, seeds=seeds, base_seed=base_seed
-        )
-    ).table()
 
 
 def measure_stabilised_error(
@@ -226,7 +212,13 @@ def spec_diversity_error(
     seeds: int = 3,
     base_seed: int = 509,
 ) -> ScenarioSpec:
-    """E2 as a scenario: an ``n`` sweep with ``seeds`` shards per point."""
+    """E2: stabilised diversity error vs n.
+
+    Paper claim (Eq. (1)): error ``Õ(1/√n)``.  Expected shape: the
+    fitted power-law exponent of error vs n is close to −1/2, and the
+    error stays below ``sqrt(log n / n)``.  The scenario is an ``n``
+    sweep with ``seeds`` shards per point.
+    """
     return ScenarioSpec(
         name="e2",
         measure=_measure_stabilised,
@@ -238,23 +230,3 @@ def spec_diversity_error(
         cell_seed=lambda params: base_seed + params["n"],
         build=_build_diversity_error,
     )
-
-
-def experiment_diversity_error(
-    ns=(128, 256, 512, 1024, 2048),
-    weight_vector=(1.0, 2.0, 3.0, 4.0),
-    *,
-    seeds: int = 3,
-    base_seed: int = 509,
-) -> ExperimentTable:
-    """E2: stabilised diversity error vs n.
-
-    Paper claim (Eq. (1)): error ``Õ(1/√n)``.  Expected shape: the
-    fitted power-law exponent of error vs n is close to −1/2, and the
-    error stays below ``sqrt(log n / n)``.
-    """
-    return execute(
-        spec_diversity_error(
-            ns, weight_vector, seeds=seeds, base_seed=base_seed
-        )
-    ).table()

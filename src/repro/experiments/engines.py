@@ -1,14 +1,16 @@
-"""Experiment E12: engine equivalence and throughput.
+"""Experiment E12: engine equivalence.
 
 The aggregate engine must be exact in distribution against the
 agent-level engine.  This experiment compares the marginal colour-count
 distributions of both engines at a common horizon across many seeds
 (methodological validation; also exercised by the property tests).
+
+Each seed pair is two shards, one per engine, so E12 rides the pipeline
+with ``"stream"`` seeds: shards ``2i`` and ``2i + 1`` draw the children
+``2i`` and ``2i + 1`` of ``spawn(make_rng(5), 2 · seeds)``.
 """
 
 from __future__ import annotations
-
-import time as _time
 
 import numpy as np
 
@@ -16,81 +18,54 @@ from ..core.diversification import Diversification
 from ..core.weights import WeightTable
 from ..engine.aggregate import AggregateSimulation
 from ..engine.population import Population
-from ..engine.rng import make_rng, spawn
 from ..engine.simulator import Simulation
+from .pipeline import ScenarioSpec
 from .table import ExperimentTable
 from .workloads import colours_from_counts, worst_case_counts
 
 E12_PROFILES = {
     "full": {},
-    "quick": {"n": 96, "rounds": 100, "seeds": 12,
-              "throughput_steps": 60_000},
+    "quick": {"n": 96, "rounds": 100, "seeds": 12},
 }
 
 
-def paired_final_counts(
-    weights: WeightTable,
-    n: int,
-    steps: int,
-    seeds: int,
-    *,
-    base_seed: int = 5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final colour counts from both engines over ``seeds`` runs each.
-
-    Returns (agent_runs, aggregate_runs) with shape ``(seeds, k)``.
-    """
-    rng = make_rng(base_seed)
-    agent_rows, aggregate_rows = [], []
-    children = spawn(rng, 2 * seeds)
-    for index in range(seeds):
-        local = weights.copy()
-        protocol = Diversification(local)
+def _measure_engine(params: dict, rng: np.random.Generator) -> dict:
+    """E12 shard: one engine's final colour counts after ``rounds · n``
+    steps from the worst-case start."""
+    weights = WeightTable(params["vector"])
+    n = params["n"]
+    steps = params["rounds"] * n
+    start = worst_case_counts(n, weights.k)
+    if params["engine"] == "agent":
+        protocol = Diversification(weights)
         population = Population.from_colours(
-            colours_from_counts(worst_case_counts(n, local.k)),
-            protocol, k=local.k,
+            colours_from_counts(start), protocol, k=weights.k
         )
-        Simulation(protocol, population, rng=children[2 * index]).run(steps)
-        agent_rows.append(population.colour_counts())
-
-        local = weights.copy()
-        engine = AggregateSimulation(
-            local,
-            dark_counts=worst_case_counts(n, local.k),
-            rng=children[2 * index + 1],
-        )
+        Simulation(protocol, population, rng=rng).run(steps)
+        counts = population.colour_counts()
+    else:
+        engine = AggregateSimulation(weights, dark_counts=start, rng=rng)
         engine.run(steps)
-        aggregate_rows.append(engine.colour_counts())
-    return np.asarray(agent_rows), np.asarray(aggregate_rows)
+        counts = engine.colour_counts()
+    return {"counts": [int(count) for count in counts]}
 
 
-def experiment_engines(
-    n: int = 128,
-    weight_vector=(1.0, 2.0, 3.0),
-    *,
-    rounds: int = 120,
-    seeds: int = 24,
-    throughput_steps: int = 200_000,
-) -> ExperimentTable:
-    """E12: agent vs aggregate marginals and raw throughput.
-
-    Expected shape: per-colour mean final counts agree within a few
-    standard errors; the aggregate engine is markedly faster.
-    """
-    weights = WeightTable(weight_vector)
-    steps = rounds * n
-    agent_rows, aggregate_rows = paired_final_counts(
-        weights, n, steps, seeds
-    )
+def _build_engines(result) -> ExperimentTable:
+    """Per-colour agent and aggregate means and their z-score."""
+    rows = {"agent": [], "aggregate": []}
+    for params, (value,) in result.by_cell():
+        rows[params["engine"]].append(value["counts"])
+    agent_rows = np.asarray(rows["agent"], dtype=float)
+    aggregate_rows = np.asarray(rows["aggregate"], dtype=float)
     table = ExperimentTable(
         "E12",
         "Engine equivalence (exact-in-distribution aggregate fast path)",
         ["colour", "agent mean", "aggregate mean", "pooled stderr",
          "|Δ|/stderr", "consistent"],
     )
-    for colour in range(weights.k):
-        a = agent_rows[:, colour].astype(float)
-        b = aggregate_rows[:, colour].astype(float)
+    for colour in range(agent_rows.shape[1]):
+        a = agent_rows[:, colour]
+        b = aggregate_rows[:, colour]
         stderr = float(
             np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
         )
@@ -98,29 +73,28 @@ def experiment_engines(
         table.add_row(
             colour, float(a.mean()), float(b.mean()), stderr, z, z <= 4.0
         )
-
-    # Throughput.
-    local = weights.copy()
-    protocol = Diversification(local)
-    population = Population.from_colours(
-        colours_from_counts(worst_case_counts(n, local.k)), protocol,
-        k=local.k,
-    )
-    sim = Simulation(protocol, population, rng=1)
-    start = _time.perf_counter()
-    sim.run(throughput_steps)
-    agent_rate = throughput_steps / (_time.perf_counter() - start)
-
-    local = weights.copy()
-    engine = AggregateSimulation(
-        local, dark_counts=worst_case_counts(n, local.k), rng=1
-    )
-    start = _time.perf_counter()
-    engine.run(throughput_steps)
-    aggregate_rate = throughput_steps / (_time.perf_counter() - start)
-    table.add_note(
-        f"throughput: agent engine {agent_rate:,.0f} steps/s, aggregate "
-        f"engine {aggregate_rate:,.0f} steps/s "
-        f"(x{aggregate_rate / agent_rate:.1f})"
-    )
     return table
+
+
+def spec_engines(
+    n: int = 128,
+    weight_vector=(1.0, 2.0, 3.0),
+    *,
+    rounds: int = 120,
+    seeds: int = 24,
+) -> ScenarioSpec:
+    """E12: agent vs aggregate marginals at a common horizon.
+
+    Expected shape: per-colour mean final counts of the two engines
+    agree within a few standard errors.  One shard per (seed pair,
+    engine), pair outermost, on one seed stream from 5.
+    """
+    return ScenarioSpec(
+        name="e12",
+        measure=_measure_engine,
+        grid={"pair": tuple(range(seeds)), "engine": ("agent", "aggregate")},
+        fixed={"vector": tuple(weight_vector), "n": n, "rounds": rounds},
+        base_seed=5,
+        seed_scope="stream",
+        build=_build_engines,
+    )

@@ -20,7 +20,7 @@ from ..core.weights import WeightTable
 from ..engine.observers import OccupancyTracker
 from ..engine.population import Population
 from ..engine.simulator import Simulation
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .table import ExperimentTable
 from .workloads import colours_from_counts, proportional_counts
 
@@ -137,7 +137,16 @@ def spec_fairness(
     *,
     seed: int = 31,
 ) -> ScenarioSpec:
-    """E5 as a one-shard scenario (one cumulative occupancy run)."""
+    """E5: per-agent occupancy convergence to the fair shares.
+
+    ``horizon_rounds`` are parallel rounds; time-steps are ``rounds·n``.
+    Expected shape: the deviation columns shrink as the horizon grows
+    (the paper proves ``(1 ± o(1)) w_i/w`` occupancy for horizons
+    ``T' > T = Ω(n^β)``).  One shard (one cumulative occupancy run).
+    On the fused path the shard falls back to the per-shard path: the
+    occupancy tracker needs the exact per-change observer stream, which
+    the batched engines do not expose.
+    """
     return ScenarioSpec(
         name="e5",
         measure=_measure_fairness,
@@ -150,27 +159,3 @@ def spec_fairness(
         seed_scope="direct",
         build=_build_fairness,
     )
-
-
-def experiment_fairness(
-    n: int = 192,
-    weight_vector=(1.0, 2.0, 3.0),
-    horizon_rounds=(200, 800, 3200),
-    *,
-    seed: int = 31,
-    fused: bool = False,
-) -> ExperimentTable:
-    """E5: per-agent occupancy convergence to the fair shares.
-
-    ``horizon_rounds`` are parallel rounds; time-steps are ``rounds·n``.
-    Expected shape: the deviation columns shrink as the horizon grows
-    (the paper proves ``(1 ± o(1)) w_i/w`` occupancy for horizons
-    ``T' > T = Ω(n^β)``).  ``fused`` routes through the fusion layer;
-    the occupancy tracker needs the exact per-change observer stream,
-    which the batched engines do not expose, so the shard falls back to
-    the per-shard path (the flag is accepted for a uniform CLI).
-    """
-    return execute(
-        spec_fairness(n, weight_vector, horizon_rounds, seed=seed),
-        fused=fused,
-    ).table()

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.weights import WeightTable
 from ..engine.aggregate import AggregateSimulation
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .table import ExperimentTable
 from .workloads import worst_case_counts
 
@@ -113,7 +113,13 @@ def spec_phase1(
     seeds: int = 3,
     base_seed: int = 777,
 ) -> ScenarioSpec:
-    """E3b as a scenario: an ``n`` sweep with ``seeds`` shards per point."""
+    """E3b: Phase-1 hitting times vs the Lemma 2.1/2.2 scales.
+
+    Expected shape: ``T1/(n w)`` roughly flat in ``n`` (Lemma 2.1's
+    ``O(n w/ε)``); ``T2/(w n ln n)`` roughly flat (Lemma 2.2's
+    ``O(w n log n / ε)``).  The scenario is an ``n`` sweep with
+    ``seeds`` shards per point.
+    """
     return ScenarioSpec(
         name="e3b",
         measure=_measure_phase1,
@@ -125,25 +131,3 @@ def spec_phase1(
         cell_seed=lambda params: base_seed + params["n"],
         build=_build_phase1,
     )
-
-
-def experiment_phase1(
-    ns=(256, 512, 1024, 2048),
-    weight_vector=(1.0, 2.0, 3.0),
-    *,
-    epsilon: float = 0.2,
-    seeds: int = 3,
-    base_seed: int = 777,
-) -> ExperimentTable:
-    """E3b: Phase-1 hitting times vs the Lemma 2.1/2.2 scales.
-
-    Expected shape: ``T1/(n w)`` roughly flat in ``n`` (Lemma 2.1's
-    ``O(n w/ε)``); ``T2/(w n ln n)`` roughly flat (Lemma 2.2's
-    ``O(w n log n / ε)``).
-    """
-    return execute(
-        spec_phase1(
-            ns, weight_vector, epsilon=epsilon, seeds=seeds,
-            base_seed=base_seed,
-        )
-    ).table()

@@ -32,7 +32,7 @@ from .fusion import (
     register_fused,
     run_recorded,
 )
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .table import ExperimentTable
 from .workloads import worst_case_counts
 
@@ -188,7 +188,14 @@ def spec_potentials(
     settle_factor: float = 12.0,
     plateau_constant: float = 2.0,
 ) -> ScenarioSpec:
-    """E3 as a one-shard scenario (single recorded run)."""
+    """E3: decay and plateau of φ, ψ and σ² (Thm 2.8 / Lemma 2.14).
+
+    Expected shape: each potential drops by orders of magnitude from
+    the worst-case start, reaches its plateau, and stays there; φ
+    plateaus no later than ψ (Subphase 2.1 before 2.2).  One shard (a
+    single recorded run); the fused path runs it in the mega-batch
+    fusion layer (heterogeneous aggregate engine).
+    """
     return ScenarioSpec(
         name="e3",
         measure=_measure_potentials,
@@ -202,32 +209,6 @@ def spec_potentials(
         build=_build_potentials,
         context={"plateau_constant": plateau_constant},
     )
-
-
-def experiment_potentials(
-    n: int = 1024,
-    weight_vector=(1.0, 2.0, 3.0, 4.0),
-    *,
-    seed: int = 7,
-    settle_factor: float = 12.0,
-    plateau_constant: float = 2.0,
-    fused: bool = False,
-) -> ExperimentTable:
-    """E3: decay and plateau of φ, ψ and σ² (Thm 2.8 / Lemma 2.14).
-
-    Expected shape: each potential drops by orders of magnitude from
-    the worst-case start, reaches its plateau, and stays there; φ
-    plateaus no later than ψ (Subphase 2.1 before 2.2).  ``fused``
-    routes the plan through the mega-batch fusion layer (heterogeneous
-    aggregate engine).
-    """
-    return execute(
-        spec_potentials(
-            n, weight_vector, seed=seed, settle_factor=settle_factor,
-            plateau_constant=plateau_constant,
-        ),
-        fused=fused,
-    ).table()
 
 
 def _measure_equilibrium(params: dict, rng: np.random.Generator) -> dict:
@@ -346,7 +327,14 @@ def spec_equilibrium(
     window_samples: int = 128,
     error_constant: float = 2.0,
 ) -> ScenarioSpec:
-    """E4 as a one-shard scenario (single settled run)."""
+    """E4: Phase-3 equilibrium values (Thm 2.13).
+
+    Measures time-averaged dark and light counts per colour against
+    ``A_i = w_i n/(1+w)`` and ``a_i = (w_i/w) n/(1+w)`` with the paper's
+    additive error ``C·n^{3/4}(log n)^{1/4}``.  One shard (a single
+    settled run); the fused path runs it in the mega-batch fusion layer
+    (heterogeneous aggregate engine).
+    """
     return ScenarioSpec(
         name="e4",
         measure=_measure_equilibrium,
@@ -361,30 +349,3 @@ def spec_equilibrium(
         build=_build_equilibrium,
         context={"error_constant": error_constant},
     )
-
-
-def experiment_equilibrium(
-    n: int = 2048,
-    weight_vector=(1.0, 2.0, 3.0, 4.0),
-    *,
-    seed: int = 99,
-    settle_factor: float = 10.0,
-    window_samples: int = 128,
-    error_constant: float = 2.0,
-    fused: bool = False,
-) -> ExperimentTable:
-    """E4: Phase-3 equilibrium values (Thm 2.13).
-
-    Measures time-averaged dark and light counts per colour against
-    ``A_i = w_i n/(1+w)`` and ``a_i = (w_i/w) n/(1+w)`` with the paper's
-    additive error ``C·n^{3/4}(log n)^{1/4}``.  ``fused`` routes the
-    plan through the mega-batch fusion layer (heterogeneous aggregate
-    engine).
-    """
-    return execute(
-        spec_equilibrium(
-            n, weight_vector, seed=seed, settle_factor=settle_factor,
-            window_samples=window_samples, error_constant=error_constant,
-        ),
-        fused=fused,
-    ).table()

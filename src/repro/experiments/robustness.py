@@ -34,7 +34,7 @@ from ..core.weights import WeightTable
 from ..engine.observers import MinCountTracker
 from ..engine.population import Population
 from ..engine.simulator import Simulation
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .runner import run_aggregate
 from .table import ExperimentTable
 from .workloads import colours_from_counts, worst_case_counts
@@ -163,10 +163,18 @@ def spec_sustainability(
     base_seed: int = 1234,
     adv_replications: int = 8,
 ) -> ScenarioSpec:
-    """E6 as a scenario: contender grid × ``seeds`` replications.
+    """E6: colour survival from singleton starts (Def 1.1(3)).
 
-    ``adv_replications`` sets the size of the fused batched adversarial
-    survival check run per diversification shard (0 disables it).
+    Expected shape: Diversification never loses a colour in any run
+    (min dark count stays >= 1) — the structural invariant; the Voter
+    model loses colours routinely from the same start.  Random
+    recolouring also keeps lone supporters (change requires meeting
+    one's own colour) but needs global knowledge of k and ignores
+    weights — its failure is diversity, not sustainability.  The
+    diversification rows additionally verify survival under an
+    adversarial schedule across ``adv_replications`` fused batched
+    replications (0 disables the check).  The scenario is a contender
+    grid × ``seeds`` replications.
     """
     return ScenarioSpec(
         name="e6",
@@ -183,36 +191,6 @@ def spec_sustainability(
         seed_scope="stream",
         build=_build_sustainability,
     )
-
-
-def experiment_sustainability(
-    n: int = 128,
-    weight_vector=(1.0, 1.0, 2.0, 4.0),
-    *,
-    steps_per_agent: int = 600,
-    seeds: int = 10,
-    base_seed: int = 1234,
-    adv_replications: int = 8,
-) -> ExperimentTable:
-    """E6: colour survival from singleton starts (Def 1.1(3)).
-
-    Expected shape: Diversification never loses a colour in any run
-    (min dark count stays >= 1) — the structural invariant; the Voter
-    model loses colours routinely from the same start.  Random
-    recolouring also keeps lone supporters (change requires meeting
-    one's own colour) but needs global knowledge of k and ignores
-    weights — its failure is diversity, not sustainability.  The
-    diversification rows additionally verify survival under an
-    adversarial schedule across ``adv_replications`` fused batched
-    replications.
-    """
-    return execute(
-        spec_sustainability(
-            n, weight_vector, steps_per_agent=steps_per_agent,
-            seeds=seeds, base_seed=base_seed,
-            adv_replications=adv_replications,
-        )
-    ).table()
 
 
 def recovery_time_after(
@@ -360,8 +338,16 @@ def spec_adversary(
     settle_factor: float = 8.0,
     replications: int = 24,
 ) -> ScenarioSpec:
-    """E7 as a one-shard scenario (single recorded shocked run, plus
-    ``replications`` fused batched repetitions of the same shocks)."""
+    """E7: recovery after adversarial agent floods and colour addition.
+
+    Two shocks: (1) flood — colour 0 gains n/2 fresh dark agents;
+    (2) a brand-new colour (weight 2) arrives with a single dark agent.
+    Expected shape: the diversity error spikes at each shock and decays
+    back inside the band; the new colour ends near its fair share, both
+    in the recorded run and on average over ``replications`` fused
+    batched repetitions of the same schedule.  One shard (the recorded
+    shocked run plus its batched repetitions).
+    """
     return ScenarioSpec(
         name="e7",
         measure=_measure_adversary,
@@ -375,28 +361,3 @@ def spec_adversary(
         seed_scope="direct",
         build=_build_adversary,
     )
-
-
-def experiment_adversary(
-    n: int = 1024,
-    weight_vector=(1.0, 2.0, 3.0),
-    *,
-    seed: int = 404,
-    settle_factor: float = 8.0,
-    replications: int = 24,
-) -> ExperimentTable:
-    """E7: recovery after adversarial agent floods and colour addition.
-
-    Two shocks: (1) flood — colour 0 gains n/2 fresh dark agents;
-    (2) a brand-new colour (weight 2) arrives with a single dark agent.
-    Expected shape: the diversity error spikes at each shock and decays
-    back inside the band; the new colour ends near its fair share, both
-    in the recorded run and on average over ``replications`` fused
-    batched repetitions of the same schedule.
-    """
-    return execute(
-        spec_adversary(
-            n, weight_vector, seed=seed, settle_factor=settle_factor,
-            replications=replications,
-        )
-    ).table()

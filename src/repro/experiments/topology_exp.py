@@ -20,7 +20,7 @@ from ..core.diversification import Diversification
 from ..core.weights import WeightTable
 from ..engine.observers import MinCountTracker
 from ..topology import CompleteGraph, CycleGraph, TorusGrid, random_regular
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .runner import run_agent
 from .table import ExperimentTable
 
@@ -90,7 +90,15 @@ def spec_topology(
     seed: int = 1618,
     engine: str = "auto",
 ) -> ScenarioSpec:
-    """E11 as a scenario: one shard per topology, shared run seed."""
+    """E11: diversity error per topology at a fixed horizon.
+
+    ``n`` must be a perfect square for the torus entry.  All four
+    graphs (complete + the CSR-adjacency sparse graphs) are supported
+    by the vectorised agent-level engine, so ``engine="auto"`` routes
+    every run through :class:`~repro.engine.ArraySimulation`; pass
+    ``engine="scalar"`` to force the per-step reference engine.  One
+    shard per topology, all on the same run seed.
+    """
     side = int(round(np.sqrt(n)))
     if side * side != n:
         raise ValueError(f"n={n} must be a perfect square for the torus")
@@ -109,26 +117,3 @@ def spec_topology(
         seed_scope="direct",
         build=_build_topology,
     )
-
-
-def experiment_topology(
-    n: int = 256,
-    weight_vector=(1.0, 2.0, 3.0),
-    *,
-    rounds: int = 3000,
-    seed: int = 1618,
-    engine: str = "auto",
-) -> ExperimentTable:
-    """E11: diversity error per topology at a fixed horizon.
-
-    ``n`` must be a perfect square for the torus entry.  All four
-    graphs (complete + the CSR-adjacency sparse graphs) are supported
-    by the vectorised agent-level engine, so ``engine="auto"`` routes
-    every run through :class:`~repro.engine.ArraySimulation`; pass
-    ``engine="scalar"`` to force the per-step reference engine.
-    """
-    return execute(
-        spec_topology(
-            n, weight_vector, rounds=rounds, seed=seed, engine=engine
-        )
-    ).table()

@@ -20,7 +20,7 @@ from ..core.derandomised import DerandomisedDiversification
 from ..core.diversification import Diversification
 from ..core.properties import diversity_bound
 from ..core.weights import WeightTable
-from .pipeline import ScenarioSpec, execute
+from .pipeline import ScenarioSpec
 from .runner import run_agent
 from .table import ExperimentTable
 
@@ -106,7 +106,14 @@ def spec_derandomised(
     seeds: int = 3,
     base_seed: int = 88,
 ) -> ScenarioSpec:
-    """E9 as a scenario: variant grid × ``seeds`` replications."""
+    """E9: derandomised vs randomised protocol, same integer weights.
+
+    Expected shape: both reach the fair shares ``w_i/w`` with errors of
+    the same order; the derandomised variant needs no coin flips.  The
+    scenario is a variant grid × ``seeds`` replications.  E9 has no
+    fused implementation, so on the fused path every shard runs per
+    shard and the table is the same bytes as a plain run.
+    """
     return ScenarioSpec(
         name="e9",
         measure=_measure_variant,
@@ -121,32 +128,6 @@ def spec_derandomised(
         seed_scope="stream",
         build=_build_derandomised,
     )
-
-
-def experiment_derandomised(
-    n: int = 384,
-    weight_vector=(1, 2, 3),
-    *,
-    rounds: int = 2500,
-    seeds: int = 3,
-    base_seed: int = 88,
-    fused: bool = False,
-) -> ExperimentTable:
-    """E9: derandomised vs randomised protocol, same integer weights.
-
-    Expected shape: both reach the fair shares ``w_i/w`` with errors of
-    the same order; the derandomised variant needs no coin flips.
-    ``fused`` is accepted for a uniform CLI: E9 has no fused
-    implementation, so every shard runs on the per-shard path and the
-    table is the same bytes as a plain run.
-    """
-    return execute(
-        spec_derandomised(
-            n, weight_vector, rounds=rounds, seeds=seeds,
-            base_seed=base_seed,
-        ),
-        fused=fused,
-    ).table()
 
 
 def _measure_multishade_error(params: dict, rng: np.random.Generator) -> dict:
@@ -210,7 +191,16 @@ def spec_derandomised_scaling(
     window_samples: int = 64,
     base_seed: int = 4242,
 ) -> ScenarioSpec:
-    """E9b as a scenario: ``n`` sweep × ``seeds`` replications."""
+    """E9b: derandomised protocol error vs n (multi-shade fast engine).
+
+    Uses :class:`~repro.engine.multishade.MultiShadeAggregate` to push
+    the open-problem variant to population sizes the agent engine
+    cannot reach.  Expected shape: the stabilised error shrinks like
+    ``~ 1/√n``, mirroring the randomised protocol's Thm 1.3 behaviour.
+    The scenario is an ``n`` sweep × ``seeds`` replications.  The
+    multi-shade engine has no mega-batch implementation yet, so on the
+    fused path every shard falls back to the per-shard path.
+    """
     return ScenarioSpec(
         name="e9b",
         measure=_measure_multishade_error,
@@ -226,35 +216,6 @@ def spec_derandomised_scaling(
         cell_seed=lambda params: base_seed + params["n"],
         build=_build_derandomised_scaling,
     )
-
-
-def experiment_derandomised_scaling(
-    ns=(256, 512, 1024, 2048),
-    weight_vector=(1, 2, 3),
-    *,
-    seeds: int = 3,
-    settle_rounds: int = 1200,
-    window_samples: int = 64,
-    base_seed: int = 4242,
-    fused: bool = False,
-) -> ExperimentTable:
-    """E9b: derandomised protocol error vs n (multi-shade fast engine).
-
-    Uses :class:`~repro.engine.multishade.MultiShadeAggregate` to push
-    the open-problem variant to population sizes the agent engine
-    cannot reach.  Expected shape: the stabilised error shrinks like
-    ``~ 1/√n``, mirroring the randomised protocol's Thm 1.3 behaviour.
-    ``fused`` routes through the fusion layer; the multi-shade engine
-    has no mega-batch implementation yet, so every shard falls back to
-    the per-shard path (the flag is accepted for a uniform CLI).
-    """
-    return execute(
-        spec_derandomised_scaling(
-            ns, weight_vector, seeds=seeds, settle_rounds=settle_rounds,
-            window_samples=window_samples, base_seed=base_seed,
-        ),
-        fused=fused,
-    ).table()
 
 
 def _measure_ablation(params: dict, rng: np.random.Generator) -> dict:
@@ -305,7 +266,13 @@ def spec_ablations(
     rounds: int = 2500,
     seed: int = 314,
 ) -> ScenarioSpec:
-    """Ablations as a scenario: one shard per variant, shared run seed."""
+    """Ablations A1/A2: remove one protocol rule at a time.
+
+    Expected shape: the full protocol tracks the *weighted* shares; A2
+    (unweighted lightening) collapses towards the *uniform* shares; A1
+    (no light buffer) still mixes colours but with larger error.  One
+    shard per variant, all on the same run seed.
+    """
     return ScenarioSpec(
         name="ablations",
         measure=_measure_ablation,
@@ -315,21 +282,3 @@ def spec_ablations(
         seed_scope="direct",
         build=_build_ablations,
     )
-
-
-def experiment_ablations(
-    n: int = 384,
-    weight_vector=(1.0, 2.0, 3.0, 4.0),
-    *,
-    rounds: int = 2500,
-    seed: int = 314,
-) -> ExperimentTable:
-    """Ablations A1/A2: remove one protocol rule at a time.
-
-    Expected shape: the full protocol tracks the *weighted* shares; A2
-    (unweighted lightening) collapses towards the *uniform* shares; A1
-    (no light buffer) still mixes colours but with larger error.
-    """
-    return execute(
-        spec_ablations(n, weight_vector, rounds=rounds, seed=seed)
-    ).table()

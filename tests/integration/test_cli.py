@@ -65,32 +65,32 @@ class TestParser:
 
 
 class TestQuickOverrides:
-    def test_every_override_names_a_real_experiment(self):
-        from repro.cli import QUICK_OVERRIDES
-        from repro.experiments import ALL_EXPERIMENTS
-
-        unknown = set(QUICK_OVERRIDES) - set(ALL_EXPERIMENTS)
-        assert not unknown, f"orphan quick overrides: {unknown}"
-
     def test_every_experiment_has_a_quick_override(self):
-        from repro.cli import QUICK_OVERRIDES
-        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments import REGISTRY
 
-        missing = set(ALL_EXPERIMENTS) - set(QUICK_OVERRIDES)
+        missing = {
+            name for name, definition in REGISTRY.items()
+            if "quick" not in definition.profiles
+        }
         assert not missing, f"experiments without quick mode: {missing}"
 
     def test_overrides_are_valid_kwargs(self):
         import inspect
 
-        from repro.cli import QUICK_OVERRIDES
-        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments import REGISTRY
 
-        for name, overrides in QUICK_OVERRIDES.items():
-            parameters = inspect.signature(
-                ALL_EXPERIMENTS[name]
-            ).parameters
-            for key in overrides:
+        for name, definition in REGISTRY.items():
+            parameters = inspect.signature(definition.spec).parameters
+            for key in definition.profiles["quick"]:
                 assert key in parameters, f"{name}: bad kwarg {key!r}"
+
+    def test_every_quick_spec_carries_its_registry_id(self):
+        # The spec's name keys the artifact file and the shard cache.
+        from repro.experiments import REGISTRY
+
+        for name, definition in REGISTRY.items():
+            spec = definition.spec(**definition.profiles["quick"])
+            assert spec.name == name
 
 
 class TestRegistryProfiles:
@@ -107,31 +107,25 @@ class TestRegistryProfiles:
         from repro.experiments import REGISTRY
 
         for name, definition in REGISTRY.items():
-            parameters = inspect.signature(definition.run).parameters
+            parameters = inspect.signature(definition.spec).parameters
             for profile, overrides in definition.profiles.items():
                 for key in overrides:
                     assert key in parameters, (
                         f"{name}/{profile}: bad kwarg {key!r}"
                     )
 
-    def test_spec_builders_share_run_signature(self):
-        import inspect
+    def test_spec_docstrings_start_with_their_table_id(self):
+        # ``repro list`` prints the first docstring line; it opens with
+        # the experiment's id ("E3b: ...", "Ablations A1/A2: ...").
+        import re
 
         from repro.experiments import REGISTRY
 
         for name, definition in REGISTRY.items():
-            if definition.spec is None:
-                continue
-            run_params = set(
-                inspect.signature(definition.run).parameters.keys()
+            first = definition.description
+            assert re.match(rf"{name}\b", first, re.IGNORECASE), (
+                f"{name}: {first!r}"
             )
-            # ``fused`` is an execution-mode flag (like the CLI's
-            # --fused/--jobs), not a scenario parameter, so spec
-            # builders deliberately do not take it.
-            assert (
-                set(inspect.signature(definition.spec).parameters.keys())
-                == run_params - {"fused"}
-            ), name
 
 
 class TestCommands:
@@ -186,15 +180,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "[E8]" in captured.out
 
-    def test_run_fused_on_non_pipeline_experiment_notes_no_effect(
-        self, capsys
-    ):
-        # e12 runs outside the pipeline: the flag must not be silently
-        # swallowed.
-        assert main(["run", "e12", "--quick", "--fused"]) == 0
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "2"], ["--fused"]], ids=["jobs", "fused"]
+    )
+    def test_run_e12_flags_print_the_serial_table(self, capsys, flags):
+        assert main(["run", "e12", "--quick"]) == 0
+        serial_out = capsys.readouterr().out
+        assert "[E12]" in serial_out
+        assert main(["run", "e12", "--quick", *flags]) == 0
         captured = capsys.readouterr()
-        assert "[E12]" in captured.out
-        assert "--fused has no effect" in captured.err
+        assert captured.out == serial_out
+        assert "no effect" not in captured.err
 
     def test_run_profile_quick_matches_quick_flag(self, capsys):
         assert main(["run", "e8", "--quick"]) == 0
@@ -233,18 +229,27 @@ class TestCommands:
         assert payload["table"]["experiment"] == "E8"
         assert len(payload["shards"]) == 1
 
-    def test_run_out_writes_table_for_legacy_experiment(
-        self, capsys, tmp_path
-    ):
-        # e12 has no scenario spec; --out falls back to the table JSON
-        # (same profile-suffixed naming as plan artifacts).
-        out_dir = tmp_path / "artifacts"
-        assert main(
-            ["run", "e12", "--quick", "--out", str(out_dir)]
-        ) == 0
+    def test_run_e12_out_writes_plan_artifact(self, capsys, tmp_path):
+        from repro.experiments import format_value, load_plan, plan_table
+
+        golden = pathlib.Path(__file__).parents[1] / "golden" / "e12-quick.txt"
+        assert main(["run", "e12", "--quick", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        payload = json.loads((out_dir / "e12-quick.json").read_text())
-        assert payload["experiment"] == "E12"
+        payload = load_plan(tmp_path / "e12-quick.json")
+        assert payload["format"] == "repro-plan/v1"
+        assert payload["experiment"] == "e12"
+        assert len(payload["shards"]) == 24
+        # The golden's rows below its title, header and rule lines; the
+        # artifact's booleans come back as ``bool``, which renders as
+        # "yes", so they are compared by ``str``.
+        golden_rows = [
+            line.split() for line in golden.read_text().splitlines()[3:]
+        ]
+        stored_rows = [
+            [str(v) if isinstance(v, bool) else format_value(v) for v in row]
+            for row in plan_table(payload).rows
+        ]
+        assert stored_rows == golden_rows
 
     def test_run_out_requires_a_directory(self):
         # A bare --out must not swallow a following experiment id.

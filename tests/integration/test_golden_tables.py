@@ -9,32 +9,20 @@ consciously re-baselined with::
 
     pytest tests/integration/test_golden_tables.py --update-goldens
 
-Wall-clock-dependent lines (throughput notes) are normalised away;
+Only the whitespace that ends the output is normalised away;
 everything else is exact.
 """
 
 import io
 import contextlib
 import pathlib
-import re
 
 import pytest
 
 from repro.cli import main
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import REGISTRY
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
-
-#: Lines whose content depends on wall-clock timing, not on the
-#: simulated dynamics (e12's throughput footnote).
-TIMING_LINE = re.compile(r"steps/s|seconds|elapsed")
-
-
-def normalise(text: str) -> str:
-    kept = [
-        line for line in text.splitlines() if not TIMING_LINE.search(line)
-    ]
-    return "\n".join(kept).rstrip() + "\n"
 
 
 def render_quick(name: str) -> str:
@@ -42,10 +30,10 @@ def render_quick(name: str) -> str:
     with contextlib.redirect_stdout(buffer):
         code = main(["run", name, "--quick"])
     assert code == 0, f"repro run {name} --quick exited {code}"
-    return normalise(buffer.getvalue())
+    return buffer.getvalue().rstrip() + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_quick_table_matches_golden(name, update_goldens):
     golden = GOLDEN_DIR / f"{name}-quick.txt"
     rendered = render_quick(name)
@@ -66,6 +54,6 @@ def test_quick_table_matches_golden(name, update_goldens):
 def test_no_orphan_goldens():
     """Every committed golden corresponds to a registered experiment —
     renames must clean up after themselves."""
-    known = {f"{name}-quick.txt" for name in ALL_EXPERIMENTS}
+    known = {f"{name}-quick.txt" for name in REGISTRY}
     on_disk = {path.name for path in GOLDEN_DIR.glob("*.txt")}
     assert on_disk <= known, f"orphan goldens: {sorted(on_disk - known)}"

