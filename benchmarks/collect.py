@@ -1,10 +1,10 @@
 """Consolidate ``benchmarks/results/*.json`` into one
 ``BENCH_SUMMARY.json`` so the perf trajectory is tracked across PRs.
 
-Each benchmark script writes its own timing JSON (e.g.
-``e17_fused_sweep_timing.json``); CI runs them as separate jobs and
-this collector merges whatever landed in the results directory into a
-single artifact with a compact speedup index:
+``ratios.py`` writes one timing JSON per row (e.g.
+``e17_fused_sweep_timing.json``); CI's ``bench-ratios`` job runs it,
+and this collector merges whatever landed in the results directory
+into a single artifact with a compact speedup index:
 
     PYTHONPATH=src python benchmarks/collect.py
 
@@ -35,8 +35,8 @@ trajectory entry carries that index next to the speedups:
 
 The collector is deliberately forgiving — a missing results directory
 yields an empty summary and unparsable files are recorded as errors
-instead of failing the job — because benchmark jobs are non-blocking
-and any subset of them may have run.
+instead of failing the job — because the benchmark job is
+non-blocking and any subset of the rows may have run.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ is an on-disk store addressed by :func:`shard_key`, a stable SHA-256 of
 
 Cached values round-trip through JSON exactly, so a warm or resumed
 run's tables are byte-identical to a cold run's — asserted end to end
-by ``benchmarks/bench_e19_cache.py``, the warm-vs-cold CI job and the
-interrupted-run drill.
+by the E19 row of ``benchmarks/ratios.py``, the warm-vs-cold CI job and
+the interrupted-run drill.
 
 Seed scopes and overlap.  Whether an *overlapping* sweep hits depends
 on the spec's seed scope: ``"cell"`` and ``"direct"`` scopes derive

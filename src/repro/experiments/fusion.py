@@ -388,7 +388,6 @@ def execute_fused(
     spec_or_plan: ScenarioSpec | ExperimentPlan,
     *,
     jobs: int | None = None,
-    executor=None,
     cache=None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
@@ -398,8 +397,8 @@ def execute_fused(
 
     Expands the spec, fuses compatible shards into mega-batch jobs and
     merges the results back into shard order.  Mega-batch jobs run
-    in-process (each is one engine call); ``jobs``/``executor`` apply
-    to the fallback shards, which are ordinary per-shard work.  With
+    in-process (each is one engine call); ``jobs`` applies to the
+    fallback shards, which are ordinary per-shard work.  With
     ``cache`` set (a :class:`~repro.experiments.cache.ShardCache` or a
     directory path) each group runs only its cache misses — an
     overlapping sweep computes only the new cells.  Usually reached
@@ -418,8 +417,7 @@ def execute_fused(
     else:
         expanded = spec_or_plan
     fused_plan = fuse(expanded)
-    if executor is None:
-        executor = make_executor(jobs)
+    executor = make_executor(jobs)
     if cache is not None:
         from .cache import resolve_cache
 

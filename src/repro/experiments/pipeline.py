@@ -505,7 +505,6 @@ def execute(
     spec_or_plan: ScenarioSpec | ExperimentPlan,
     *,
     jobs: int | None = None,
-    executor=None,
     fused: bool = False,
     cache=None,
     retry: RetryPolicy | None = None,
@@ -519,8 +518,7 @@ def execute(
     has a registered fused implementation advance together inside one
     vectorised engine (per-cell KS-equivalent to the per-shard path,
     not bit-identical — the rows share one draw stream), while the
-    remaining fallback shards run per shard through ``jobs``/
-    ``executor`` as usual.
+    remaining fallback shards run per shard through ``jobs`` as usual.
 
     With ``cache`` set (a :class:`~repro.experiments.cache.ShardCache`
     or a directory path) every shard is looked up by its content
@@ -558,7 +556,7 @@ def execute(
         from .fusion import execute_fused
 
         return execute_fused(
-            spec_or_plan, jobs=jobs, executor=executor, cache=cache,
+            spec_or_plan, jobs=jobs, cache=cache,
             retry=retry, faults=faults, max_failures=max_failures,
         )
     if isinstance(spec_or_plan, ScenarioSpec):
@@ -566,8 +564,7 @@ def execute(
     else:
         expanded = spec_or_plan
     spec = expanded.spec
-    if executor is None:
-        executor = make_executor(jobs)
+    executor = make_executor(jobs)
     track_faults = (
         retry is not None or faults is not None or max_failures is not None
     )

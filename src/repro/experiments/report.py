@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 
 def format_value(value) -> str:
     """Compact human formatting for table cells."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "yes" if value else "no"
     if isinstance(value, float):
         if value == 0:

@@ -230,7 +230,7 @@ class TestCommands:
         assert len(payload["shards"]) == 1
 
     def test_run_e12_out_writes_plan_artifact(self, capsys, tmp_path):
-        from repro.experiments import format_value, load_plan, plan_table
+        from repro.experiments import load_plan, plan_table
 
         golden = pathlib.Path(__file__).parents[1] / "golden" / "e12-quick.txt"
         assert main(["run", "e12", "--quick", "--out", str(tmp_path)]) == 0
@@ -239,17 +239,8 @@ class TestCommands:
         assert payload["format"] == "repro-plan/v1"
         assert payload["experiment"] == "e12"
         assert len(payload["shards"]) == 24
-        # The golden's rows below its title, header and rule lines; the
-        # artifact's booleans come back as ``bool``, which renders as
-        # "yes", so they are compared by ``str``.
-        golden_rows = [
-            line.split() for line in golden.read_text().splitlines()[3:]
-        ]
-        stored_rows = [
-            [str(v) if isinstance(v, bool) else format_value(v) for v in row]
-            for row in plan_table(payload).rows
-        ]
-        assert stored_rows == golden_rows
+        rendered = plan_table(payload).render().rstrip() + "\n"
+        assert rendered == golden.read_text()
 
     def test_run_out_requires_a_directory(self):
         # A bare --out must not swallow a following experiment id.

@@ -24,7 +24,6 @@ from repro.experiments.fusion import (
     register_fused,
 )
 from repro.experiments.pipeline import (
-    ProcessExecutor,
     ScenarioSpec,
     ShardError,
     execute,
@@ -146,7 +145,7 @@ class TestPoolSupervision:
         )
         result = execute(
             expanded,
-            executor=ProcessExecutor(2),
+            jobs=2,
             retry=RetryPolicy(max_attempts=3),
             faults=faults,
         )
@@ -164,7 +163,7 @@ class TestPoolSupervision:
         )
         result = execute(
             expanded,
-            executor=ProcessExecutor(2),
+            jobs=2,
             retry=RetryPolicy(max_attempts=2, timeout_s=0.75),
             faults=faults,
         )
@@ -182,7 +181,7 @@ class TestPoolSupervision:
         )
         result = execute(
             expanded,
-            executor=ProcessExecutor(2),
+            jobs=2,
             retry=RetryPolicy(max_attempts=2),
             faults=faults,
         )
@@ -197,7 +196,7 @@ class TestPoolSupervision:
             "raise:i1:attempts=99", shards=6, base_seed=spec.base_seed
         )
         with pytest.raises(ShardError) as info:
-            execute(expanded, executor=ProcessExecutor(2), faults=faults)
+            execute(expanded, jobs=2, faults=faults)
         message = str(info.value)
         assert "Traceback (most recent call last)" in message
         assert "InjectedFault" in message

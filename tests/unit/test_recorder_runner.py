@@ -454,6 +454,8 @@ class TestReportFormatting:
     def test_format_value_bool(self):
         assert format_value(True) == "yes"
         assert format_value(False) == "no"
+        assert format_value(np.bool_(True)) == "yes"
+        assert format_value(np.bool_(False)) == "no"
 
     def test_format_value_float(self):
         assert format_value(0.0) == "0"
