@@ -10,9 +10,10 @@ into a single artifact with a compact speedup index:
 
 With ``--trajectory PATH`` the collector additionally appends the
 summary's speedup index as one entry to the committed per-PR history
-(``benchmarks/BENCH_TRAJECTORY.json``) and compares it against the
-newest *same-machine* entry, flagging any benchmark whose speedup
-dropped by more than ``--threshold`` (default 20%).  Every entry
+(``benchmarks/BENCH_TRAJECTORY.json``) and compares each benchmark
+against the newest *same-machine* entry that has it, flagging any
+benchmark whose speedup dropped by more than ``--threshold`` (default
+20%).  Every entry
 records a machine signature (``cpu_count`` + platform), because
 speedups are not comparable across machines — a parallel-sweep
 benchmark that hits 2x on a 4-core CI runner is structurally 1x on a
@@ -136,9 +137,10 @@ def load_trajectory(path: pathlib.Path) -> dict:
     return doc
 
 
-def baseline_entry(trajectory: dict, machine: dict | None = None):
+def baseline_entry(trajectory: dict, name: str, machine: dict | None = None):
     """The newest trajectory entry recorded on ``machine`` (defaults
-    to this machine), or None.
+    to this machine) whose speedups include benchmark ``name``, or
+    None.
 
     Legacy entries without a machine signature never match — they may
     have run anywhere, so comparing against them reports cross-machine
@@ -146,7 +148,9 @@ def baseline_entry(trajectory: dict, machine: dict | None = None):
     """
     machine = machine or machine_signature()
     for entry in reversed(trajectory["entries"]):
-        if entry.get("machine") == machine:
+        if entry.get("machine") == machine and name in entry.get(
+            "speedups", {}
+        ):
             return entry
     return None
 
@@ -157,28 +161,27 @@ def compare_with_last(
     threshold: float = 0.2,
     machine: dict | None = None,
 ) -> list[str]:
-    """Speedup regressions vs the newest *same-machine* entry.
+    """Speedup regressions, each benchmark against the newest
+    *same-machine* entry that has it.
 
     Returns one human-readable line per benchmark whose speedup fell
-    by more than ``threshold`` (fractional); new or vanished benchmarks
-    are not regressions, and with no same-machine baseline in the
-    trajectory nothing is compared at all.
+    by more than ``threshold`` (fractional).  A benchmark that no
+    same-machine entry has is not compared, and entries that carry
+    other benchmarks only (a perfbench-only entry, say) never stand in
+    for its baseline.
     """
-    baseline = baseline_entry(trajectory, machine)
-    if baseline is None:
-        return []
-    previous = baseline["speedups"]
     warnings = []
     for name, entry in sorted(summary["speedups"].items()):
-        if name not in previous:
+        baseline = baseline_entry(trajectory, name, machine)
+        if baseline is None:
             continue
-        before = float(previous[name]["speedup"])
+        before = float(baseline["speedups"][name]["speedup"])
         now = float(entry["speedup"])
         if before > 0 and now < before * (1.0 - threshold):
             drop = 100.0 * (1.0 - now / before)
             warnings.append(
-                f"{name}: speedup {before:.2f}x -> {now:.2f}x "
-                f"(-{drop:.0f}%, threshold {threshold:.0%})"
+                f"{name}: speedup {before:.2f}x ({baseline['label']}) -> "
+                f"{now:.2f}x (-{drop:.0f}%, threshold {threshold:.0%})"
             )
     return warnings
 
@@ -254,12 +257,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name}: UNREADABLE ({error})", file=sys.stderr)
     if args.trajectory is not None:
         history = load_trajectory(args.trajectory)
-        if baseline_entry(history) is None and history["entries"]:
-            print(
-                "  no same-machine baseline in the trajectory; "
-                "skipping the regression comparison "
-                f"(this machine: {machine_signature()})"
-            )
+        for name in sorted(summary["speedups"]):
+            if baseline_entry(history, name) is None:
+                print(
+                    f"  {name}: no same-machine baseline in the "
+                    "trajectory; not compared "
+                    f"(this machine: {machine_signature()})"
+                )
         regressions = compare_with_last(summary, history, args.threshold)
         for line in regressions:
             print(f"  PERF REGRESSION (non-blocking): {line}")

@@ -207,6 +207,21 @@ def _retry_policy(args: argparse.Namespace):
     )
 
 
+def _check_fault_kinds(kinds, *, cached: bool) -> None:
+    """Raise ``ValueError`` for a fault kind that no ``repro run`` can
+    fire: ``fuse-raise`` fails a fused group, and no registry
+    experiment fuses; ``tear-cache`` fires inside a cache store."""
+    if "fuse-raise" in kinds:
+        raise ValueError(
+            "'fuse-raise' never fires: no registry experiment has a "
+            "fused group"
+        )
+    if "tear-cache" in kinds and not cached:
+        raise ValueError(
+            "'tear-cache' fires only inside a cache store: add --cache"
+        )
+
+
 def _print_fault_summary(report: dict) -> None:
     """One stderr line per noteworthy fault-tolerance event."""
     retried = sum(
@@ -220,11 +235,6 @@ def _print_fault_summary(report: dict) -> None:
     ]
     if retried:
         parts.append(f"{retried} recovered by retry")
-    if report.get("degraded_groups"):
-        parts.append(
-            f"{len(report['degraded_groups'])} fused group(s) degraded "
-            "to per-shard execution"
-        )
     if report.get("failed"):
         parts.append(
             f"failed shards: {', '.join(map(str, report['failed']))}"
@@ -305,11 +315,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     shards=len(target.shards),
                     base_seed=spec.base_seed,
                 )
+                _check_fault_kinds(fault_plan.kinds, cached=cache_enabled)
             except ValueError as error:
                 print(f"invalid --inject-faults: {error}", file=sys.stderr)
                 return 2
         result = execute(
-            target, jobs=args.jobs, fused=args.fused, cache=shard_cache,
+            target, jobs=args.jobs, cache=shard_cache,
             retry=retry, faults=fault_plan, max_failures=args.max_failures,
         )
         if result.fault_report and result.fault_report.get("failed"):
@@ -582,16 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: serial; results are identical either way)",
     )
     p_run.add_argument(
-        "--fused", action="store_true",
-        help="mega-batch compatible shards into one vectorised engine "
-             "(heterogeneous per-row weights/n/horizons); only the "
-             "aggregate family fuses (E3, E4, E17), and its results "
-             "match the per-shard path in distribution (per-cell "
-             "KS-equivalent), not bit for bit.  Shards without a fused "
-             "implementation (E9 and the rest) run on the per-shard "
-             "path (honouring --jobs), byte-identical to a plain run",
-    )
-    p_run.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=None,
         help="consult the content-addressed shard result cache before "
              "computing and store each shard as soon as it finishes: "
@@ -642,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-faults", type=str, default=None, metavar="SPEC",
         help="deterministic fault injection for drills and tests: "
              "comma-separated 'KIND:TARGET[:OPT...]' entries with KIND "
-             "one of raise/hang/crash/corrupt/fuse-raise/tear-cache, "
+             "one of raise/hang/crash/corrupt/tear-cache (tear-cache "
+             "needs --cache), "
              "TARGET 'iIDX' (exact shards, e.g. i0 or "
              "'i1|3|5') or 'pPROB' (each shard independently with "
              "probability PROB, drawn from the spec's own seed), and "

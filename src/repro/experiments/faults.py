@@ -40,8 +40,11 @@ calls ``os._exit`` in the worker process; ``corrupt`` replaces the
 measurement's return value with a non-mapping payload (caught by the
 runner's value validation and retried); ``fuse-raise`` fails only the
 *fused mega-batch group* containing the shard (exercising graceful
-degradation); ``tear-cache`` tears the shard's cache entry mid-write
-(exercising quarantine: the rerun recomputes only that shard).
+degradation on the library's fused path, ``execute(..., fused=True)``;
+``repro run`` rejects it, since no registry experiment fuses);
+``tear-cache`` tears the shard's cache entry mid-write (exercising
+quarantine: the rerun recomputes only that shard; ``repro run`` takes
+it only with ``--cache``).
 Process-level faults (``hang``, ``crash``) are simulated as raises when
 the shard runs in-process (serial path): the orchestrator itself is
 never killed or blocked.
@@ -57,7 +60,7 @@ import os
 import queue
 import time
 import traceback
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +247,7 @@ class FaultPlan:
         faults: Mapping[int, Sequence[Fault]],
         *,
         spec_text: str | None = None,
+        kinds: Iterable[str] = (),
     ):
         self.by_shard: dict[int, tuple[Fault, ...]] = {
             int(index): tuple(entry)
@@ -251,6 +255,12 @@ class FaultPlan:
             if entry
         }
         self.spec_text = spec_text
+        #: Every fault kind the plan names: its faults' kinds plus
+        #: ``kinds`` (a spec entry's kind even when its target selected
+        #: no shard).
+        self.kinds = frozenset(kinds).union(
+            fault.kind for entry in self.by_shard.values() for fault in entry
+        )
         #: One-shot tear faults already fired, keyed by (index, kind).
         self._fired: set[tuple[int, str]] = set()
 
@@ -267,6 +277,7 @@ class FaultPlan:
             raise ValueError("shards must be non-negative")
         rng = fault_selection_rng(base_seed)
         by_shard: dict[int, list[Fault]] = {}
+        kinds: set[str] = set()
         for raw in text.split(","):
             entry = raw.strip()
             if not entry:
@@ -286,9 +297,10 @@ class FaultPlan:
             indices = cls._parse_target(entry, parts[1].strip(), shards, rng)
             options = cls._parse_options(entry, parts[2:])
             fault = Fault(kind=kind, **options)
+            kinds.add(kind)
             for index in indices:
                 by_shard.setdefault(index, []).append(fault)
-        return cls(by_shard, spec_text=text)
+        return cls(by_shard, spec_text=text, kinds=kinds)
 
     @staticmethod
     def _parse_target(entry, target, shards, rng) -> list[int]:

@@ -4,12 +4,14 @@ The declarative pipeline executes one shard (grid cell × replication)
 at a time — each shard pays its own engine construction and its own
 Python-level event loop.  This module fuses *compatible* shards of an
 :class:`~repro.experiments.pipeline.ExperimentPlan` into mega-batch
-jobs that advance together inside a single vectorised engine.  The one
-family is the aggregate one: its measurements (E3, E4, E17) pack one
+jobs that advance together inside a single vectorised engine.  One
+measurement fuses: E17's :func:`measure_sweep_final_counts` packs one
 :class:`~repro.engine.hetero.HeterogeneousAggregateBatch` row per shard
 (per-row weight tables, populations and horizons), so an entire
-weight-skew × k × n sweep runs through one event loop.  Agent-level
-measurements (E9) have no fused implementation and run per shard.
+weight-skew × k × n sweep runs through one event loop.  No registry
+experiment fuses, so ``repro run`` has no fused path; the library
+reaches this one through ``execute(spec, fused=True)``, and every
+other measurement runs per shard there.
 
 A measurement opts in by registering a :class:`FusedMeasurement`
 (:func:`register_fused`); :func:`fuse` groups a plan's shards by the
@@ -71,7 +73,6 @@ __all__ = [
     "fused_rng",
     "execute_fused",
     "hetero_batch",
-    "run_recorded",
     "measure_sweep_final_counts",
     "spec_fused_sweep",
 ]
@@ -422,9 +423,6 @@ def execute_fused(
         from .cache import resolve_cache
 
         cache = resolve_cache(cache)
-    track_faults = (
-        retry is not None or faults is not None or max_failures is not None
-    )
     runner = FusedExecutor(
         executor, cache=cache, retry=retry, faults=faults,
         max_failures=max_failures,
@@ -433,33 +431,10 @@ def execute_fused(
     outcomes = runner.run_plan(fused_plan)
     elapsed = time.perf_counter() - start
     results = [
-        ShardResult(shard=shard, value=value, seconds=seconds)
-        for shard, (value, seconds) in (
-            (shard, outcome)
-            for shard, outcome in zip(expanded.shards, outcomes)
-            if outcome is not None
-        )
+        ShardResult(shard, *outcome)
+        for shard, outcome in zip(expanded.shards, outcomes)
+        if outcome is not None
     ]
-    fault_report = None
-    if track_faults:
-        fault_report = build_fault_report(
-            retry, faults, runner.shard_pairs,
-            degraded_groups=runner.degraded_groups,
-            max_failures=max_failures,
-        )
-        # Fused-computed shards never appear in shard_pairs; count them
-        # into the totals so the report covers the whole plan.
-        fused_ok = sum(
-            1
-            for shard, outcome in zip(expanded.shards, outcomes)
-            if outcome is not None
-        ) - sum(
-            1
-            for _, pair_outcome in runner.shard_pairs
-            if pair_outcome.error is None
-        )
-        fault_report["total"] = len(expanded.shards)
-        fault_report["completed"] += fused_ok
     return PlanResult(
         spec=expanded.spec,
         cells=expanded.cells,
@@ -467,12 +442,16 @@ def execute_fused(
         jobs=runner.jobs,
         elapsed_seconds=elapsed,
         cache_stats=runner.cache_stats,
-        fault_report=fault_report,
+        fault_report=build_fault_report(
+            expanded, results, runner.shard_pairs,
+            retry=retry, faults=faults, max_failures=max_failures,
+            degraded_groups=runner.degraded_groups,
+        ),
     )
 
 
 # ----------------------------------------------------------------------
-# Aggregate-family helpers shared by the fused implementations
+# The engine of an aggregate-family fused group
 
 
 def hetero_batch(
@@ -501,66 +480,6 @@ def hetero_batch(
     return HeterogeneousAggregateBatch(
         tables, darks, rng=fused_rng(shards)
     )
-
-
-def run_recorded(
-    engine: HeterogeneousAggregateBatch,
-    steps: np.ndarray,
-    intervals: np.ndarray,
-) -> list[dict]:
-    """Advance each row by its own ``steps[r]`` further time-steps,
-    snapshotting its counts every ``intervals[r]`` of them.
-
-    ``steps`` counts from each row's *current* clock, so the helper
-    also works on a pre-advanced engine.  Mirrors
-    :class:`~repro.experiments.recorder.CountRecorder` applied per row:
-    a snapshot at the start, one at every whole interval, and an
-    unconditional one at the final time (no duplicate when the
-    interval divides it).  Returns one dict per row with ``times``
-    (list of ints, absolute row clocks) and ``dark``/``light``
-    ``(T_r, k_max)`` arrays.
-    """
-    rows = engine.rows
-    steps = np.asarray(steps, dtype=np.int64)
-    if (steps < 0).any():
-        raise ValueError("steps must be non-negative")
-    intervals = np.asarray(intervals, dtype=np.int64)
-    if (intervals < 1).any():
-        raise ValueError("intervals must be >= 1")
-    origin = engine.times()
-    horizons = origin + steps
-    dark = engine.dark_counts()
-    light = engine.light_counts()
-    series = [
-        {
-            "times": [int(origin[r])],
-            "dark": [dark[r]],
-            "light": [light[r]],
-        }
-        for r in range(rows)
-    ]
-    multiple = np.ones(rows, dtype=np.int64)
-    while True:
-        times = engine.times()
-        active = times < horizons
-        if not active.any():
-            break
-        target = np.minimum(origin + multiple * intervals, horizons)
-        target = np.where(active, np.maximum(target, times), times)
-        engine.run_to(target)
-        times = engine.times()
-        dark = engine.dark_counts()
-        light = engine.light_counts()
-        for r in np.flatnonzero(active):
-            series[r]["times"].append(int(times[r]))
-            series[r]["dark"].append(dark[r])
-            series[r]["light"].append(light[r])
-        reached = active & (times == origin + multiple * intervals)
-        multiple[reached] += 1
-    for row in series:
-        row["dark"] = np.asarray(row["dark"])
-        row["light"] = np.asarray(row["light"])
-    return series
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,7 @@ equilibrium values of Thm 2.13.
 
 Both are single-run experiments; they ride the declarative pipeline as
 one-shard plans (``"direct"`` seed scope) so they share the executor,
-artifact store and profile machinery with the sweep experiments.  Both
-measurements also register fused (mega-batch) implementations on the
-heterogeneous aggregate engine, so ``execute(..., fused=True)`` — or
-``repro run e3 e4 --fused`` — advances every shard of a widened grid
-through one event loop (:mod:`repro.experiments.fusion`).
+artifact store and profile machinery with the sweep experiments.
 """
 
 from __future__ import annotations
@@ -26,12 +22,6 @@ from ..core.properties import (
 )
 from ..core.weights import WeightTable
 from ..engine.aggregate import AggregateSimulation
-from .fusion import (
-    FusedMeasurement,
-    hetero_batch,
-    register_fused,
-    run_recorded,
-)
 from .pipeline import ScenarioSpec
 from .table import ExperimentTable
 from .workloads import worst_case_counts
@@ -94,45 +84,6 @@ def _horizon_steps(params: dict) -> int:
     return int(params["settle_factor"] * w * w * n * np.log(n))
 
 
-def _fused_measure_potentials(spec, shards) -> list[dict]:
-    """E3 mega-batch: one heterogeneous engine row per shard, per-row
-    horizons and snapshot intervals (CountRecorder semantics)."""
-    engine = hetero_batch(shards)
-    steps = np.array(
-        [_horizon_steps(shard.params) for shard in shards], dtype=np.int64
-    )
-    intervals = np.maximum(1, steps // 512)
-    series = run_recorded(engine, steps, intervals)
-    values = []
-    for shard, row in zip(shards, series):
-        weights = WeightTable(shard.params["vector"])
-        k = weights.k
-        dark = row["dark"][:, :k]
-        light = row["light"][:, :k]
-        values.append(
-            {
-                "times": [int(t) for t in row["times"]],
-                "phi": [float(phi(counts, weights)) for counts in dark],
-                "psi": [float(psi(counts, weights)) for counts in light],
-                "sigma_sq": [
-                    float(sigma_squared(d.sum(), l.sum(), weights))
-                    for d, l in zip(dark, light)
-                ],
-            }
-        )
-    return values
-
-
-register_fused(
-    _measure_potentials,
-    FusedMeasurement(
-        family="aggregate",
-        group_key=lambda params: "aggregate",
-        run_group=_fused_measure_potentials,
-    ),
-)
-
-
 def _build_potentials(result) -> ExperimentTable:
     """Format the decay/plateau rows from the recorded series."""
     params = result.cells[0]
@@ -193,8 +144,7 @@ def spec_potentials(
     Expected shape: each potential drops by orders of magnitude from
     the worst-case start, reaches its plateau, and stays there; φ
     plateaus no later than ψ (Subphase 2.1 before 2.2).  One shard (a
-    single recorded run); the fused path runs it in the mega-batch
-    fusion layer (heterogeneous aggregate engine).
+    single recorded run).
     """
     return ScenarioSpec(
         name="e3",
@@ -229,51 +179,6 @@ def _measure_equilibrium(params: dict, rng: np.random.Generator) -> dict:
         "dark_mean": np.asarray(dark_rows).mean(axis=0).tolist(),
         "light_mean": np.asarray(light_rows).mean(axis=0).tolist(),
     }
-
-
-def _fused_measure_equilibrium(spec, shards) -> list[dict]:
-    """E4 mega-batch: settle every row to its own horizon, then sample
-    per-row windows (rows with fewer samples sit out the extra rounds
-    through the active mask)."""
-    engine = hetero_batch(shards)
-    engine.run(
-        np.array(
-            [_horizon_steps(shard.params) for shard in shards],
-            dtype=np.int64,
-        )
-    )
-    ns = np.array(
-        [int(shard.params["n"]) for shard in shards], dtype=np.int64
-    )
-    samples = np.array(
-        [int(shard.params["window_samples"]) for shard in shards],
-        dtype=np.int64,
-    )
-    dark_acc = np.zeros((engine.rows, engine.k_max), dtype=np.float64)
-    light_acc = np.zeros_like(dark_acc)
-    for sample in range(int(samples.max())):
-        active = samples > sample
-        engine.run(np.where(active, ns, 0))
-        dark_acc[active] += engine.dark_counts()[active]
-        light_acc[active] += engine.light_counts()[active]
-    ks = engine.ks()
-    return [
-        {
-            "dark_mean": (dark_acc[r, : ks[r]] / samples[r]).tolist(),
-            "light_mean": (light_acc[r, : ks[r]] / samples[r]).tolist(),
-        }
-        for r in range(engine.rows)
-    ]
-
-
-register_fused(
-    _measure_equilibrium,
-    FusedMeasurement(
-        family="aggregate",
-        group_key=lambda params: "aggregate",
-        run_group=_fused_measure_equilibrium,
-    ),
-)
 
 
 def _build_equilibrium(result) -> ExperimentTable:
@@ -332,8 +237,7 @@ def spec_equilibrium(
     Measures time-averaged dark and light counts per colour against
     ``A_i = w_i n/(1+w)`` and ``a_i = (w_i/w) n/(1+w)`` with the paper's
     additive error ``C·n^{3/4}(log n)^{1/4}``.  One shard (a single
-    settled run); the fused path runs it in the mega-batch fusion layer
-    (heterogeneous aggregate engine).
+    settled run).
     """
     return ScenarioSpec(
         name="e4",

@@ -372,26 +372,33 @@ def requeue_entry(shard: Shard, outcome: ShardOutcome) -> dict:
 
 
 def build_fault_report(
-    policy: RetryPolicy | None,
-    faults: FaultPlan | None,
+    expanded: ExperimentPlan,
+    results: Sequence[ShardResult],
     pairs: Sequence[tuple[Shard, ShardOutcome | None]],
     *,
-    degraded_groups: Sequence[dict] = (),
+    retry: RetryPolicy | None = None,
+    faults: FaultPlan | None = None,
     max_failures: int | None = None,
-) -> dict:
-    """The ``PlanResult.fault_report`` payload: retry policy, per-shard
-    attempt records (only shards that retried or failed), degraded
-    fused groups and requeue entries for the permanent failures."""
+    degraded_groups: Sequence[dict] = (),
+) -> dict | None:
+    """The ``PlanResult.fault_report`` payload, or None for a run with
+    no retry policy, fault plan or failure budget.
+
+    ``total`` counts every shard of the plan and ``completed`` every
+    shard with a value in ``results``, cache hits and fused rows
+    included, so the per-shard and fused paths count a plan alike.
+    ``pairs`` are the ``(shard, outcome)`` pairs of the per-shard work:
+    they give the attempt records (only shards that retried or failed)
+    and the requeue entries of the permanent failures."""
+    if retry is None and faults is None and max_failures is None:
+        return None
     shards_section: dict[str, dict] = {}
     failed: list[int] = []
     requeue: list[dict] = []
-    completed = 0
     for shard, outcome in pairs:
         if outcome is None:
             continue
-        if outcome.error is None:
-            completed += 1
-        else:
+        if outcome.error is not None:
             failed.append(shard.index)
             requeue.append(requeue_entry(shard, outcome))
         if outcome.attempts > 1 or outcome.error is not None:
@@ -403,11 +410,11 @@ def build_fault_report(
                 + ([outcome.error] if outcome.error else []),
             }
     return {
-        "policy": policy.to_payload() if policy is not None else None,
+        "policy": retry.to_payload() if retry is not None else None,
         "injected": faults.spec_text if faults is not None else None,
         "max_failures": max_failures,
-        "total": len(pairs),
-        "completed": completed,
+        "total": len(expanded.shards),
+        "completed": len(results),
         "failed": failed,
         "shards": shards_section,
         "degraded_groups": list(degraded_groups),
@@ -515,10 +522,11 @@ def execute(
 
     With ``fused=True`` the plan routes through the mega-batch fusion
     layer (:mod:`repro.experiments.fusion`): shards whose measurement
-    has a registered fused implementation advance together inside one
-    vectorised engine (per-cell KS-equivalent to the per-shard path,
-    not bit-identical — the rows share one draw stream), while the
-    remaining fallback shards run per shard through ``jobs`` as usual.
+    has a registered fused implementation (E17's sweep measurement)
+    advance together inside one vectorised engine (per-cell
+    KS-equivalent to the per-shard path, not bit-identical — the rows
+    share one draw stream), while the remaining fallback shards run
+    per shard through ``jobs`` as usual.
 
     With ``cache`` set (a :class:`~repro.experiments.cache.ShardCache`
     or a directory path) every shard is looked up by its content
@@ -542,7 +550,8 @@ def execute(
     plus a ``fault_report`` naming the failures (with requeue entries),
     and only a budget overrun raises.  When any of the three is given
     the returned ``PlanResult.fault_report`` records the run's retry/
-    failure/degradation history.
+    failure/degradation history over the whole plan
+    (:func:`build_fault_report`).
 
     Raises :class:`ShardError` for the lowest-index failed shard, with
     the experiment name, the shard's parameters and the worker's
@@ -565,9 +574,6 @@ def execute(
         expanded = spec_or_plan
     spec = expanded.spec
     executor = make_executor(jobs)
-    track_faults = (
-        retry is not None or faults is not None or max_failures is not None
-    )
     store = None
     if cache is not None:
         from .cache import resolve_cache
@@ -587,13 +593,6 @@ def execute(
             "misses": len(pairs),
             "dir": str(store.directory),
         }
-    fault_report = (
-        build_fault_report(
-            retry, faults, pairs, max_failures=max_failures
-        )
-        if track_faults
-        else None
-    )
     return PlanResult(
         spec=spec,
         cells=expanded.cells,
@@ -601,5 +600,8 @@ def execute(
         jobs=executor.jobs,
         elapsed_seconds=elapsed,
         cache_stats=cache_stats,
-        fault_report=fault_report,
+        fault_report=build_fault_report(
+            expanded, results, pairs,
+            retry=retry, faults=faults, max_failures=max_failures,
+        ),
     )

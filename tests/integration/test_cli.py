@@ -166,23 +166,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "[E8]" in out
 
-    def test_run_fused_flag_routes_through_fusion_layer(self, capsys):
-        # e8 has no fused implementation: the flag must still work,
-        # with every shard on the FusedExecutor's fallback path.
-        assert main(["run", "e8", "--quick", "--fused"]) == 0
-        out = capsys.readouterr().out
-        assert "[E8]" in out
-
-    def test_run_fused_composes_with_jobs(self, capsys):
-        # e8's shards all fall back (no fused implementation), and
-        # fallback shards honour --jobs through the process pool.
-        assert main(["run", "e8", "--quick", "--fused", "--jobs", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "[E8]" in captured.out
-
-    @pytest.mark.parametrize(
-        "flags", [["--jobs", "2"], ["--fused"]], ids=["jobs", "fused"]
-    )
+    @pytest.mark.parametrize("flags", [["--jobs", "2"]], ids=["jobs"])
     def test_run_e12_flags_print_the_serial_table(self, capsys, flags):
         assert main(["run", "e12", "--quick"]) == 0
         serial_out = capsys.readouterr().out
@@ -330,6 +314,13 @@ class TestCommands:
             (["demo", "--n", "50", "--seed", "-1", "--engine", "array"],
              "--seed must be >= 0"),
             (["series", "--seed", "-1"], "--seed must be >= 0"),
+            # No registry experiment fuses, so no run has a fused
+            # group to fail, and a cache write to tear needs --cache.
+            (["run", "e8", "--quick", "--inject-faults", "fuse-raise:i0"],
+             "invalid --inject-faults: 'fuse-raise' never fires"),
+            (["run", "e8", "--quick", "--inject-faults", "tear-cache:i0"],
+             "invalid --inject-faults: 'tear-cache' fires only inside a "
+             "cache store"),
         ],
     )
     def test_demo_and_series_reject_bad_input(self, capsys, argv, message):
@@ -342,12 +333,21 @@ class TestCommands:
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["demo", "series"])
-    def test_unknown_start_is_a_usage_error(self, capsys, command):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["demo", "--start", "bogus"], "invalid choice: 'bogus'"),
+            (["series", "--start", "bogus"], "invalid choice: 'bogus'"),
+            # `run` has no fused path, so the flag is gone.
+            (["run", "e3", "--fused"], "unrecognized arguments: --fused"),
+        ],
+        ids=["demo", "series", "run-fused"],
+    )
+    def test_unknown_start_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--start", "bogus"])
+            main(argv)
         assert exit_info.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_demo_replicated_batched(self, capsys):
         code = main(

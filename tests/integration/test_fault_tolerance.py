@@ -22,8 +22,10 @@ from repro.experiments.fusion import (
     FusedMeasurement,
     execute_fused,
     register_fused,
+    spec_fused_sweep,
 )
 from repro.experiments.pipeline import (
+    ExperimentPlan,
     ScenarioSpec,
     ShardError,
     execute,
@@ -273,6 +275,29 @@ class TestMaxFailures:
         payload = json.loads(plan_to_json(result))
         assert payload["faults"]["policy"]["max_attempts"] == 2
         assert payload["faults"]["shards"]["0"]["attempts"] == 2
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
+    def test_partly_warm_run_counts_the_whole_plan(self, clean, tmp_path,
+                                                   fused):
+        """Cache hits are completed shards: with 3 of the 6 shards
+        cached, both paths report 6 of 6, as the table has 6."""
+        from repro.experiments.cache import ShardCache
+
+        spec = make_spec()
+        expanded = plan(spec)
+        cache = ShardCache(tmp_path / "cache")
+        execute(
+            ExperimentPlan(spec, expanded.cells, expanded.shards[:3]),
+            cache=cache,
+        )
+        result = execute(
+            expanded, fused=fused, cache=cache,
+            retry=RetryPolicy(max_attempts=2),
+        )
+        assert result.cache_stats["hits"] == 3
+        assert values(result) == values(clean)
+        report = result.fault_report
+        assert (report["total"], report["completed"]) == (6, 6)
         # A plain run's artifact is unchanged (no fault knobs -> None).
         plain = json.loads(plan_to_json(execute(spec)))
         assert plain["faults"] is None
@@ -377,3 +402,29 @@ class TestFusedDegradation:
         assert values(result) == healthy
         assert result.fault_report["failed"] == [4]
         assert result.fault_report["completed"] == 5
+
+    def test_fused_sweep_group_degrades_to_the_per_shard_values(self):
+        """The degradation drill on E17's fused measurement: a permanent
+        ``fuse-raise`` on every row fails the one group on both fused
+        attempts, and its rows re-run per shard, byte-identical to a
+        plain run."""
+        spec = spec_fused_sweep(
+            weight_vectors=((1.0, 2.0), (1.0, 2.0, 3.0)), ns=(40, 60),
+            rounds=4, replications=2, base_seed=5,
+        )
+        expanded = plan(spec)
+        faults = FaultPlan.from_spec(
+            "fuse-raise:p1.0:attempts=99",
+            shards=len(expanded.shards), base_seed=spec.base_seed,
+        )
+        result = execute(
+            expanded, fused=True,
+            retry=RetryPolicy(max_attempts=2), faults=faults,
+        )
+        report = result.fault_report
+        assert len(report["degraded_groups"]) == 1
+        assert report["failed"] == []
+        assert (report["total"], report["completed"]) == (8, 8)
+        assert json.dumps(values(result)) == json.dumps(
+            values(execute(spec))
+        )

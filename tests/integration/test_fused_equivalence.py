@@ -7,10 +7,10 @@ grid cell's replications fused (one engine for the whole sweep) and
 per cell (one batched engine per cell), then compare the per-cell
 final-count distributions with two-sample Kolmogorov-Smirnov tests.
 The same is checked end-to-end through ``execute(..., fused=True)``
-against the per-shard pipeline path, and structurally for the fused
-E3/E4 measurements.  E9 has no fused implementation, so its fused run
-is checked to be the per-shard run, value for value and cache key for
-cache key.
+against the per-shard pipeline path, on E17's sweep, whose rows of
+different k share one engine.  E3, E4 and E9 have no fused
+implementation, so their fused runs are checked to be the per-shard
+runs, value for value (and, for E9, cache key for cache key).
 """
 
 import numpy as np
@@ -155,86 +155,28 @@ class TestFusedPipelineEquivalence:
 
 
 class TestFusedPhaseMeasurements:
-    """The fused E3/E4 implementations reproduce the per-shard
-    measurement *structure* exactly (deterministic snapshot schedules)
-    and land in the same physical regime."""
+    """Only E17's measurement has a fused implementation: ``fused=True``
+    runs the phase measurements (E3, E4) and E9 on the per-shard path,
+    so a fused run computes a plain run's values."""
 
-    def test_e3_snapshot_times_match_scalar_path(self):
-        from repro.experiments.phases import spec_potentials
-
-        spec = spec_potentials(n=256, settle_factor=4.0)
-        fused = execute(spec, fused=True)
-        serial = execute(spec)
-        (fvalue,) = fused.values()
-        (svalue,) = serial.values()
-        assert fvalue["times"] == svalue["times"]
-        for key in ("phi", "psi", "sigma_sq"):
-            assert len(fvalue[key]) == len(svalue[key])
-        # Same regime: both runs decay phi by orders of magnitude.
-        assert fvalue["phi"][-1] < 0.01 * fvalue["phi"][0]
-        assert svalue["phi"][-1] < 0.01 * svalue["phi"][0]
-
-    def test_e3_mixed_widths_use_each_rows_own_colours(self):
-        """Fused rows of different ``k`` share one zero-padded engine;
-        each row's potentials must read only its own colours, so every
-        row starts at the serial path's value for its own table."""
-        import dataclasses
-
-        from repro.analysis.potentials import phi
-        from repro.experiments.phases import spec_potentials
-        from repro.experiments.workloads import worst_case_counts
-
-        n = 60
-        vectors = [(1.0, 2.0), (1.0, 2.0, 3.0), (2.0,)]
-        spec = dataclasses.replace(
-            spec_potentials(n=n, settle_factor=0.5),
-            grid={"vector": vectors},
-            fixed={"n": n, "settle_factor": 0.5},
-            seed_scope="cell",
-        )
+    @pytest.mark.parametrize(
+        "builder, kwargs",
+        [
+            ("spec_potentials", {"n": 128, "settle_factor": 2.0}),
+            ("spec_equilibrium",
+             {"n": 128, "settle_factor": 2.0, "window_samples": 8}),
+        ],
+        ids=["e3", "e4"],
+    )
+    def test_phase_measurement_fused_is_the_per_shard_run(
+        self, builder, kwargs
+    ):
+        from repro.experiments import phases
         from repro.experiments.fusion import fuse
 
-        assert fuse(plan(spec)).fused_shards == len(vectors)
-        fused = execute(spec, fused=True).values()
-        serial = execute(spec).values()
-        for vector, fvalue, svalue in zip(vectors, fused, serial):
-            weights = WeightTable(vector)
-            start = worst_case_counts(n, weights.k)
-            assert fvalue["phi"][0] == pytest.approx(phi(start, weights))
-            assert fvalue["psi"][0] == 0.0
-            assert fvalue["sigma_sq"][0] == pytest.approx(
-                (n / weights.total) ** 2
-            )
-            assert fvalue["times"] == svalue["times"]
-            for key in ("phi", "psi", "sigma_sq"):
-                assert fvalue[key][0] == svalue[key][0], key
-
-    def test_e4_window_means_near_targets(self):
-        from repro.core.properties import (
-            equilibrium_dark_counts,
-            equilibrium_light_counts,
-        )
-        from repro.experiments.phases import spec_equilibrium
-
-        n = 512
-        vector = (1.0, 2.0, 3.0)
-        spec = spec_equilibrium(
-            n=n, weight_vector=vector, settle_factor=5.0,
-            window_samples=32,
-        )
-        (value,) = execute(spec, fused=True).values()
-        weights = WeightTable(vector)
-        allowed = 2.0 * n**0.75 * np.log(n) ** 0.25
-        dark_err = np.abs(
-            np.asarray(value["dark_mean"])
-            - equilibrium_dark_counts(n, weights)
-        ).max()
-        light_err = np.abs(
-            np.asarray(value["light_mean"])
-            - equilibrium_light_counts(n, weights)
-        ).max()
-        assert dark_err <= allowed
-        assert light_err <= allowed
+        spec = getattr(phases, builder)(**kwargs)
+        assert fuse(plan(spec)).fused_shards == 0
+        assert execute(spec, fused=True).values() == execute(spec).values()
 
     def test_e9_fused_is_the_per_shard_run(self, tmp_path):
         """E9 has no fused implementation: ``fused=True`` runs every

@@ -145,7 +145,7 @@ class TestCompare:
                 {"label": "pr7", "speedups": {"a": {"speedup": 4.0}}}
             ],
         }
-        assert collect_module.baseline_entry(trajectory) is None
+        assert collect_module.baseline_entry(trajectory, "a") is None
         assert (
             collect_module.compare_with_last(
                 summary_with({"a": 1.0}), trajectory
@@ -167,7 +167,9 @@ class TestCompare:
                  "speedups": {"a": {"speedup": 9.0}}},
             ],
         }
-        baseline = collect_module.baseline_entry(trajectory, machine=mine)
+        baseline = collect_module.baseline_entry(
+            trajectory, "a", machine=mine
+        )
         assert baseline["label"] == "mid"
         # vs "mid" (2.0x) a 1.9x run is fine; vs "old" (4.0x) it would
         # have been flagged.
@@ -177,6 +179,56 @@ class TestCompare:
             )
             == []
         )
+
+    def test_entries_without_a_benchmark_never_disarm_its_check(
+        self, collect_module
+    ):
+        """Each benchmark's baseline is the newest same-machine entry
+        that has it.  On the committed trajectory up to pr26, whose
+        own speedups are empty, E13 and E16 at 1.0x are compared with
+        pr12's 5.48x and 6.89x."""
+        doc = collect_module.load_trajectory(
+            COLLECT_PATH.parent / "BENCH_TRAJECTORY.json"
+        )
+        labels = [entry["label"] for entry in doc["entries"]]
+        entries = doc["entries"][: labels.index("pr26") + 1]
+        history = {**doc, "entries": entries}
+        assert history["entries"][-1]["speedups"] == {}
+        warnings = collect_module.compare_with_last(
+            summary_with(
+                {"e13_batched_timing": 1.0,
+                 "e16_adversarial_batch_timing": 1.0}
+            ),
+            history,
+            machine=history["entries"][-1]["machine"],
+        )
+        assert [line.split(":")[0] for line in warnings] == [
+            "e13_batched_timing", "e16_adversarial_batch_timing",
+        ]
+        assert all("(pr12)" in line for line in warnings)
+
+    def test_cli_notes_each_benchmark_without_a_baseline(
+        self, collect_module, tmp_path, capsys
+    ):
+        results = tmp_path / "results"
+        results.mkdir()
+        for name in ("bench_x", "bench_y"):
+            (results / f"{name}.json").write_text(
+                json.dumps({"speedup": 2.0})
+            )
+        traj = tmp_path / "traj.json"
+        collect_module.append_trajectory(
+            summary_with({"bench_x": 2.0}), traj, "base"
+        )
+        assert collect_module.main(
+            [str(results), "--trajectory", str(traj)]
+        ) == 0
+        notes = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "no same-machine baseline" in line
+        ]
+        assert len(notes) == 1
+        assert notes[0].strip().startswith("bench_y:")
 
     def test_cli_trajectory_flow(self, collect_module, tmp_path, capsys):
         results = tmp_path / "results"

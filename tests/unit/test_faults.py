@@ -176,6 +176,12 @@ class TestFaultSpecGrammar:
             plan = FaultPlan.from_spec(f"{kind}:i0", shards=1)
             assert plan.for_shard(0)[0].kind == kind
 
+    def test_kinds_name_every_entry_even_one_that_selects_no_shard(self):
+        plan = FaultPlan.from_spec("raise:i1,tear-cache:p0.0", shards=4)
+        assert plan.by_shard == {1: (Fault("raise"),)}
+        assert plan.kinds == {"raise", "tear-cache"}
+        assert FaultPlan({0: [Fault("crash")]}).kinds == {"crash"}
+
 
 class TestRunAttempt:
     def test_clean_attempt(self):

@@ -91,6 +91,16 @@ class TestFuseGrouping:
         assert fused_implementation(_echo_measure).family == "test"
         assert fused_implementation(measure_sweep_final_counts) is not None
 
+    @pytest.mark.parametrize("profile", ["quick", "full"])
+    def test_no_registry_experiment_fuses(self, profile):
+        # So `repro run` has no fused path, and rejects a fuse-raise
+        # fault as one that never fires.
+        from repro.experiments import REGISTRY
+
+        for name, definition in REGISTRY.items():
+            spec = definition.spec(**definition.profiles[profile])
+            assert fuse(plan(spec)).fused_shards == 0, name
+
 
 class TestFusedExecution:
     def test_values_scatter_back_to_shard_order(self, echo_spec):
