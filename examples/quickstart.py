@@ -64,11 +64,11 @@ def main() -> None:
     # The aggregate engine tracks counts only.  Agent-level runs — the
     # paper's actual execution model, needed for explicit topologies,
     # per-agent fairness tracking and the baseline dynamics — default
-    # to the vectorised ArraySimulation, which holds the population as
-    # (colour, shade) arrays and applies transition kernels to
-    # conflict-free blocks of steps.  Protocols without a kernel, runs
-    # with interventions, and engine="scalar" use the per-step
-    # reference engine instead.
+    # to ArraySimulation, which holds the population as (colour, shade)
+    # arrays, draws its steps in vectorised blocks and applies each
+    # protocol's transition kernel to them one by one.  Protocols
+    # without a kernel, runs with interventions, and engine="scalar"
+    # use the per-step reference engine instead.
     record = run_diversification_agent(
         weights, n, steps, start="worst", seed=7,
     )

@@ -24,8 +24,9 @@ and the only one that supports explicit topologies and the baseline
 dynamics — vectorise too: :func:`run_agent` routes protocols with a
 registered transition kernel (Diversification, Voter, 3-Majority, the
 unweighted ablation) through the structure-of-arrays
-:class:`~repro.engine.ArraySimulation`, which applies kernels to
-windows of steps cut on effective writes and falls back to the scalar
+:class:`~repro.engine.ArraySimulation`, which draws steps in
+vectorised blocks and applies them one by one on Python-list copies of
+the state, and falls back to the scalar
 :class:`~repro.engine.Simulation` for everything else (custom
 protocols, interventions, non-CSR topologies)::
 

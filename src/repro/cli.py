@@ -289,6 +289,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .experiments.cache import ShardCache
 
         shard_cache = ShardCache(cache_dir)
+    # Build every experiment's spec and fault plan before the first one
+    # runs, so bad input for a later experiment exits here.
+    runs = []
     for name in names:
         definition = REGISTRY[name]
         if profile not in definition.profiles:
@@ -319,6 +322,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             except ValueError as error:
                 print(f"invalid --inject-faults: {error}", file=sys.stderr)
                 return 2
+        runs.append((name, target, fault_plan))
+    for name, target, fault_plan in runs:
         result = execute(
             target, jobs=args.jobs, cache=shard_cache,
             retry=retry, faults=fault_plan, max_failures=args.max_failures,

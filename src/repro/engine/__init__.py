@@ -2,10 +2,10 @@
 
 * :class:`Simulation` — scalar agent-level reference engine (any
   topology, any protocol, interventions, observers);
-* :class:`ArraySimulation` — vectorised agent-level engine
-  (structure-of-arrays state, transition kernels over windows of
-  steps cut on effective writes; one run per engine) for protocols
-  with a registered kernel;
+* :class:`ArraySimulation` — structure-of-arrays agent-level engine
+  (steps drawn in vectorised blocks, then applied one by one by the
+  protocol's transition kernel on Python-list copies of the state;
+  one run per engine) for protocols with a registered kernel;
 * :class:`AggregateSimulation` — count-based engine (complete graph,
   Diversification family);
 * :class:`HeterogeneousAggregateBatch` — the row-batched count engine:

@@ -1,25 +1,21 @@
-"""Vectorised structure-of-arrays agent-level engine.
+"""Structure-of-arrays agent-level engine.
 
 :class:`ArraySimulation` executes the same per-step model as the scalar
 :class:`~repro.engine.simulator.Simulation` — one scheduled agent per
 time-step samples ``arity`` partners and applies the protocol's
 transition, and *only the scheduled agent changes state* — but holds the
-population as flat ``(colour, shade)`` integer arrays and applies
-transition *kernels* to whole blocks of steps at once.
+population as flat ``(colour, shade)`` integer arrays, draws its steps
+in vectorised blocks and applies each protocol's transition *kernel* to
+them.
 
-Exactness.  Single-run mode evaluates the kernel over a **window** of
-pre-drawn steps against the window-start state, then commits the
-window up to the first step that reads (as initiator or partner) an
-agent an earlier step of the window *changed* — an effective write,
-not merely a scheduled one, since most steps change nothing.  Every
-committed step therefore read what the sequential loop would have
-shown it, and no agent changes twice in a committed prefix, so
-scattering the changed entries reproduces the sequential trajectory of
-the engine's own draw sequence *exactly*, not just in distribution.
-The first uncommitted step opens the next window; draws are buffered
-by executed-step count, so how steps group into windows never shows.
-Against the scalar engine the equivalence is distributional (the draw
-streams differ); it is verified with seeded Kolmogorov-Smirnov tests in
+Exactness.  A run copies the colours and shades into Python lists once,
+walks the pre-drawn steps one by one in order — each step reads the
+state every earlier step left and writes its initiator's change before
+the next step reads — and writes the arrays back once at the end.  The
+trajectory is therefore the sequential trajectory of the engine's own
+draw sequence *exactly*, not just in distribution.  Against the scalar
+engine the equivalence is distributional (the draw streams differ); it
+is verified with seeded Kolmogorov-Smirnov tests in
 ``tests/integration/test_array_equivalence.py``.
 
 Kernels exist for the Diversification protocol (light-adopts-dark,
@@ -48,6 +44,7 @@ and requires the complete graph, since CSR adjacency cannot grow.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 
 import numpy as np
@@ -72,10 +69,6 @@ from .rng import make_rng
 from .scheduler import Scheduler, UniformScheduler
 
 _BLOCK = 8192
-#: Single-run window: the first one's length, and the least a cut one
-#: shrinks to (windows grow and shrink with the committed lengths).
-_FIRST_WINDOW = 32
-_MIN_WINDOW = 16
 
 
 # ----------------------------------------------------------------------
@@ -83,12 +76,16 @@ _MIN_WINDOW = 16
 
 
 class _Kernel:
-    """A transition kernel: :meth:`apply` maps a window of steps — the
-    initiators' colours and shades ``(m,)``, the sampled partners'
-    ``(m, arity)`` and the pre-drawn coins ``(m, coins)`` — to the
-    initiators' new colours and shades, and never mutates its inputs.
-    :meth:`refresh` runs before each run with the engine's colour slot
-    count ``k``."""
+    """A transition kernel: :meth:`apply` runs a slice of pre-drawn
+    steps in order on the population's colour and shade lists.  Step
+    ``j`` of the slice has initiator ``initiators[j]``, sampled
+    partners ``partners[a][j]`` (one list per partner slot) and coins
+    ``coins[c][j]`` (one list per coin).  Only initiators' entries
+    change; each change is written before the next step reads, then
+    reported as ``on_change(j, agent, old_colour, old_shade,
+    new_colour, new_shade)`` when a callback is given.  ``apply``
+    returns the number of changes.  :meth:`refresh` runs before each
+    run with the engine's colour slot count ``k``."""
 
     coins = 0
 
@@ -100,9 +97,9 @@ class _Kernel:
 
 
 class _DiversificationKernel(_Kernel):
-    """Vectorised Eq. (2): adopt when light meets dark, lighten a dark
-    pair of equal colour with the per-colour coin ``1/w_i`` (or 1 for
-    the unweighted ablation)."""
+    """Eq. (2): adopt when light meets dark, lighten a dark pair of
+    equal colour with the per-colour coin ``1/w_i`` (or 1 for the
+    unweighted ablation)."""
 
     coins = 1
 
@@ -120,34 +117,53 @@ class _DiversificationKernel(_Kernel):
                 "scalar engines"
             )
         if self._unweighted:
-            self._lighten = np.ones(k, dtype=np.float64)
+            self._lighten = [1.0] * k
         else:
-            self._lighten = 1.0 / weights.as_array()
+            self._lighten = (1.0 / weights.as_array()).tolist()
 
-    def apply(self, uc, us, vc, vs, coins):
-        v0c = vc[..., 0]
-        v0s = vs[..., 0]
-        u_dark = us > LIGHT
-        v_dark = v0s > LIGHT
-        adopt = ~u_dark & v_dark
-        lighten = (
-            u_dark
-            & v_dark
-            & (uc == v0c)
-            & (coins[..., 0] < self._lighten[uc])
-        )
-        new_c = np.where(adopt, v0c, uc)
-        new_s = np.where(adopt, DARK, np.where(lighten, LIGHT, us))
-        return new_c, new_s
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
+        lighten = self._lighten
+        sampled = partners[0]
+        coin = coins[0]
+        changes = 0
+        for j, u in enumerate(initiators):
+            v = sampled[j]
+            if shades[v] <= LIGHT:
+                continue
+            uc = colours[u]
+            us = shades[u]
+            if us <= LIGHT:
+                new_c, new_s = colours[v], DARK
+            elif uc == colours[v] and coin[j] < lighten[uc]:
+                new_c, new_s = uc, LIGHT
+            else:
+                continue
+            colours[u] = new_c
+            shades[u] = new_s
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, new_s)
+        return changes
 
 
 class _VoterKernel(_Kernel):
     """Adopt the sampled colour unconditionally (dark shade)."""
 
-    def apply(self, uc, us, vc, vs, coins):
-        v0c = vc[..., 0]
-        new_s = np.where(v0c == uc, us, DARK)
-        return v0c.copy(), new_s
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
+        sampled = partners[0]
+        changes = 0
+        for j, u in enumerate(initiators):
+            uc = colours[u]
+            new_c = colours[sampled[j]]
+            if new_c == uc:
+                continue
+            us = shades[u]
+            colours[u] = new_c
+            shades[u] = DARK
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, DARK)
+        return changes
 
 
 class _ThreeMajorityKernel(_Kernel):
@@ -155,32 +171,51 @@ class _ThreeMajorityKernel(_Kernel):
 
     coins = 1
 
-    def apply(self, uc, us, vc, vs, coins):
-        c1 = vc[..., 0]
-        c2 = vc[..., 1]
-        # 0, 1 or 2
-        pick = (coins[..., 0] * 3.0).astype(np.int64)
-        random_choice = np.where(pick == 0, uc, np.where(pick == 1, c1, c2))
-        winner = np.where(
-            (uc == c1) | (uc == c2),
-            uc,
-            np.where(c1 == c2, c1, random_choice),
-        )
-        new_s = np.where(winner == uc, us, DARK)
-        return winner, new_s
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
+        first, second = partners
+        coin = coins[0]
+        changes = 0
+        for j, u in enumerate(initiators):
+            uc = colours[u]
+            c1 = colours[first[j]]
+            c2 = colours[second[j]]
+            if uc == c1 or uc == c2:
+                continue
+            if c1 == c2:
+                new_c = c1
+            else:
+                pick = int(coin[j] * 3.0)  # 0, 1 or 2
+                new_c = uc if pick == 0 else c1 if pick == 1 else c2
+                if new_c == uc:
+                    continue
+            us = shades[u]
+            colours[u] = new_c
+            shades[u] = DARK
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, DARK)
+        return changes
 
 
 class _TwoChoicesKernel(_Kernel):
     """Adopt the sampled colour only when both samples agree on a
     colour different from one's own (dark shade on change)."""
 
-    def apply(self, uc, us, vc, vs, coins):
-        c1 = vc[..., 0]
-        c2 = vc[..., 1]
-        change = (c1 == c2) & (c1 != uc)
-        new_c = np.where(change, c1, uc)
-        new_s = np.where(change, DARK, us)
-        return new_c, new_s
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
+        first, second = partners
+        changes = 0
+        for j, u in enumerate(initiators):
+            uc = colours[u]
+            new_c = colours[first[j]]
+            if new_c == uc or new_c != colours[second[j]]:
+                continue
+            us = shades[u]
+            colours[u] = new_c
+            shades[u] = DARK
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, DARK)
+        return changes
 
 
 class _AntiVoterKernel(_Kernel):
@@ -193,12 +228,21 @@ class _AntiVoterKernel(_Kernel):
                 f"got k={k}"
             )
 
-    def apply(self, uc, us, vc, vs, coins):
-        opposite = 1 - vc[..., 0]
-        change = opposite != uc
-        new_c = np.where(change, opposite, uc)
-        new_s = np.where(change, DARK, us)
-        return new_c, new_s
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
+        sampled = partners[0]
+        changes = 0
+        for j, u in enumerate(initiators):
+            uc = colours[u]
+            new_c = 1 - colours[sampled[j]]
+            if new_c == uc:
+                continue
+            us = shades[u]
+            colours[u] = new_c
+            shades[u] = DARK
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, DARK)
+        return changes
 
 
 class _SISKernel(_Kernel):
@@ -216,23 +260,30 @@ class _SISKernel(_Kernel):
                 f"(susceptible/infected), got k={k}"
             )
 
-    def apply(self, uc, us, vc, vs, coins):
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
         protocol = self._protocol
-        infected = uc == protocol.INFECTED
-        coin = coins[..., 0]
-        recover = infected & (coin < protocol.recovery)
-        catch = (
-            ~infected
-            & (vc[..., 0] == protocol.INFECTED)
-            & (coin < protocol.transmission)
-        )
-        new_c = np.where(
-            recover,
-            protocol.SUSCEPTIBLE,
-            np.where(catch, protocol.INFECTED, uc),
-        )
-        new_s = np.where(recover | catch, DARK, us)
-        return new_c, new_s
+        infected, susceptible = protocol.INFECTED, protocol.SUSCEPTIBLE
+        recovery, transmission = protocol.recovery, protocol.transmission
+        sampled = partners[0]
+        coin = coins[0]
+        changes = 0
+        for j, u in enumerate(initiators):
+            uc = colours[u]
+            if uc == infected:
+                if not coin[j] < recovery:
+                    continue
+                new_c = susceptible
+            elif colours[sampled[j]] == infected and coin[j] < transmission:
+                new_c = infected
+            else:
+                continue
+            us = shades[u]
+            colours[u] = new_c
+            shades[u] = DARK
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, DARK)
+        return changes
 
 
 class _RandomRecolouringKernel(_Kernel):
@@ -248,14 +299,25 @@ class _RandomRecolouringKernel(_Kernel):
                 f"colours but the engine has only k={k} slots"
             )
 
-    def apply(self, uc, us, vc, vs, coins):
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
         k = self._protocol.k
-        redraw = vc[..., 0] == uc
-        pick = (coins[..., 0] * k).astype(np.int64)
-        pick = np.minimum(pick, k - 1)  # ulp guard on coin ~ 1
-        new_c = np.where(redraw, pick, uc)
-        new_s = np.where(redraw, DARK, us)
-        return new_c, new_s
+        sampled = partners[0]
+        coin = coins[0]
+        changes = 0
+        for j, u in enumerate(initiators):
+            uc = colours[u]
+            if colours[sampled[j]] != uc:
+                continue
+            new_c = min(int(coin[j] * k), k - 1)  # ulp guard on coin ~ 1
+            us = shades[u]
+            if new_c == uc and us == DARK:
+                continue
+            colours[u] = new_c
+            shades[u] = DARK
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, DARK)
+        return changes
 
 
 class _TrivialResamplingKernel(_Kernel):
@@ -271,17 +333,27 @@ class _TrivialResamplingKernel(_Kernel):
                 f"colours but the engine has only k={k} slots"
             )
 
-    def apply(self, uc, us, vc, vs, coins):
+    def apply(self, colours, shades, initiators, partners, coins, on_change):
         protocol = self._protocol
-        resample = coins[..., 0] < protocol.resample_probability
-        pick = np.searchsorted(
-            protocol.cumulative_shares(), coins[..., 1], side="right"
-        )
-        pick = np.minimum(pick, protocol.known_k - 1)
-        change = resample & (pick != uc)
-        new_c = np.where(change, pick, uc)
-        new_s = np.where(change, DARK, us)
-        return new_c, new_s
+        gate = protocol.resample_probability
+        cumulative = protocol.cumulative_shares().tolist()
+        last = protocol.known_k - 1
+        gate_coin, pick_coin = coins
+        changes = 0
+        for j, u in enumerate(initiators):
+            if not gate_coin[j] < gate:
+                continue
+            uc = colours[u]
+            new_c = min(bisect_right(cumulative, pick_coin[j]), last)
+            if new_c == uc:
+                continue
+            us = shades[u]
+            colours[u] = new_c
+            shades[u] = DARK
+            changes += 1
+            if on_change is not None:
+                on_change(j, u, uc, us, new_c, DARK)
+        return changes
 
 
 #: Exact protocol type -> kernel factory (called with the protocol).
@@ -303,7 +375,7 @@ _KERNEL_FACTORIES = {
 
 
 def kernel_for(protocol: Protocol):
-    """The vectorised kernel for ``protocol``, or None if it has none."""
+    """The transition kernel for ``protocol``, or None if it has none."""
     factory = _KERNEL_FACTORIES.get(type(protocol))
     if factory is None:
         return None
@@ -396,7 +468,7 @@ class ArrayPopulationView:
 
 
 class ArraySimulation:
-    """Structure-of-arrays agent-level engine with vectorised kernels.
+    """Structure-of-arrays agent-level engine with per-protocol kernels.
 
     Args:
         protocol: The local update rule; must have a registered kernel
@@ -416,9 +488,9 @@ class ArraySimulation:
         rng: Seed or generator driving all randomness (vectorised
             draws).
         observers: Change-driven instrumentation.  With observers
-            attached, kernel evaluation stays vectorised but changes
-            are applied one at a time so each callback sees the exact
-            mid-trajectory state.
+            attached, the step loop writes each change to the state
+            arrays, the live counts and the clock before it calls them,
+            so each callback sees the exact mid-trajectory state.
     """
 
     def __init__(
@@ -506,8 +578,6 @@ class ArraySimulation:
         self._arity = int(protocol.arity)
         self._ncoins = int(self._kernel.coins)
         self._buf_pos = _BLOCK  # empty; first run() refills
-        self._step_index = np.arange(_BLOCK, dtype=np.int64)
-        self._reset_window()
         # Live (k,) count tables are maintained only while observers
         # need per-change snapshots; otherwise counts are recomputed on
         # demand with one bincount.
@@ -594,7 +664,6 @@ class ArraySimulation:
         )
         self._n += count
         self._buf_pos = _BLOCK  # discard stale partner draws
-        self._reset_window()
         if self._live_counts is not None:
             counts = self._live_counts
             counts["colour"][colour] += count
@@ -684,24 +753,36 @@ class ArraySimulation:
             }
 
     # ------------------------------------------------------------------
-    # Windows cut on effective writes
-
-    def _reset_window(self) -> None:
-        """Size the window scratch for the current ``n``: every agent's
-        first changing step in the window, ``_BLOCK`` (none) between
-        windows, and the next window's length."""
-        self._first_change = np.full(self._n, _BLOCK, dtype=np.int64)
-        self._window = _FIRST_WINDOW
+    # The step loop
 
     def _run_single(self, steps: int) -> None:
+        """Apply ``steps`` pre-drawn steps one by one on list copies of
+        the state, refilling the draw buffer whenever it runs dry, and
+        write the arrays back once at the end."""
+        kernel = self._kernel
+        colours = self._colours.tolist()
+        shades = self._shades.tolist()
         remaining = steps
         while remaining > 0:
             if self._buf_pos >= _BLOCK:
                 self._refill_single()
-            take = min(remaining, _BLOCK - self._buf_pos)
-            self._process_slice(self._buf_pos, self._buf_pos + take)
-            self._buf_pos += take
-            remaining -= take
+            lo = self._buf_pos
+            hi = min(_BLOCK, lo + remaining)
+            time, changes = self._time, self.changes
+            on_change = self._observed(time) if self.observers else None
+            changes += kernel.apply(
+                colours,
+                shades,
+                self._buf_init[lo:hi].tolist(),
+                self._buf_partners[lo:hi].T.tolist(),
+                self._buf_coins[lo:hi].T.tolist(),
+                on_change,
+            )
+            self._time, self.changes = time + hi - lo, changes
+            self._buf_pos = hi
+            remaining -= hi - lo
+        self._colours[:] = colours
+        self._shades[:] = shades
 
     def _refill_single(self) -> None:
         """Draw a full block of steps."""
@@ -730,100 +811,30 @@ class ArraySimulation:
         self._buf_partners = partners
         self._buf_pos = 0
 
-    def _process_slice(self, lo: int, hi: int) -> None:
-        """Apply buffered steps ``[lo, hi)`` in windows cut on effective
-        writes.
-
-        The kernel runs over a window against the window-start state.
-        ``np.minimum.at`` records each changed agent's first changing
-        step (a scatter-min, well defined for repeated agents), and the
-        window commits up to the first step that reads an agent with an
-        earlier change, which opens the next window; only the committed
-        changes are scattered, each agent at most once.  A whole-window
-        commit doubles the window, a cut one sets it to twice the
-        committed length.
-        """
-        initiators = self._buf_init
-        partners = self._buf_partners
-        coins = self._buf_coins
-        colours = self._colours
-        shades = self._shades
-        kernel = self._kernel
-        first = self._first_change
-        window = self._window
-        start = lo
-        while start < hi:
-            end = min(hi, start + window)
-            length = end - start
-            u = initiators[start:end]
-            v = partners[start:end]
-            uc = colours[u]
-            us = shades[u]
-            new_c, new_s = kernel.apply(
-                uc, us, colours[v], shades[v], coins[start:end]
-            )
-            changed = ((new_c != uc) | (new_s != us)).nonzero()[0]
-            writers = u[changed]
-            committed = length
-            # A change at the window's last step is read by no later one.
-            if changed.size and changed[0] < length - 1:
-                np.minimum.at(first, writers, changed)
-                steps = self._step_index[:length]
-                stale = (
-                    (first[u] < steps)
-                    | (first[v] < steps[:, None]).any(axis=1)
-                ).nonzero()[0]
-                first[writers] = _BLOCK
-                if stale.size:
-                    committed = int(stale[0])
-                    kept = np.searchsorted(changed, committed)
-                    changed = changed[:kept]
-                    writers = writers[:kept]
-            if self.observers:
-                self._apply_observed(
-                    committed, u, uc, us, new_c, new_s, changed
-                )
-            else:
-                colours[writers] = new_c[changed]
-                shades[writers] = new_s[changed]
-                self.changes += int(changed.size)
-                self._time += committed
-            if committed < length:
-                window = min(_BLOCK, max(_MIN_WINDOW, 2 * committed))
-            elif length == window:
-                window = min(_BLOCK, 2 * window)
-            start += committed
-        self._window = window
-
-    def _apply_observed(
-        self, length, u, uc, us, new_c, new_s, changed
-    ) -> None:
-        """Apply a committed window change-by-change (``changed`` holds
-        the window positions of its changes, ascending) so observers see
-        exact mid-trajectory state: the vectorised kernel already fixed
-        the outcomes, and no committed step read an earlier change."""
-        base = self._time
+    def _observed(self, origin: int):
+        """The per-change callback of an observed slice that starts at
+        clock ``origin``: it writes the change to the arrays, the live
+        counts and the clocks, then calls the observers, so each one
+        sees the exact mid-trajectory state."""
+        colours, shades = self._colours, self._shades
         counts = self._live_counts
-        for j in changed:
-            j = int(j)
-            agent = int(u[j])
-            old = AgentState(int(uc[j]), int(us[j]))
-            new = AgentState(int(new_c[j]), int(new_s[j]))
-            self._time = base + j + 1
-            self._colours[agent] = new.colour
-            self._shades[agent] = new.shade
-            counts["colour"][old.colour] -= 1
-            counts["colour"][new.colour] += 1
-            counts["dark" if old.shade > LIGHT else "light"][
-                old.colour
-            ] -= 1
-            counts["dark" if new.shade > LIGHT else "light"][
-                new.colour
-            ] += 1
+        colour, dark, light = counts["colour"], counts["dark"], counts["light"]
+        observers = self.observers
+
+        def on_change(j, agent, old_c, old_s, new_c, new_s):
+            self._time = origin + j + 1
+            colours[agent] = new_c
+            shades[agent] = new_s
+            colour[old_c] -= 1
+            colour[new_c] += 1
+            (dark if old_s > LIGHT else light)[old_c] -= 1
+            (dark if new_s > LIGHT else light)[new_c] += 1
             self.changes += 1
-            for observer in self.observers:
+            old, new = AgentState(old_c, old_s), AgentState(new_c, new_s)
+            for observer in observers:
                 observer.on_change(self, agent, old, new)
-        self._time = base + length
+
+        return on_change
 
     # ------------------------------------------------------------------
     # State view

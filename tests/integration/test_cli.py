@@ -321,6 +321,13 @@ class TestCommands:
             (["run", "e8", "--quick", "--inject-faults", "tear-cache:i0"],
              "invalid --inject-faults: 'tear-cache' fires only inside a "
              "cache store"),
+            # Shard 3 exists in E3b's plan but not in E8's one-shard
+            # plan: E3b must not run before E8's plan is checked.
+            (["run", "e3b", "e8", "--profile", "quick", "--retries", "2",
+              "--inject-faults", "raise:i3:attempts=1"],
+             "invalid --inject-faults: invalid fault entry "
+             "'raise:i3:attempts=1': shard indices [3] outside the "
+             "plan's 0..0"),
         ],
     )
     def test_demo_and_series_reject_bad_input(self, capsys, argv, message):

@@ -1,19 +1,24 @@
-"""Property-based tests for the vectorised agent-level engine:
-population conservation, shade-count consistency, exact seed
+"""Property-based tests for the structure-of-arrays agent-level
+engine: population conservation, shade-count consistency, exact seed
 reproducibility and run-call chunking invariance, on both the complete
-graph and an explicit CSR topology, across all kernelised protocols."""
+graph and an explicit CSR topology, across the kernelised protocols;
+and whole runs of every kernel against its protocol's scalar rule."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.three_majority import ThreeMajority
 from repro.baselines.voter import VoterModel
 from repro.core.diversification import Diversification
+from repro.core.state import AgentState
 from repro.core.weights import WeightTable
-from repro.engine.array_engine import ArraySimulation
+from repro.engine.array_engine import _BLOCK, ArraySimulation, kernel_for
 from repro.engine.observers import Observer
 from repro.topology import CycleGraph
+
+from kernel_cases import CASES, StepCoins
 
 PROTOCOLS = ("diversification", "voter", "3-majority")
 TOPOLOGIES = ("complete", "cycle")
@@ -182,3 +187,100 @@ class TestSingleRunInvariants:
         )
         simulation.run(steps)
         assert (simulation.dark_counts() >= 1).all()
+
+
+class ChangeLog(Observer):
+    """Logs every change with the clock the observer sees."""
+
+    def __init__(self):
+        self.entries = []
+
+    def on_change(self, simulation, agent, old, new):
+        self.entries.append((simulation.time, agent, old, new))
+
+
+def reference_run(protocol, colours, shades, seed: int, steps: int):
+    """``steps`` steps of ``protocol.transition`` on the engine's own
+    draws: each block is redrawn from ``seed`` in ``_refill_single``'s
+    order (uniform initiators, partner uniforms, then coins, shifted
+    past the initiator on the complete graph), and each step's coins
+    are served as :class:`StepCoins` serves them.  Returns the final
+    states and every change as ``(clock, agent, old, new)``."""
+    rng = np.random.default_rng(seed)
+    n = len(colours)
+    arity = int(protocol.arity)
+    coins = kernel_for(protocol).coins
+    states = [AgentState(c, s) for c, s in zip(colours, shades)]
+    log = []
+    for start in range(0, steps, _BLOCK):
+        initiators = rng.integers(0, n, size=_BLOCK)
+        draw = (rng.random((_BLOCK, arity)) * (n - 1)).astype(np.int64)
+        partners = draw + (draw >= initiators[:, None])
+        step_coins = (
+            rng.random((_BLOCK, coins)) if coins else np.zeros((_BLOCK, 0))
+        )
+        for j in range(min(_BLOCK, steps - start)):
+            u = int(initiators[j])
+            new = protocol.transition(
+                states[u],
+                [states[v] for v in partners[j]],
+                StepCoins(step_coins[j]),
+            )
+            if new != states[u]:
+                log.append((start + j + 1, u, states[u], new))
+                states[u] = new
+    return states, log
+
+
+@st.composite
+def rule_run(draw):
+    """A population of 2-64 agents (colours are reduced modulo the
+    kernel's ``k``) with both shades, a seed, and a run of up to 2.5
+    draw blocks cut into up to four ``run`` calls, some of them at a
+    block boundary."""
+    n = draw(st.integers(2, 64))
+    colours = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    shades = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**31 - 1))
+    steps = draw(st.integers(0, 2)) * _BLOCK + draw(
+        st.integers(0, _BLOCK // 2)
+    )
+    cut = st.one_of(
+        st.integers(0, steps), st.sampled_from([_BLOCK - 1, _BLOCK])
+    )
+    cuts = [c for c in draw(st.lists(cut, max_size=3)) if c <= steps]
+    observed = draw(st.booleans())
+    return colours, shades, seed, steps, sorted(cuts), observed
+
+
+class TestWholeRunsFollowTheScalarRules:
+    @pytest.mark.parametrize(
+        "factory, k", [case[1:] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    @given(setup=rule_run())
+    @settings(max_examples=6, deadline=None)
+    def test_engine_matches_the_scalar_rule_step_by_step(
+        self, factory, k, setup
+    ):
+        """Every kernel, run in any split, with or without an observer,
+        ends where its protocol's own rule ends on the same draws:
+        colours, shades, clock and change count; an observer sees each
+        change at its own step's clock."""
+        colours, shades, seed, steps, cuts, observed = setup
+        colours = [colour % k for colour in colours]
+        log = ChangeLog()
+        engine = ArraySimulation(
+            factory(), colours, shades=shades, k=k, rng=seed,
+            observers=[log] if observed else [],
+        )
+        for size in np.diff([0, *cuts, steps]):
+            engine.run(int(size))
+        states, changes = reference_run(
+            factory(), colours, shades, seed, steps
+        )
+        assert engine.population.states() == states
+        assert engine.time == steps
+        assert engine.changes == len(changes)
+        if observed:
+            assert log.entries == changes

@@ -1,19 +1,19 @@
-"""Bit-exact digests of the array engine's step loops.
+"""Bit-exact digests of the array engine's step loop.
 
-:class:`repro.engine.array_engine.ArraySimulation` evaluates its
-transition kernels over groups of pre-drawn steps, yet its trajectory
-is a fixed function of the seed: how the steps are grouped into kernel
-calls, and how ``run`` calls split them, must not show.  Each case
-below runs one engine from a fixed seed and hashes (SHA-256) its
-colours, shades, clock, change count, draw-buffer cursor, scheduler
-progress and bit-generator state.
+:class:`repro.engine.array_engine.ArraySimulation` draws its steps in
+blocks and applies them one by one, and its trajectory is a fixed
+function of the seed: how ``run`` calls split the steps must not show.
+Each case below runs one engine from a fixed seed and hashes (SHA-256)
+its colours, shades, clock, change count, draw-buffer cursor,
+scheduler progress and bit-generator state.
 
-The constants were recorded from the loop that cut each block into
-segments on *scheduled* writes, before it was replaced by windows cut
-on *effective* writes, so they pin the exact draws and the exact state
-every step reads: a step that sees a stale or a premature write, a
-change applied twice or dropped, or a draw consumed out of place
-changes a digest.
+The constants were recorded from earlier loops that evaluated the
+kernels vectorised over groups of steps (first segments cut on
+scheduled writes, then windows cut on effective writes), and the
+per-step loop reproduces them unedited.  So they pin the exact draws
+and the exact state every step reads: a step that sees a stale or a
+premature write, a change applied twice or dropped, or a draw consumed
+out of place changes a digest.
 """
 
 import hashlib
@@ -181,8 +181,8 @@ class TestSingleRunDigests:
         assert array_digest(sim) == SINGLE[rule]
 
     def test_large_population(self):
-        """n = 10,000: few steps change their agent, so groups of
-        steps grow long before one reads a changed agent."""
+        """n = 10,000, E14's population size, in one ``run`` call
+        that crosses seven draw blocks."""
         weights = WeightTable([1.0, 2.0, 3.0])
         sim = ArraySimulation(
             Diversification(weights), worst_case(10_000, 3), k=3, rng=SEED

@@ -1,83 +1,44 @@
 """Each transition kernel against its protocol's scalar rule, one
 interaction at a time.
 
-Every registered kernel takes 2,000 pre-drawn interactions (the
-initiator's state, its sampled partners' states and the step's coins)
-in one vectorised call.  The protocol's scalar ``transition`` takes the
-same interactions one at a time, drawing from a stub generator that
-serves that step's coins: ``random()`` returns them in order, and
-``integers(lo, hi)`` returns ``lo + floor(coin * (hi - lo))``, the
-kernels' own map from a coin to an integer.  Every new colour and
-shade must agree.  The KS suites compare the engines' distributions;
-this test pins each kernel to the rule it vectorises.
+Every registered kernel runs 2,000 pre-drawn interactions in one
+``apply`` call.  Each interaction has agents of its own — step ``j``'s
+initiator is agent ``j`` and its partners follow the initiators — so no
+step reads another's write, and every step sees the state it was
+drawn with.  The protocol's scalar ``transition`` takes the same
+interactions one at a time, drawing from :class:`StepCoins`, which
+serves that step's coins.  Every new colour and shade must agree.  The
+KS suites compare the engines' distributions, and
+``tests/property/test_array_invariants.py`` checks whole runs, where
+steps do read each other's writes; this test pins each kernel to the
+rule it runs.
 
 The same comparison runs again on coins drawn only from the rules'
 thresholds (0, the largest coin below 1, each lightening, infection,
 recovery and resampling probability, each cumulative share and each
 ``j/k``), where a strict ``<`` written as ``<=`` or a pick that rounds
-past the last colour would show.  The remaining tests pin the
-``_Kernel`` contract the engine relies on: int64 rows that share no
-memory with the inputs, inputs left unchanged, and ``refresh``
-rejecting a colour-slot count the kernel cannot serve.
+past the last colour would show.  The remaining tests pin the loop's
+contract with the engine: it writes only initiators' entries, each
+step uses only its own coins, and it reports every change once, in
+step order, with its return value counting them.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from repro.baselines.anti_voter import AntiVoterModel
 from repro.baselines.epidemic import SISEpidemic
-from repro.baselines.three_majority import ThreeMajority
 from repro.baselines.trivial import TrivialResampling
-from repro.baselines.two_choices import TwoChoices
 from repro.baselines.uniform_partition import RandomRecolouring
-from repro.baselines.voter import VoterModel
 from repro.core.ablations import UnweightedLightening
 from repro.core.diversification import Diversification
 from repro.core.state import AgentState
 from repro.core.weights import WeightTable
 from repro.engine.array_engine import _KERNEL_FACTORIES, kernel_for
 
+from kernel_cases import CASES, WEIGHTS, StepCoins
+
 STEPS = 2000
-
-#: Weight 1 makes the lightening coin certain and weight 4 rare.
-WEIGHTS = (1.0, 2.0, 4.0)
-
-#: (case id, protocol factory, colour slots k).  Trivial resampling
-#: gates with probability 0.7 < 1, so its scalar rule draws the gate
-#: coin before the pick coin, in the kernel's coin order.
-CASES = [
-    ("diversification", lambda: Diversification(WeightTable(WEIGHTS)), 3),
-    ("unweighted", lambda: UnweightedLightening(WeightTable(WEIGHTS)), 3),
-    ("voter", VoterModel, 3),
-    ("three-majority", ThreeMajority, 3),
-    ("two-choices", TwoChoices, 3),
-    ("anti-voter", AntiVoterModel, 2),
-    ("sis", lambda: SISEpidemic(0.6, 0.3), 2),
-    ("recolouring", lambda: RandomRecolouring(3), 3),
-    ("trivial", lambda: TrivialResampling(WeightTable(WEIGHTS), 0.7), 3),
-]
-
-
-class StepCoins:
-    """The scalar rule's generator for one interaction: it serves the
-    step's pre-drawn coins in order, and no more."""
-
-    def __init__(self, coins):
-        self._coins = [float(coin) for coin in coins]
-        self._used = 0
-
-    def random(self) -> float:
-        assert self._used < len(self._coins), (
-            "the scalar rule drew more coins than the kernel takes"
-        )
-        coin = self._coins[self._used]
-        self._used += 1
-        return coin
-
-    def integers(self, low: int, high: int) -> int:
-        return low + math.floor(self.random() * (high - low))
 
 
 def edge_coins() -> np.ndarray:
@@ -98,34 +59,50 @@ def edge_coins() -> np.ndarray:
 
 
 def interactions(protocol, coins: int, k: int, seed: int, coin_values=None):
-    """``STEPS`` interactions over ``k`` colours and both shades; the
-    coins are uniform, or drawn from ``coin_values`` when given."""
+    """``STEPS`` interactions over ``k`` colours and both shades, as the
+    loop takes them: colour and shade lists, the initiators, one
+    partner list per slot and one coin list per coin.  Step ``j``'s
+    initiator is agent ``j`` and its partners are agents
+    ``STEPS + j * arity + a``.  The coins are uniform, or drawn from
+    ``coin_values`` when given."""
     rng = np.random.default_rng(seed)
     arity = int(protocol.arity)
-    uc = rng.integers(0, k, size=STEPS)
-    us = rng.integers(0, 2, size=STEPS)
-    vc = rng.integers(0, k, size=(STEPS, arity))
-    vs = rng.integers(0, 2, size=(STEPS, arity))
+    n = STEPS * (1 + arity)
+    colours = rng.integers(0, k, size=n).tolist()
+    shades = rng.integers(0, 2, size=n).tolist()
+    initiators = list(range(STEPS))
+    partners = [list(range(STEPS + a, n, arity)) for a in range(arity)]
     if coin_values is None:
-        drawn = rng.random((STEPS, coins))
+        drawn = rng.random((coins, STEPS))
     else:
-        drawn = rng.choice(coin_values, size=(STEPS, coins))
-    return uc, us, vc, vs, drawn
+        drawn = rng.choice(coin_values, size=(coins, STEPS))
+    return colours, shades, initiators, partners, drawn.tolist()
 
 
-def scalar_mismatches(protocol, kernel, uc, us, vc, vs, coins):
+def prepared(factory, k: int, seed: int, coin_values=None):
+    """A refreshed kernel, its protocol and a set of interactions."""
+    protocol = factory()
+    kernel = kernel_for(protocol)
+    kernel.refresh(k)
+    inputs = interactions(protocol, kernel.coins, k, seed, coin_values)
+    return protocol, kernel, inputs
+
+
+def scalar_mismatches(protocol, kernel, colours, shades, initiators,
+                      partners, coins):
     """The interactions where the kernel and the scalar rule differ."""
-    new_c, new_s = kernel.apply(uc, us, vc, vs, coins)
+    before = list(zip(colours, shades))
+    kernel.apply(colours, shades, initiators, partners, coins, None)
     mismatches = []
-    for i in range(STEPS):
-        u = AgentState(int(uc[i]), int(us[i]))
-        sampled = [
-            AgentState(int(c), int(s)) for c, s in zip(vc[i], vs[i])
-        ]
-        want = protocol.transition(u, sampled, StepCoins(coins[i]))
-        got = (int(new_c[i]), int(new_s[i]))
+    for j in range(STEPS):
+        u = AgentState(*before[j])
+        sampled = [AgentState(*before[slot[j]]) for slot in partners]
+        want = protocol.transition(
+            u, sampled, StepCoins([column[j] for column in coins])
+        )
+        got = (colours[j], shades[j])
         if got != (want.colour, want.shade):
-            mismatches.append((i, u, sampled, got, want))
+            mismatches.append((j, u, sampled, got, want))
     return mismatches
 
 
@@ -149,39 +126,67 @@ KERNEL_CASES = pytest.mark.parametrize(
 
 @KERNEL_CASES
 def test_kernel_applies_the_scalar_rule(factory, k):
-    protocol = factory()
-    kernel = kernel_for(protocol)
-    kernel.refresh(k)
-    inputs = interactions(protocol, kernel.coins, k, seed=k)
+    protocol, kernel, inputs = prepared(factory, k, seed=k)
     assert_no_mismatches(scalar_mismatches(protocol, kernel, *inputs))
 
 
 @KERNEL_CASES
 def test_kernel_applies_the_scalar_rule_at_threshold_coins(factory, k):
-    protocol = factory()
-    kernel = kernel_for(protocol)
-    kernel.refresh(k)
-    inputs = interactions(
-        protocol, kernel.coins, k, seed=10 + k, coin_values=edge_coins()
+    protocol, kernel, inputs = prepared(
+        factory, k, seed=10 + k, coin_values=edge_coins()
     )
     assert_no_mismatches(scalar_mismatches(protocol, kernel, *inputs))
 
 
 @KERNEL_CASES
-def test_kernel_returns_fresh_int64_rows_and_keeps_its_inputs(factory, k):
-    protocol = factory()
-    kernel = kernel_for(protocol)
-    kernel.refresh(k)
-    inputs = interactions(protocol, kernel.coins, k, seed=20 + k)
-    before = [array.copy() for array in inputs]
-    outputs = kernel.apply(*inputs)
-    for array, original in zip(inputs, before):
-        assert np.array_equal(array, original)
-    for out in outputs:
-        assert isinstance(out, np.ndarray)
-        assert out.dtype == np.int64
-        assert out.shape == (STEPS,)
-        assert not any(np.shares_memory(out, array) for array in inputs)
+def test_kernel_writes_only_initiators_and_uses_only_its_own_coins(
+    factory, k
+):
+    """One call over every step against one call per step, each given
+    only that step's initiator, partners and coins: both leave the same
+    state and count the same changes, and neither touches a partner."""
+    _, kernel, inputs = prepared(factory, k, seed=20 + k)
+    colours, shades, initiators, partners, coins = inputs
+    whole_c, whole_s = list(colours), list(shades)
+    whole = kernel.apply(whole_c, whole_s, initiators, partners, coins, None)
+    assert whole_c[STEPS:] == colours[STEPS:]
+    assert whole_s[STEPS:] == shades[STEPS:]
+    stepped = sum(
+        kernel.apply(
+            colours, shades, [initiators[j]],
+            [[slot[j]] for slot in partners],
+            [[column[j]] for column in coins], None,
+        )
+        for j in range(STEPS)
+    )
+    assert (colours, shades) == (whole_c, whole_s)
+    assert stepped == whole
+
+
+@KERNEL_CASES
+def test_kernel_reports_every_change_once_in_step_order(factory, k):
+    """``on_change`` sees ``(step, agent, old colour, old shade, new
+    colour, new shade)`` after the write, and ``apply`` returns how
+    many it reported."""
+    _, kernel, inputs = prepared(factory, k, seed=30 + k)
+    colours, shades, initiators, partners, coins = inputs
+    before = list(zip(colours, shades))
+    reported = []
+
+    def on_change(j, agent, old_c, old_s, new_c, new_s):
+        assert (colours[agent], shades[agent]) == (new_c, new_s)
+        reported.append((j, agent, old_c, old_s, new_c, new_s))
+
+    count = kernel.apply(
+        colours, shades, initiators, partners, coins, on_change
+    )
+    expected = [
+        (j, j, *before[j], colours[j], shades[j])
+        for j in range(STEPS)
+        if (colours[j], shades[j]) != before[j]
+    ]
+    assert reported == expected
+    assert count == len(expected) > 0
 
 
 #: (case id, protocol factory, a slot count its kernel cannot serve,
