@@ -38,10 +38,6 @@ class InterventionSchedule:
         """The ordered (time, intervention) pairs."""
         return tuple(self._entries)
 
-    def pending_after(self, time_step: int) -> list[tuple[int, Intervention]]:
-        """Entries strictly later than ``time_step``."""
-        return [(t, iv) for t, iv in self._entries if t > time_step]
-
 
 def run_with_interventions(
     engine,

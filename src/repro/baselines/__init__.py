@@ -1,10 +1,8 @@
 """Baseline dynamics from the related-work section (Sec 1.1): consensus
-processes that destroy diversity, the anti-voter precedent, averaging
-processes, and the global-knowledge strawman."""
+processes that destroy diversity, the SIS epidemic, and the
+global-knowledge strawmen."""
 
-from .anti_voter import AntiVoterModel
-from .averaging import AveragingProcess, MatchingDiffusion
-from .epidemic import SISEpidemic, infected_count
+from .epidemic import SISEpidemic
 from .three_majority import ThreeMajority
 from .trivial import TrivialResampling
 from .two_choices import TwoChoices
@@ -17,13 +15,9 @@ from .voter import VoterModel
 
 __all__ = [
     "VoterModel",
-    "AntiVoterModel",
     "TwoChoices",
     "ThreeMajority",
     "SISEpidemic",
-    "infected_count",
-    "AveragingProcess",
-    "MatchingDiffusion",
     "TrivialResampling",
     "RandomRecolouring",
     "uniform_partition_protocol",

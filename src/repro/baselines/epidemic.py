@@ -46,14 +46,6 @@ class SISEpidemic(Protocol):
         self.transmission = float(transmission)
         self.recovery = float(recovery)
 
-    @property
-    def reproduction_ratio(self) -> float:
-        """``transmission / recovery`` — the mean-field threshold is 1
-        on the complete graph (contact-process folklore, refs [8, 24])."""
-        if self.recovery == 0.0:
-            return float("inf")
-        return self.transmission / self.recovery
-
     def initial_state(self, colour: int) -> AgentState:
         if colour not in (self.SUSCEPTIBLE, self.INFECTED):
             raise ValueError("SIS states are 0 (susceptible), 1 (infected)")
@@ -73,11 +65,3 @@ class SISEpidemic(Protocol):
             if rng.random() < self.transmission:
                 return AgentState(self.INFECTED, DARK)
         return u
-
-
-def infected_count(colour_counts: Sequence[int] | np.ndarray) -> int:
-    """Number of infected agents in a (2,)-shaped count vector."""
-    counts = np.asarray(colour_counts)
-    if counts.shape != (2,):
-        raise ValueError("SIS count vectors have exactly two entries")
-    return int(counts[1])

@@ -58,10 +58,6 @@ class AgentState:
             raise ValueError("cannot lighten an already-light state")
         return AgentState(self.colour, self.shade - 1)
 
-    def with_colour(self, colour: int, shade: int = DARK) -> "AgentState":
-        """Return a state with a new colour at the given shade."""
-        return AgentState(colour, shade)
-
 
 def dark(colour: int) -> AgentState:
     """Convenience constructor for a dark (committed) state."""

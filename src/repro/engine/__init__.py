@@ -15,6 +15,9 @@
 * :class:`BatchedAggregateSimulation` — R replications of one
   configuration: a thin constructor over the row-batched engine whose
   R identical rows share one weight table.
+
+Both agent engines activate one agent uniformly at random per step,
+and both grow their population only on the complete graph.
 """
 
 from . import checkpoint
@@ -32,7 +35,6 @@ from .multishade import MultiShadeAggregate
 from .observers import MinCountTracker, Observer, OccupancyTracker
 from .population import Population
 from .rng import make_rng, spawn
-from .scheduler import RoundRobinScheduler, Scheduler, UniformScheduler
 from .simulator import Simulation
 from .streams import RowStreams, geometric_from_uniform
 
@@ -51,9 +53,6 @@ __all__ = [
     "Observer",
     "OccupancyTracker",
     "MinCountTracker",
-    "Scheduler",
-    "UniformScheduler",
-    "RoundRobinScheduler",
     "make_rng",
     "spawn",
     "checkpoint",

@@ -18,21 +18,22 @@ engine the equivalence is distributional (the draw streams differ); it
 is verified with seeded Kolmogorov-Smirnov tests in
 ``tests/integration/test_array_equivalence.py``.
 
-Kernels exist for the Diversification protocol (light-adopts-dark,
-dark-dark lightening with probability ``1/w_i``), its unweighted
-ablation, and the whole baseline suite (Voter, 2-Choices, 3-Majority,
-anti-voter, SIS epidemic, random recolouring, trivial resampling);
+Eight protocols have kernels: the Diversification protocol
+(light-adopts-dark, dark-dark lightening with probability ``1/w_i``),
+its unweighted ablation, and the baselines Voter, 2-Choices,
+3-Majority, SIS epidemic, random recolouring and trivial resampling;
 protocols without a kernel raise and should run on the scalar engine
 (the experiment runners fall back automatically).  Supported
-interaction graphs are the
-complete graph (``topology=None`` or
+interaction graphs are the complete graph (``topology=None`` or
 :class:`~repro.topology.base.CompleteGraph`) and any CSR-adjacency
 topology exposing ``neighbour_arrays()``
 (:class:`~repro.topology.graphs.AdjacencyTopology` and subclasses),
 sampled with vectorised gathers.
 
 The engine shares the scalar engine's seeding contract: draws are
-buffered in fixed-size blocks anchored to the executed-step count, so
+buffered in fixed-size blocks anchored to the executed-step count (a
+refill draws the block's initiators with ``rng.integers(0, n,
+_BLOCK)``, then its partner uniforms, then its coins), so
 ``step()`` equals ``run(1)`` and ``run(a); run(b)`` equals
 ``run(a + b)`` for a fixed seed.  The adversary interventions of
 :mod:`repro.adversary` apply between (not during) ``run`` calls through
@@ -49,7 +50,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from ..baselines.anti_voter import AntiVoterModel
 from ..baselines.epidemic import SISEpidemic
 from ..baselines.three_majority import ThreeMajority
 from ..baselines.trivial import TrivialResampling
@@ -66,7 +66,6 @@ from . import checkpoint as ckpt
 from .observers import Observer
 from .population import Population
 from .rng import make_rng
-from .scheduler import Scheduler, UniformScheduler
 
 _BLOCK = 8192
 
@@ -218,33 +217,6 @@ class _TwoChoicesKernel(_Kernel):
         return changes
 
 
-class _AntiVoterKernel(_Kernel):
-    """Adopt the opposite of the sampled colour (two-colour model)."""
-
-    def refresh(self, k: int) -> None:
-        if k != 2:
-            raise ValueError(
-                f"the anti-voter kernel needs exactly two colour slots, "
-                f"got k={k}"
-            )
-
-    def apply(self, colours, shades, initiators, partners, coins, on_change):
-        sampled = partners[0]
-        changes = 0
-        for j, u in enumerate(initiators):
-            uc = colours[u]
-            new_c = 1 - colours[sampled[j]]
-            if new_c == uc:
-                continue
-            us = shades[u]
-            colours[u] = new_c
-            shades[u] = DARK
-            changes += 1
-            if on_change is not None:
-                on_change(j, u, uc, us, new_c, DARK)
-        return changes
-
-
 class _SISKernel(_Kernel):
     """SIS contact process: spontaneous recovery for infected agents,
     transmission on contact for susceptible ones.  The branches are
@@ -367,7 +339,6 @@ _KERNEL_FACTORIES = {
     VoterModel: _VoterKernel,
     ThreeMajority: _ThreeMajorityKernel,
     TwoChoices: _TwoChoicesKernel,
-    AntiVoterModel: _AntiVoterKernel,
     SISEpidemic: _SISKernel,
     RandomRecolouring: _RandomRecolouringKernel,
     TrivialResampling: _TrivialResamplingKernel,
@@ -483,8 +454,6 @@ class ArraySimulation:
             protocol's weight table, else ``max(colour) + 1``).
         topology: ``None`` / complete graph, or a CSR-adjacency
             topology (see :func:`supports_topology`).
-        scheduler: Activation policy (default uniform; reset at
-            construction).
         rng: Seed or generator driving all randomness (vectorised
             draws).
         observers: Change-driven instrumentation.  With observers
@@ -501,7 +470,6 @@ class ArraySimulation:
         shades=None,
         k: int | None = None,
         topology=None,
-        scheduler: Scheduler | None = None,
         rng: int | np.random.Generator | None = None,
         observers: Iterable[Observer] = (),
     ):
@@ -569,8 +537,6 @@ class ArraySimulation:
                 f"topology {type(topology).__name__} exposes no CSR "
                 "adjacency (neighbour_arrays); use repro.engine.Simulation"
             )
-        self.scheduler = scheduler or UniformScheduler()
-        self.scheduler.reset()
         self.observers: list[Observer] = list(observers)
         self.rng = make_rng(rng)
         self._time = 0
@@ -606,10 +572,6 @@ class ArraySimulation:
     def population(self) -> ArrayPopulationView:
         """Population facade over the state arrays."""
         return self._population_view
-
-    def add_observer(self, observer: Observer) -> None:
-        """Attach an observer before (or between) runs."""
-        self.observers.append(observer)
 
     def colour_counts(self):
         """``C_i`` per colour, shape ``(k,)``."""
@@ -788,9 +750,7 @@ class ArraySimulation:
         """Draw a full block of steps."""
         n = self._n
         rng = self.rng
-        initiators = np.asarray(
-            self.scheduler.draw_block(n, _BLOCK, rng), dtype=np.int64
-        )
+        initiators = rng.integers(0, n, size=_BLOCK)
         partner_uniforms = rng.random((_BLOCK, self._arity))
         if self._ncoins:
             self._buf_coins = rng.random((_BLOCK, self._ncoins))
@@ -843,11 +803,11 @@ class ArraySimulation:
         """Read-only ``repro-ckpt/v1`` view of all run-relevant state.
 
         Captures the state arrays, clocks, the partially consumed draw
-        buffer (initiators, partners and coins), scheduler progress,
-        the RNG bit-generator state, and the protocol's weight table
-        when it has one.  An exhausted buffer is dropped (the next run
-        refills at the same stream position either way).  Every array
-        in the view is a copy.
+        buffer (initiators, partners and coins), the RNG bit-generator
+        state, and the protocol's weight table when it has one.  An
+        exhausted buffer is dropped (the next run refills at the same
+        stream position either way).  Every array in the view is a
+        copy.
         """
         buffered = hasattr(self, "_buf_init") and self._buf_pos < _BLOCK
         weights = getattr(self.protocol, "weights", None)
@@ -860,7 +820,6 @@ class ArraySimulation:
             "changes": int(self.changes),
             "buffered": int(buffered),
             "buf_pos": int(self._buf_pos),
-            "scheduler": self.scheduler.state_dict(),
             "rng": ckpt.rng_state(self.rng),
         }
         if buffered:
@@ -876,4 +835,3 @@ class ArraySimulation:
             f"ArraySimulation(protocol={self.protocol.name!r}, "
             f"n={self.n}, k={self.k}, t={self.time})"
         )
-

@@ -1,15 +1,19 @@
 """Agent-level discrete-event simulator.
 
 Implements the paper's execution model exactly: at every time-step one
-agent is scheduled (uniformly at random by default), samples ``arity``
-other agents — uniformly over the whole population on the complete
-graph, or over its neighbourhood on an explicit topology — and applies
-the protocol's transition rule.  Only the scheduled agent changes state.
+agent is scheduled uniformly at random, samples ``arity`` other agents —
+uniformly over the whole population on the complete graph
+(``topology=None`` or a :class:`~repro.topology.base.CompleteGraph`,
+which draw the same stream), or over its neighbourhood on an explicit
+topology — and applies the protocol's transition rule.  Only the
+scheduled agent changes state.
 
 The loop amortises random-number generation in blocks and notifies
 observers only on actual state changes, so instrumented runs stay fast.
 Populations may grow between (not during) ``run`` calls, which is how
-the adversary interventions of :mod:`repro.adversary` are applied.
+the adversary interventions of :mod:`repro.adversary` are applied;
+growth requires the complete graph (an explicit topology cannot gain
+agents, so the next ``run`` raises before any step samples).
 
 Seeding contract
 ----------------
@@ -26,17 +30,19 @@ population size:
   recording intervals and intervention segmentation do not perturb the
   trajectory.
 
-Refilling may advance the underlying generator (and a stateful
-scheduler) past the executed horizon; the buffer is discarded whenever
-the population grows, so interventions that add agents re-anchor the
-stream.  For the *vectorised* agent-level engine with the same
-transition semantics see :mod:`repro.engine.array_engine`.
+Refilling may advance the underlying generator past the executed
+horizon; the buffer is discarded whenever the population grows, so
+interventions that add agents re-anchor the stream.  For the
+*vectorised* agent-level engine with the same transition semantics see
+:mod:`repro.engine.array_engine`.
 
-Within a block the generator is called in a fixed order: on an explicit
-topology, the ``arity`` ``sample_neighbour`` draws of a step precede its
-transition's own draws (its coin, if any); on the complete graph the
-partners come from the buffer.  ``tests/unit/test_scalar_loop_digest.py``
-pins the resulting trajectories.
+A refill draws the block's initiators (``rng.integers(0, n, _BLOCK)``)
+and, on the complete graph, then its partners.  Within a block the
+generator is called in a fixed order: on an explicit topology, the
+``arity`` ``sample_neighbour`` draws of a step precede its transition's
+own draws (its coin, if any); on the complete graph the partners come
+from the buffer.  ``tests/unit/test_scalar_loop_digest.py`` pins the
+resulting trajectories.
 
 The loop
 --------
@@ -59,11 +65,11 @@ import numpy as np
 
 from ..core.protocol import Protocol
 from ..core.weights import WeightTable
+from ..topology.base import CompleteGraph
 from . import checkpoint as ckpt
 from .observers import Observer
 from .population import Population
 from .rng import make_rng
-from .scheduler import Scheduler, UniformScheduler
 
 
 _BLOCK = 4096
@@ -76,11 +82,8 @@ class Simulation:
         protocol: The local update rule.
         population: Initial population (mutated in place).
         topology: Optional interaction graph from :mod:`repro.topology`;
-            ``None`` means the complete graph (the paper's setting).
-        scheduler: Activation policy; defaults to the uniform scheduler.
-            The scheduler is :meth:`~repro.engine.scheduler.Scheduler.reset`
-            at construction so that instances shared across replications
-            start each simulation from their initial state.
+            ``None`` or a :class:`~repro.topology.base.CompleteGraph`
+            means the complete graph (the paper's setting).
         rng: Seed or generator for all randomness.
         observers: Change-driven instrumentation.
     """
@@ -91,7 +94,6 @@ class Simulation:
         population: Population,
         *,
         topology=None,
-        scheduler: Scheduler | None = None,
         rng: int | np.random.Generator | None = None,
         observers: Iterable[Observer] = (),
     ):
@@ -100,8 +102,9 @@ class Simulation:
         self.protocol = protocol
         self.population = population
         self.topology = topology
-        self.scheduler = scheduler or UniformScheduler()
-        self.scheduler.reset()
+        self._complete = topology is None or isinstance(
+            topology, CompleteGraph
+        )
         self.rng = make_rng(rng)
         self.observers: list[Observer] = list(observers)
         self.time = 0
@@ -115,10 +118,6 @@ class Simulation:
                 f"topology has {topology.n} nodes but population has "
                 f"{population.n} agents"
             )
-
-    def add_observer(self, observer: Observer) -> None:
-        """Attach an observer before (or between) runs."""
-        self.observers.append(observer)
 
     def colour_counts(self):
         """``C_i`` per colour (delegates to the population)."""
@@ -168,7 +167,12 @@ class Simulation:
         set_state = population.set_state
         observers = self.observers
         rng = self.rng
-        complete = self.topology is None
+        complete = self._complete
+        if not complete and population.n != self.topology.n:
+            raise ValueError(
+                "population growth requires the complete graph; explicit "
+                "topologies cannot gain agents"
+            )
         sample = None if complete else self.topology.sample_neighbour
         while remaining > 0:
             if self._buf_pos >= _BLOCK or self._buf_n != population.n:
@@ -217,9 +221,7 @@ class Simulation:
         executed-step count and the intervention points — not on how
         ``run`` calls were chunked.
         """
-        self._buf_initiators = self.scheduler.draw_block(
-            n, _BLOCK, self.rng
-        )
+        self._buf_initiators = self.rng.integers(0, n, size=_BLOCK)
         if complete:
             self._buf_partners = self.rng.integers(
                 0, n - 1, size=(_BLOCK, arity)
@@ -237,9 +239,8 @@ class Simulation:
 
         Captures the agent states, clocks, the partially consumed draw
         buffer (initiators and — on the complete graph — partner
-        draws), scheduler progress, the RNG bit-generator state, and
-        the protocol's weight table when it has one.  Observer state is
-        not part of it.
+        draws), the RNG bit-generator state, and the protocol's weight
+        table when it has one.  Observer state is not part of it.
         """
         population = self.population
         buffered = self._buf_initiators is not None
@@ -255,7 +256,6 @@ class Simulation:
             "buffered": int(buffered),
             "buf_pos": int(self._buf_pos),
             "buf_n": int(self._buf_n),
-            "scheduler": self.scheduler.state_dict(),
             "rng": ckpt.rng_state(self.rng),
         }
         if buffered:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adversary.interventions import AddAgents, AddColour
 from ..adversary.schedule import InterventionSchedule, run_with_interventions
 from ..core.diversification import Diversification
 from ..core.protocol import Protocol
@@ -25,7 +24,6 @@ from ..engine.batched import BatchedAggregateSimulation
 from ..engine.population import Population
 from ..engine.rng import make_rng, spawn, spawn_sequences
 from ..engine.simulator import Simulation
-from ..topology.base import CompleteGraph
 from .recorder import CountRecorder
 from .workloads import (
     colours_from_counts,
@@ -291,19 +289,19 @@ def use_array_engine(
     protocol: Protocol,
     *,
     topology=None,
-    schedule: InterventionSchedule | None = None,
     engine: str = "auto",
 ) -> bool:
     """Resolve the agent-level engine choice for one run.
 
     ``engine="auto"`` picks the vectorised
     :class:`~repro.engine.array_engine.ArraySimulation` whenever the
-    protocol has a kernel, the topology is complete or CSR-backed, and
-    any intervention schedule is array-compatible (see
-    :func:`array_schedule_supported`); anything else falls back to the
-    scalar :class:`~repro.engine.Simulation`.  ``engine="array"``
-    forces the vectorised path (raising on unsupported runs),
-    ``engine="scalar"`` forces the fallback.
+    protocol has a kernel and the topology is complete or CSR-backed;
+    anything else falls back to the scalar
+    :class:`~repro.engine.Simulation`.  ``engine="array"`` forces the
+    vectorised path (raising on unsupported runs), ``engine="scalar"``
+    forces the fallback.  A schedule does not change the choice: both
+    engines reject growth on an explicit topology other than the
+    complete graph before any step samples the added agents.
     """
     if engine not in AGENT_ENGINES:
         raise ValueError(
@@ -312,37 +310,8 @@ def use_array_engine(
     if engine == "scalar":
         return False
     if engine == "array":
-        if not array_schedule_supported(schedule, topology):
-            raise ValueError(
-                "population-growing interventions on an explicit "
-                "topology require the scalar engine"
-            )
         return True
-    return (
-        has_kernel(protocol)
-        and supports_topology(topology)
-        and array_schedule_supported(schedule, topology)
-    )
-
-
-def array_schedule_supported(
-    schedule: InterventionSchedule | None, topology
-) -> bool:
-    """Whether the array engine can apply ``schedule`` on ``topology``.
-
-    All interventions are supported on the complete graph (growth
-    discards the draw buffer and re-anchors the stream, like the scalar
-    engine).  On a CSR topology the adjacency cannot gain nodes, so
-    only index-stable schedules (pure recolourings) qualify.
-    """
-    if schedule is None:
-        return True
-    if topology is None or isinstance(topology, CompleteGraph):
-        return True
-    return not any(
-        isinstance(intervention, (AddAgents, AddColour))
-        for _, intervention in schedule.entries()
-    )
+    return has_kernel(protocol) and supports_topology(topology)
 
 
 def run_agent(
@@ -381,9 +350,7 @@ def run_agent(
     if schedule is not None:
         protocol = copy.deepcopy(protocol)
         run_weights = getattr(protocol, "weights", weights)
-    if use_array_engine(
-        protocol, topology=topology, schedule=schedule, engine=engine
-    ):
+    if use_array_engine(protocol, topology=topology, engine=engine):
         simulation = ArraySimulation(
             protocol,
             np.asarray(colours, dtype=np.int64),

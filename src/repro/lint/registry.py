@@ -31,10 +31,6 @@ def rule(check):
     return check
 
 
-def registered_checks() -> tuple:
-    return tuple(_CHECKS)
-
-
 def default_root() -> pathlib.Path:
     """The installed ``repro`` package directory."""
     import repro

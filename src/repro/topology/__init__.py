@@ -7,7 +7,6 @@ from .graphs import (
     CycleGraph,
     TorusGrid,
     random_regular,
-    stochastic_block_model,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "CycleGraph",
     "TorusGrid",
     "random_regular",
-    "stochastic_block_model",
 ]

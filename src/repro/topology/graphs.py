@@ -127,39 +127,3 @@ def random_regular(
     raise RuntimeError(
         f"could not sample a connected {degree}-regular graph on {n} nodes"
     )
-
-
-def stochastic_block_model(
-    sizes: Sequence[int] | list[int],
-    p_in: float,
-    p_out: float,
-    seed: int | np.random.Generator | None = None,
-) -> AdjacencyTopology:
-    """Connected stochastic-block-model sample (community detection
-    setting of Sec 1.1, refs [3, 17, 26]).
-
-    Agents within a community are linked with probability ``p_in``,
-    across communities with ``p_out < p_in``.  Resampled until
-    connected.
-    """
-    import networkx as nx
-
-    if not 0.0 <= p_out < p_in <= 1.0:
-        raise ValueError("need 0 <= p_out < p_in <= 1")
-    rng = make_rng(seed)
-    probabilities = [
-        [p_in if a == b else p_out for b in range(len(sizes))]
-        for a in range(len(sizes))
-    ]
-    for _ in range(64):
-        graph = nx.stochastic_block_model(
-            list(sizes), probabilities, seed=int(rng.integers(0, 2**31))
-        )
-        if nx.is_connected(graph):
-            topo = AdjacencyTopology.from_networkx(nx.Graph(graph))
-            topo.name = f"sbm-{len(sizes)}x{sizes[0]}"
-            topo.community_sizes = list(sizes)
-            return topo
-    raise RuntimeError(
-        "could not sample a connected SBM; increase p_in/p_out"
-    )

@@ -257,16 +257,13 @@ class TestBaselineKernelEquivalence:
     STEPS = 1200
 
     def cases(self):
-        from repro.baselines.anti_voter import AntiVoterModel
         from repro.baselines.epidemic import SISEpidemic
         from repro.baselines.trivial import TrivialResampling
         from repro.baselines.two_choices import TwoChoices
         from repro.baselines.uniform_partition import RandomRecolouring
 
-        half = [0] * 30 + [1] * 30
         return {
             "2-choices": (lambda: TwoChoices(), [0] * 40 + [1] * 20, 2),
-            "anti-voter": (lambda: AntiVoterModel(), list(half), 2),
             "sis": (lambda: SISEpidemic(0.7, 0.2), [0] * 45 + [1] * 15, 2),
             "random-recolouring": (
                 lambda: RandomRecolouring(3), list(COLOURS), 3
@@ -283,7 +280,7 @@ class TestBaselineKernelEquivalence:
     @pytest.mark.parametrize("topology_name", ["complete", "cycle"])
     @pytest.mark.parametrize(
         "name",
-        ["2-choices", "anti-voter", "sis", "random-recolouring", "trivial"],
+        ["2-choices", "sis", "random-recolouring", "trivial"],
     )
     def test_ks_array_vs_scalar(self, name, topology_name):
         factory, colours, k = self.cases()[name]

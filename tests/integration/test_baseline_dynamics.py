@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines import (
-    AntiVoterModel,
     ThreeMajority,
     TrivialResampling,
     TwoChoices,
@@ -54,25 +53,6 @@ class TestConsensusBaselines:
             observers=[tracker],
         )
         assert tracker.min_colour_counts.min() == 0
-
-
-class TestAntiVoter:
-    def test_equilibrates_near_half(self):
-        population = run_protocol(
-            AntiVoterModel(), [0] * 38 + [1] * 2, steps=40_000, seed=4
-        )
-        share = population.colour_counts()[0] / 40
-        assert 0.25 < share < 0.75
-
-    def test_agents_keep_switching(self):
-        """The anti-voter equilibrium is dynamic, not frozen."""
-        protocol = AntiVoterModel()
-        population = Population.from_colours([0] * 10 + [1] * 10, protocol)
-        simulation = Simulation(protocol, population, rng=5)
-        simulation.run(5_000)
-        early_changes = simulation.changes
-        simulation.run(5_000)
-        assert simulation.changes > early_changes
 
 
 class TestTrivialResampling:

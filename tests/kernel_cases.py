@@ -9,7 +9,6 @@ runs; both compare against the scalar rules through :class:`StepCoins`.
 
 import math
 
-from repro.baselines.anti_voter import AntiVoterModel
 from repro.baselines.epidemic import SISEpidemic
 from repro.baselines.three_majority import ThreeMajority
 from repro.baselines.trivial import TrivialResampling
@@ -32,7 +31,6 @@ CASES = [
     ("voter", VoterModel, 3),
     ("three-majority", ThreeMajority, 3),
     ("two-choices", TwoChoices, 3),
-    ("anti-voter", AntiVoterModel, 2),
     ("sis", lambda: SISEpidemic(0.6, 0.3), 2),
     ("recolouring", lambda: RandomRecolouring(3), 3),
     ("trivial", lambda: TrivialResampling(WeightTable(WEIGHTS), 0.7), 3),

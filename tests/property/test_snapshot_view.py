@@ -30,13 +30,12 @@ from repro.engine import (
     HeterogeneousAggregateBatch,
     MultiShadeAggregate,
     Population,
-    RoundRobinScheduler,
     Simulation,
 )
 from repro.engine.array_engine import _BLOCK as ARRAY_BLOCK
 from repro.engine.checkpoint import CKPT_FORMAT
 from repro.engine.simulator import _BLOCK as SIMULATION_BLOCK
-from repro.topology import CycleGraph
+from repro.topology import CompleteGraph, CycleGraph
 
 WEIGHTS = [1.0, 2.0, 3.0]
 DARK = [30, 20, 10]
@@ -97,14 +96,11 @@ ENGINES = {
     "hetero": hetero,
     "simulation": simulation,
     "simulation-cycle": lambda seed: simulation(seed, topology=CycleGraph(12)),
-    "simulation-round-robin": lambda seed: simulation(
-        seed, scheduler=RoundRobinScheduler(start=5)
+    "simulation-complete-graph": lambda seed: simulation(
+        seed, topology=CompleteGraph(12)
     ),
     "array": array,
     "array-cycle": lambda seed: array(seed, topology=CycleGraph(16)),
-    "array-round-robin": lambda seed: array(
-        seed, scheduler=RoundRobinScheduler(start=5)
-    ),
 }
 
 ROW_FIELDS = {
@@ -113,18 +109,17 @@ ROW_FIELDS = {
 }
 SIMULATION_FIELDS = {
     "colours", "shades", "k", "time", "changes", "buffered", "buf_pos",
-    "buf_n", "scheduler", "rng", "buf_initiators", "buf_partners",
-    "weights",
+    "buf_n", "rng", "buf_initiators", "buf_partners", "weights",
 }
 ARRAY_FIELDS = {
     "colours", "shades", "k", "n", "time", "changes", "buffered",
-    "buf_pos", "scheduler", "rng", "buf_init", "buf_partners",
-    "buf_coins", "weights",
+    "buf_pos", "rng", "buf_init", "buf_partners", "buf_coins", "weights",
 }
 
 #: The fields of a view taken mid-block, besides ``format`` and
 #: ``engine``.  On a cycle the agent engine draws partners per step, so
-#: it buffers initiators only.
+#: it buffers initiators only; an explicit ``CompleteGraph`` is the
+#: complete graph and buffers partners too.
 FIELDS = {
     "aggregate": {"weights", "dark", "light", "lighten", "time", "pending",
                   "rng"},
@@ -133,10 +128,9 @@ FIELDS = {
     "hetero": ROW_FIELDS,
     "simulation": SIMULATION_FIELDS,
     "simulation-cycle": SIMULATION_FIELDS - {"buf_partners"},
-    "simulation-round-robin": SIMULATION_FIELDS,
+    "simulation-complete-graph": SIMULATION_FIELDS,
     "array": ARRAY_FIELDS,
     "array-cycle": ARRAY_FIELDS,
-    "array-round-robin": ARRAY_FIELDS,
 }
 
 CLASS_NAMES = {
@@ -146,10 +140,9 @@ CLASS_NAMES = {
     "hetero": "HeterogeneousAggregateBatch",
     "simulation": "Simulation",
     "simulation-cycle": "Simulation",
-    "simulation-round-robin": "Simulation",
+    "simulation-complete-graph": "Simulation",
     "array": "ArraySimulation",
     "array-cycle": "ArraySimulation",
-    "array-round-robin": "ArraySimulation",
 }
 
 STREAM_FIELDS = {"block", "pool", "pos", "state", "inc", "has_uint32",
@@ -161,9 +154,7 @@ ROW_LEAVES = [
     "streams.has_uint32", "streams.uinteger", "rng",
 ]
 
-#: Every array and dict a view hands out, by dotted path.  The uniform
-#: scheduler's state is an empty dict, so only the round-robin engines
-#: list ``scheduler``.
+#: Every array and dict a view hands out, by dotted path.
 LEAVES = {
     "aggregate": ["weights", "dark", "light", "lighten", "rng"],
     "multishade": ["weights", "shades", "offsets", "rng"],
@@ -171,12 +162,10 @@ LEAVES = {
     "hetero": ROW_LEAVES,
     "simulation": ["colours", "shades", "buf_initiators", "buf_partners",
                    "weights", "rng"],
-    "simulation-round-robin": ["scheduler"],
     "array": ["colours", "shades", "buf_init", "buf_partners", "buf_coins",
               "weights", "rng"],
     "array-cycle": ["colours", "shades", "buf_init", "buf_partners",
                     "buf_coins", "weights", "rng"],
-    "array-round-robin": ["scheduler"],
 }
 
 
@@ -288,12 +277,11 @@ class TestEveryEngine:
 BUFFERED = {
     "simulation": (simulation, SIMULATION_BLOCK),
     "simulation-cycle": (ENGINES["simulation-cycle"], SIMULATION_BLOCK),
-    "simulation-round-robin": (
-        ENGINES["simulation-round-robin"], SIMULATION_BLOCK
+    "simulation-complete-graph": (
+        ENGINES["simulation-complete-graph"], SIMULATION_BLOCK
     ),
     "array": (array, ARRAY_BLOCK),
     "array-cycle": (ENGINES["array-cycle"], ARRAY_BLOCK),
-    "array-round-robin": (ENGINES["array-round-robin"], ARRAY_BLOCK),
 }
 
 

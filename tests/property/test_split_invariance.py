@@ -26,7 +26,6 @@ from repro.engine import (
     HeterogeneousAggregateBatch,
     MultiShadeAggregate,
     Population,
-    RoundRobinScheduler,
     Simulation,
 )
 from repro.experiments.recorder import CountRecorder
@@ -158,13 +157,12 @@ class TestHeteroSplitInvariance:
         assert_same_snapshot(split_run, whole)
 
 
-def build_simulation(seed, scheduler=None):
+def build_simulation(seed):
     weights = WeightTable(WEIGHTS)
     protocol = Diversification(weights)
     colours = [i % weights.k for i in range(12)]
     population = Population.from_colours(colours, protocol, k=weights.k)
-    kwargs = {} if scheduler is None else {"scheduler": scheduler}
-    return Simulation(protocol, population, rng=seed, **kwargs)
+    return Simulation(protocol, population, rng=seed)
 
 
 class TestSimulationSplitInvariance:
@@ -177,17 +175,6 @@ class TestSimulationSplitInvariance:
         whole = build_simulation(seed)
         whole.run(total)
         split_run = build_simulation(seed)
-        split_run.run(split)
-        split_run.run(total - split)
-        assert_same_snapshot(split_run, whole)
-
-    @given(seed=st.integers(0, 2**31 - 1), split=st.integers(0, 300))
-    @settings(max_examples=10, deadline=None)
-    def test_round_robin_scheduler_split(self, seed, split):
-        total = 300
-        whole = build_simulation(seed, scheduler=RoundRobinScheduler())
-        whole.run(total)
-        split_run = build_simulation(seed, scheduler=RoundRobinScheduler())
         split_run.run(split)
         split_run.run(total - split)
         assert_same_snapshot(split_run, whole)

@@ -11,6 +11,7 @@ from repro.core.derandomised import DerandomisedDiversification
 from repro.core.diversification import Diversification
 from repro.core.weights import WeightTable
 from repro.engine.array_engine import (
+    _BLOCK,
     ArraySimulation,
     has_kernel,
     kernel_for,
@@ -215,6 +216,41 @@ class TestStepping:
         changes = simulation.changes
         simulation.run(500)
         assert simulation.changes == changes  # absorbed
+
+
+class TestRefillDraws:
+    """A refill draws the block's initiators with one
+    ``rng.integers(0, n, _BLOCK)`` call, then its partner uniforms,
+    then its coins (one per step for Diversification): the engine's
+    buffer replays on a generator at the state the refill started
+    from."""
+
+    def assert_refill(self, simulation, state, n):
+        reference = np.random.default_rng()
+        reference.bit_generator.state = state
+        view = simulation.snapshot()
+        initiators = reference.integers(0, n, size=_BLOCK)
+        draw = (reference.random((_BLOCK, 1)) * (n - 1)).astype(np.int64)
+        np.testing.assert_array_equal(view["buf_init"], initiators)
+        np.testing.assert_array_equal(
+            view["buf_partners"], draw + (draw >= initiators[:, None])
+        )
+        np.testing.assert_array_equal(
+            view["buf_coins"], reference.random((_BLOCK, 1))
+        )
+
+    def test_fresh_engine(self):
+        simulation = build(n=12, seed=21).run(1)
+        self.assert_refill(
+            simulation, np.random.default_rng(21).bit_generator.state, 12
+        )
+
+    def test_grown_engine(self):
+        simulation = build(n=12, seed=21).run(300)
+        simulation.add_agents(1, 5)
+        state = simulation.rng.bit_generator.state
+        simulation.run(1)
+        self.assert_refill(simulation, state, 17)
 
 
 class TestObserverBridge:

@@ -1,11 +1,10 @@
-"""Unit tests for the Protocol-style baselines (voter, anti-voter,
-2-choices, 3-majority, trivial, random recolouring)."""
+"""Unit tests for the Protocol-style baselines (voter, 2-choices,
+3-majority, trivial, random recolouring)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
-    AntiVoterModel,
     RandomRecolouring,
     ThreeMajority,
     TrivialResampling,
@@ -28,22 +27,6 @@ class TestVoter:
 
     def test_initial_state(self):
         assert VoterModel().initial_state(2) == AgentState(2, DARK)
-
-
-class TestAntiVoter:
-    def test_adopts_opposite(self, rng):
-        protocol = AntiVoterModel()
-        assert protocol.transition(dark(0), [dark(0)], rng) == dark(1)
-        assert protocol.transition(dark(1), [dark(1)], rng) == dark(0)
-
-    def test_keeps_when_already_opposite(self, rng):
-        protocol = AntiVoterModel()
-        state = dark(0)
-        assert protocol.transition(state, [dark(1)], rng) is state
-
-    def test_rejects_third_colour(self):
-        with pytest.raises(ValueError):
-            AntiVoterModel().initial_state(2)
 
 
 class TestTwoChoices:

@@ -1,9 +1,8 @@
 """Unit tests for the SIS epidemic baseline."""
 
-import numpy as np
 import pytest
 
-from repro.baselines.epidemic import SISEpidemic, infected_count
+from repro.baselines.epidemic import SISEpidemic
 from repro.core.state import dark
 from repro.engine.population import Population
 from repro.engine.simulator import Simulation
@@ -23,10 +22,6 @@ class TestConstruction:
             SISEpidemic(transmission=1.5, recovery=0.5)
         with pytest.raises(ValueError):
             SISEpidemic(transmission=0.5, recovery=-0.1)
-
-    def test_reproduction_ratio(self):
-        assert SISEpidemic(0.6, 0.2).reproduction_ratio == pytest.approx(3.0)
-        assert SISEpidemic(0.5, 0.0).reproduction_ratio == float("inf")
 
     def test_states_limited_to_two(self):
         protocol = SISEpidemic(0.5, 0.5)
@@ -85,12 +80,3 @@ class TestDynamics:
         simulation = Simulation(protocol, population, rng=0)
         simulation.run(10_000)
         assert population.colour_counts()[1] == 0
-
-
-class TestInfectedCount:
-    def test_reads_second_entry(self):
-        assert infected_count(np.array([7, 3])) == 3
-
-    def test_validates_shape(self):
-        with pytest.raises(ValueError):
-            infected_count(np.array([1, 2, 3]))

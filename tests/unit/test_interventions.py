@@ -56,6 +56,23 @@ class TestAddAgents:
         assert simulation.population.n == 16
         assert simulation.population.dark_counts()[1] == 10
 
+    def test_agent_engine_rejects_growth_on_csr_topology(self):
+        """The cycle cannot reach the added agents: the next run raises
+        before any step samples, leaving clock and generator alone."""
+        from repro.topology import CycleGraph
+
+        protocol = Diversification(WeightTable([1.0, 2.0]))
+        population = Population.from_colours([0] * 6 + [1] * 6, protocol)
+        simulation = Simulation(
+            protocol, population, topology=CycleGraph(12), rng=0
+        ).run(50)
+        state = simulation.rng.bit_generator.state
+        AddAgents(colour=1, count=2).apply(simulation)
+        with pytest.raises(ValueError, match="complete graph"):
+            simulation.run(10)
+        assert simulation.time == 50
+        assert simulation.rng.bit_generator.state == state
+
     def test_aggregate_engine(self):
         engine, _ = build_aggregate_engine()
         AddAgents(colour=0, count=3, dark=False).apply(engine)
@@ -254,13 +271,6 @@ class TestSchedule:
         schedule = InterventionSchedule()
         with pytest.raises(ValueError):
             schedule.add(-5, AddAgents(0, 1))
-
-    def test_pending_after(self):
-        schedule = InterventionSchedule(
-            [(10, AddAgents(0, 1)), (20, AddAgents(1, 1))]
-        )
-        assert len(schedule.pending_after(10)) == 1
-        assert len(schedule) == 2
 
 
 class TestRunWithInterventions:

@@ -26,7 +26,6 @@ step order, with its return value counting them.
 import numpy as np
 import pytest
 
-from repro.baselines.anti_voter import AntiVoterModel
 from repro.baselines.epidemic import SISEpidemic
 from repro.baselines.trivial import TrivialResampling
 from repro.baselines.uniform_partition import RandomRecolouring
@@ -42,7 +41,7 @@ STEPS = 2000
 
 
 def edge_coins() -> np.ndarray:
-    """Every threshold the nine scalar rules compare a coin against,
+    """Every threshold the eight scalar rules compare a coin against,
     plus 0 and the largest coin below 1."""
     sis = SISEpidemic(0.6, 0.3)
     trivial = TrivialResampling(WeightTable(WEIGHTS), 0.7)
@@ -204,7 +203,6 @@ REFUSED = [
         2,
         "built for k=2",
     ),
-    ("anti-voter", AntiVoterModel, 3, "exactly two colour slots"),
     ("sis", lambda: SISEpidemic(0.6, 0.3), 3, "exactly two colour slots"),
     (
         "recolouring",

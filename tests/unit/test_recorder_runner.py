@@ -14,7 +14,6 @@ from repro.adversary import (
     RecolourColour,
 )
 from repro.experiments.runner import (
-    array_schedule_supported,
     initial_count_rows,
     initial_counts,
     run_agent,
@@ -118,28 +117,50 @@ def _schedule(*interventions):
     )
 
 
-class TestArrayScheduleSupported:
-    """The array engine can grow the complete graph, but a CSR
-    adjacency cannot gain nodes: only recolourings run on it."""
+class TestScheduleOnTopology:
+    """Both agent engines accept the same schedules: any intervention
+    on the complete graph (``None`` or an explicit ``CompleteGraph``),
+    but only index-stable recolourings on a CSR adjacency, which cannot
+    gain nodes.  Growth there raises instead of running on a population
+    the graph does not cover."""
 
+    N = 20
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar", "array"])
     @pytest.mark.parametrize(
-        "topology, schedule, supported",
+        "topology, schedule, added",
         [
-            (None, _schedule(AddAgents(0, 5)), True),
-            (CompleteGraph(20), _schedule(AddColour(2.0, 3)), True),
-            (CycleGraph(20), None, True),
-            (CycleGraph(20), _schedule(RecolourColour(0, 1)), True),
-            (CycleGraph(20),
-             _schedule(RecolourColour(0, 1), AddAgents(1, 2)), False),
-            (CycleGraph(20), _schedule(AddColour(2.0, 3)), False),
+            (None, _schedule(AddAgents(0, 5)), 5),
+            (CompleteGraph(N), _schedule(AddColour(2.0, 3)), 3),
+            (CycleGraph(N), None, 0),
+            (CycleGraph(N), _schedule(RecolourColour(0, 1)), 0),
+            (CycleGraph(N),
+             _schedule(RecolourColour(0, 1), AddAgents(1, 2)), None),
+            (CycleGraph(N), _schedule(AddColour(2.0, 3)), None),
         ],
         ids=[
             "complete-default", "complete-explicit", "cycle-no-schedule",
             "cycle-recolour", "cycle-add-agents", "cycle-add-colour",
         ],
     )
-    def test_truth_table(self, topology, schedule, supported):
-        assert array_schedule_supported(schedule, topology) is supported
+    def test_runs_or_rejects_growth(
+        self, skewed_weights, engine, topology, schedule, added
+    ):
+        weights = skewed_weights.copy()
+
+        def run():
+            return run_agent(
+                Diversification(weights), weights, n=self.N, steps=100,
+                seed=3, topology=topology, schedule=schedule, engine=engine,
+            )
+
+        if added is None:
+            with pytest.raises(ValueError, match="complete graph"):
+                run()
+        else:
+            record = run()
+            assert record.final_colour_counts.sum() == self.N + added
+            assert record.extras["simulation"].time == 100
 
 
 class TestRunHelpers:
@@ -219,32 +240,23 @@ class TestAgentEngineRouting:
         assert isinstance(record.extras["simulation"], ArraySimulation)
         assert record.final_colour_counts.sum() == 35
 
-    def test_growth_schedule_on_topology_falls_back_to_scalar(
+    def test_recolour_schedule_on_topology_routes_to_array(
         self, skewed_weights
     ):
+        """An index-stable schedule leaves a CSR run on the array
+        engine."""
         from repro.adversary.interventions import RecolourColour
         from repro.adversary.schedule import InterventionSchedule
         from repro.engine.array_engine import ArraySimulation
-        from repro.experiments.runner import use_array_engine
         from repro.topology import CycleGraph
 
         weights = skewed_weights.copy()
-        protocol = Diversification(weights)
-        # Index-stable recolourings stay on the array engine even on an
-        # explicit CSR topology ...
         recolour_only = InterventionSchedule([(50, RecolourColour(0, 1))])
         record = run_agent(
-            protocol, weights, n=30, steps=500, seed=0,
+            Diversification(weights), weights, n=30, steps=500, seed=0,
             topology=CycleGraph(30), schedule=recolour_only,
         )
         assert isinstance(record.extras["simulation"], ArraySimulation)
-        # ... but population growth does not (adjacency cannot grow).
-        from repro.adversary.interventions import AddAgents
-
-        growth = InterventionSchedule([(100, AddAgents(0, 5))])
-        assert not use_array_engine(
-            protocol, topology=CycleGraph(30), schedule=growth
-        )
 
     def test_array_engine_rejects_growth_on_topology(self, skewed_weights):
         from repro.adversary.interventions import AddAgents
@@ -253,7 +265,7 @@ class TestAgentEngineRouting:
 
         weights = skewed_weights.copy()
         schedule = InterventionSchedule([(100, AddAgents(0, 5))])
-        with pytest.raises(ValueError, match="scalar engine"):
+        with pytest.raises(ValueError, match="complete graph"):
             run_agent(
                 Diversification(weights), weights, n=30, steps=500,
                 seed=0, schedule=schedule, engine="array",

@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.adversary import AddAgents, AddColour, InterventionSchedule
+from repro.adversary.schedule import run_with_interventions
+from repro.baselines.epidemic import SISEpidemic
+from repro.baselines.three_majority import ThreeMajority
+from repro.baselines.trivial import TrivialResampling
+from repro.baselines.two_choices import TwoChoices
+from repro.baselines.uniform_partition import RandomRecolouring
+from repro.baselines.voter import VoterModel
+from repro.core.ablations import EagerRecolouring, UnweightedLightening
+from repro.core.derandomised import DerandomisedDiversification
 from repro.core.diversification import Diversification
 from repro.core.weights import WeightTable
 from repro.engine.observers import Observer
 from repro.engine.population import Population
-from repro.engine.scheduler import RoundRobinScheduler
-from repro.engine.simulator import Simulation
-from repro.topology import CycleGraph
+from repro.engine.simulator import _BLOCK, Simulation
+from repro.topology import CompleteGraph, CycleGraph
 
 
 def build_simulation(n=10, k=2, seed=0, **kwargs):
@@ -84,8 +93,7 @@ class TestStepping:
 
     def test_changes_counter_matches_observer(self):
         observer = RecordingObserver()
-        simulation = build_simulation(n=12, k=2)
-        simulation.add_observer(observer)
+        simulation = build_simulation(n=12, k=2, observers=[observer])
         simulation.run(3000)
         assert simulation.changes == len(observer.changes)
 
@@ -148,6 +156,38 @@ class TestSeedingContract:
             np.testing.assert_array_equal(left, right)
 
 
+class TestRefillDraws:
+    """A refill draws the block's initiators with one
+    ``rng.integers(0, n, _BLOCK)`` call, then (on the complete graph)
+    its partners: the engine's buffer replays on a generator at the
+    state the refill started from."""
+
+    def assert_refill(self, simulation, state, n):
+        reference = np.random.default_rng()
+        reference.bit_generator.state = state
+        view = simulation.snapshot()
+        np.testing.assert_array_equal(
+            view["buf_initiators"], reference.integers(0, n, size=_BLOCK)
+        )
+        np.testing.assert_array_equal(
+            view["buf_partners"],
+            reference.integers(0, n - 1, size=(_BLOCK, 1)),
+        )
+
+    def test_fresh_engine(self):
+        simulation = build_simulation(n=12, k=3, seed=21).run(1)
+        self.assert_refill(
+            simulation, np.random.default_rng(21).bit_generator.state, 12
+        )
+
+    def test_grown_engine(self):
+        simulation = build_simulation(n=12, k=3, seed=21).run(300)
+        AddAgents(colour=1, count=5).apply(simulation)
+        state = simulation.rng.bit_generator.state
+        simulation.run(1)
+        self.assert_refill(simulation, state, 17)
+
+
 class TestObserverLifecycle:
     def test_hooks_called(self):
         observer = RecordingObserver()
@@ -181,54 +221,78 @@ class TestSampling:
         assert simulation.changes > 0
 
     def test_topology_restricts_partners(self):
-        """On a cycle, agent 0 only meets agents 1 and n-1."""
-        seen = set()
-
-        class PartnerSpy(Observer):
-            def on_change(self, simulation, agent, old, new):
-                pass
-
-        n = 8
-        weights = WeightTable.uniform(2)
-        protocol = Diversification(weights)
+        """On a cycle, every initiator meets only its two neighbours."""
+        meetings = []
 
         class SpyingProtocol(Diversification):
             def transition(self, u, sampled, rng):
-                seen.add(sampled[0].colour)
+                meetings.append((u.colour, sampled[0].colour))
                 return u  # never change; we only spy
 
-        # Colour-code the cycle: agent i has colour i % 2 -> neighbours
-        # of an even agent are odd. Use k=n colours to identify agents.
-        weights_n = WeightTable.uniform(n)
-        spy = SpyingProtocol(weights_n)
+        # Colour i marks agent i, so colours identify the agents.
+        n = 8
+        spy = SpyingProtocol(WeightTable.uniform(n))
         population = Population.from_colours(list(range(n)), spy, k=n)
-        scheduler = RoundRobinScheduler()  # only agent 0 first
-        simulation = Simulation(
-            spy, population, topology=CycleGraph(n), rng=0,
-            scheduler=scheduler,
-        )
-        for _ in range(50):
-            simulation.step()  # round-robin: agents 0..n-1 cyclically
-        # Agent 0's samples were among {1, n-1}; others likewise.
-        # All sampled colours must be cycle-neighbours of the initiator.
-        assert seen  # sanity
-        for colour in seen:
-            assert 0 <= colour < n
+        simulation = Simulation(spy, population, topology=CycleGraph(n), rng=0)
+        simulation.run(200)
+        assert len(meetings) == 200
+        assert len({u for u, _ in meetings}) == n
+        for u, v in meetings:
+            assert (v - u) % n in (1, n - 1)
 
-    def test_round_robin_schedules_in_order(self):
-        order = []
 
-        class OrderSpy(Diversification):
-            def transition(self, u, sampled, rng):
-                order.append(u.colour)
-                return u
+#: Every protocol with a scalar ``transition``: factory and colour
+#: slots.  Integer weights suit the derandomised variant.
+PROTOCOLS = {
+    "diversification": (lambda: Diversification(WeightTable([1, 2, 3])), 3),
+    "unweighted": (lambda: UnweightedLightening(WeightTable([1, 2, 3])), 3),
+    "eager": (lambda: EagerRecolouring(WeightTable([1, 2, 3])), 3),
+    "derandomised": (
+        lambda: DerandomisedDiversification(WeightTable([1, 2, 3])), 3
+    ),
+    "voter": (VoterModel, 3),
+    "two-choices": (TwoChoices, 3),
+    "three-majority": (ThreeMajority, 3),
+    "sis": (lambda: SISEpidemic(0.6, 0.3), 2),
+    "recolouring": (lambda: RandomRecolouring(3), 3),
+    "trivial": (lambda: TrivialResampling(WeightTable([1, 2, 3]), 0.7), 3),
+}
 
-        n = 6
-        weights = WeightTable.uniform(n)
-        spy = OrderSpy(weights)
-        population = Population.from_colours(list(range(n)), spy, k=n)
-        simulation = Simulation(
-            spy, population, scheduler=RoundRobinScheduler(), rng=0
-        )
-        simulation.run(6)
-        assert order == [0, 1, 2, 3, 4, 5]
+
+def growth(protocol) -> InterventionSchedule:
+    """Agents mid-block, then a new colour where the protocol has a
+    weight table to widen."""
+    schedule = InterventionSchedule([(700, AddAgents(colour=0, count=4))])
+    if hasattr(protocol, "weights"):
+        schedule.add(1500, AddColour(weight=2.0, count=3))
+    return schedule
+
+
+class TestCompleteGraphObject:
+    """``topology=CompleteGraph(n)`` is the complete graph: the engine
+    draws the same stream as with ``None``, and agents added by an
+    intervention are sampled like the others."""
+
+    N = 16
+
+    @pytest.mark.parametrize("grow", [False, True], ids=["static", "grown"])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_complete_graph_object_matches_none(self, name, grow):
+        factory, k = PROTOCOLS[name]
+        views = []
+        for topology in (None, CompleteGraph(self.N)):
+            protocol = factory()
+            population = Population.from_colours(
+                [i % k for i in range(self.N)], protocol, k=k
+            )
+            simulation = Simulation(
+                protocol, population, topology=topology, rng=5
+            )
+            schedule = growth(protocol) if grow else None
+            run_with_interventions(simulation, 3000, schedule)
+            views.append(simulation.snapshot())
+        plain, explicit = views
+        for field in ("colours", "shades", "buf_initiators", "buf_partners"):
+            np.testing.assert_array_equal(plain[field], explicit[field])
+        assert plain["rng"] == explicit["rng"]
+        assert plain["changes"] == explicit["changes"]

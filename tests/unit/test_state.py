@@ -35,12 +35,6 @@ class TestAgentState:
         with pytest.raises(ValueError):
             AgentState(0, 0).lightened()
 
-    def test_with_colour_defaults_to_dark(self):
-        assert AgentState(0, 0).with_colour(5) == AgentState(5, DARK)
-
-    def test_with_colour_custom_shade(self):
-        assert AgentState(0, 1).with_colour(2, shade=7) == AgentState(2, 7)
-
     def test_equality_is_structural(self):
         assert AgentState(1, 1) == AgentState(1, 1)
         assert AgentState(1, 1) != AgentState(1, 0)
