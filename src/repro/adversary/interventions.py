@@ -3,21 +3,19 @@
 The paper claims Diversification is robust to an adversary that *adds*
 agents or colours, and that sustainability survives as long as new
 colours arrive dark and recolourings never erase the last dark
-representative of a colour.  Interventions apply to every engine:
-
-* the agent-level :class:`~repro.engine.simulator.Simulation` (between
-  ``run`` calls), via the per-agent :meth:`Intervention.apply_to_simulation`;
-* the count-API engines — the scalar
-  :class:`~repro.engine.aggregate.AggregateSimulation`, the row-batched
-  :class:`~repro.engine.hetero.HeterogeneousAggregateBatch` with its
-  replicated special case
-  :class:`~repro.engine.batched.BatchedAggregateSimulation`, and the
-  vectorised :class:`~repro.engine.array_engine.ArraySimulation` — via
-  :meth:`Intervention.apply_to_aggregate`, which calls their shared
-  ``add_agents`` / ``add_colour`` / ``recolour`` interface.  On the
-  batched engines one intervention applies to every row at once
-  (``rows=None``), matching the scalar loop's shared deterministic
-  schedule.
+representative of a colour.  Every engine takes interventions through
+the same count-level ``add_agents`` / ``add_colour`` / ``recolour``
+interface: the agent-level
+:class:`~repro.engine.simulator.Simulation` and
+:class:`~repro.engine.array_engine.ArraySimulation`, the scalar
+:class:`~repro.engine.aggregate.AggregateSimulation`, and the
+row-batched :class:`~repro.engine.hetero.HeterogeneousAggregateBatch`
+with its replicated special case
+:class:`~repro.engine.batched.BatchedAggregateSimulation`.  Each engine
+checks an intervention before it changes anything, so a rejected one
+leaves the engine and its weight table as they were.  On the batched
+engines one intervention applies to every row at once (``rows=None``),
+matching the scalar loop's shared deterministic schedule.
 """
 
 from __future__ import annotations
@@ -25,34 +23,20 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from ..core.state import DARK, LIGHT, AgentState
-from ..engine.simulator import Simulation
-
 
 class Intervention(abc.ABC):
     """A structural change applied instantaneously at a chosen step."""
 
-    @abc.abstractmethod
-    def apply_to_simulation(self, simulation: Simulation) -> None:
-        """Apply against the agent-level engine."""
-
-    @abc.abstractmethod
-    def apply_to_aggregate(self, aggregate) -> None:
-        """Apply against a count-API engine (aggregate, batched or
-        array)."""
-
     def apply(self, engine) -> None:
-        """Dispatch on the engine's interface: the agent-level
-        :class:`~repro.engine.simulator.Simulation` mutates its
-        population; anything exposing the count-level ``add_agents`` /
-        ``add_colour`` / ``recolour`` API (aggregate, batched, array —
-        or wrappers of them) takes the aggregate path."""
-        if isinstance(engine, Simulation):
-            self.apply_to_simulation(engine)
-        elif hasattr(engine, "add_colour") and hasattr(engine, "recolour"):
-            self.apply_to_aggregate(engine)
-        else:
+        """Apply through the engine's count-level interface."""
+        if not (hasattr(engine, "add_colour") and hasattr(engine, "recolour")):
             raise TypeError(f"unsupported engine {type(engine).__name__}")
+        self._apply(engine)
+
+    @abc.abstractmethod
+    def _apply(self, engine) -> None:
+        """Make the change with ``add_agents``, ``add_colour`` or
+        ``recolour``."""
 
 
 @dataclass(frozen=True)
@@ -63,13 +47,8 @@ class AddAgents(Intervention):
     count: int
     dark: bool = True
 
-    def apply_to_simulation(self, simulation: Simulation) -> None:
-        shade = DARK if self.dark else LIGHT
-        for _ in range(self.count):
-            simulation.population.add_agent(AgentState(self.colour, shade))
-
-    def apply_to_aggregate(self, aggregate) -> None:
-        aggregate.add_agents(self.colour, self.count, dark=self.dark)
+    def _apply(self, engine) -> None:
+        engine.add_agents(self.colour, self.count, dark=self.dark)
 
 
 @dataclass(frozen=True)
@@ -85,19 +64,8 @@ class AddColour(Intervention):
     count: int
     dark: bool = True
 
-    def apply_to_simulation(self, simulation: Simulation) -> None:
-        weights = getattr(simulation.protocol, "weights", None)
-        if weights is None:
-            raise TypeError(
-                f"protocol {simulation.protocol.name!r} has no weight table"
-            )
-        colour = weights.add_colour(self.weight)
-        shade = DARK if self.dark else LIGHT
-        for _ in range(self.count):
-            simulation.population.add_agent(AgentState(colour, shade))
-
-    def apply_to_aggregate(self, aggregate) -> None:
-        aggregate.add_colour(self.weight, self.count, dark=self.dark)
+    def _apply(self, engine) -> None:
+        engine.add_colour(self.weight, self.count, dark=self.dark)
 
 
 @dataclass(frozen=True)
@@ -109,14 +77,5 @@ class RecolourColour(Intervention):
     source: int
     target: int
 
-    def apply_to_simulation(self, simulation: Simulation) -> None:
-        population = simulation.population
-        for agent in range(population.n):
-            state = population.state_of(agent)
-            if state.colour == self.source:
-                population.set_state(
-                    agent, AgentState(self.target, state.shade)
-                )
-
-    def apply_to_aggregate(self, aggregate) -> None:
-        aggregate.recolour(self.source, self.target)
+    def _apply(self, engine) -> None:
+        engine.recolour(self.source, self.target)

@@ -516,14 +516,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_selectors(values: list[str] | None) -> list[str]:
-    """Flatten repeatable, comma-separated selector options."""
-    out: list[str] = []
-    for value in values or []:
-        out.extend(part.strip() for part in value.split(",") if part.strip())
-    return out
-
-
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
     from .experiments.cache import verify_cache
 
@@ -544,24 +536,6 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
             line += f" -> {entry['quarantined_to']}"
         print(line)
     return 1 if report["bad"] else 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import render, run_lint
-
-    try:
-        findings = run_lint(
-            args.paths or None,
-            select=_parse_selectors(args.select),
-            ignore=_parse_selectors(args.ignore),
-        )
-    except (ValueError, FileNotFoundError) as error:
-        print(f"repro lint: {error}", file=sys.stderr)
-        return 2
-    output = render(findings, args.format)
-    if output:
-        print(output)
-    return 1 if findings else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -731,39 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--seed", type=int, default=0)
     p_series.set_defaults(func=_cmd_series)
 
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the repo's AST-based invariant checks (repro.lint)",
-        description=(
-            "Static checks for the repo's reproducibility invariants: "
-            "RL2 determinism and RL5 fingerprint hygiene.  Exits 1 "
-            "when findings remain, 0 on a clean run, 2 on a usage "
-            "error.  Waive a finding inline with "
-            "'# repro-lint: disable=CODE -- justification'."
-        ),
-    )
-    p_lint.add_argument(
-        "paths", nargs="*",
-        help="files or directories to lint (default: the installed "
-             "repro package)",
-    )
-    p_lint.add_argument(
-        "--select", action="append", default=None, metavar="CODES",
-        help="only report these rule codes (comma-separated, "
-             "repeatable; prefixes select families: RL2 = "
-             "RL201+RL202+RL203+RL204)",
-    )
-    p_lint.add_argument(
-        "--ignore", action="append", default=None, metavar="CODES",
-        help="drop these rule codes (same syntax as --select; ignore "
-             "wins on overlap)",
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json", "github"), default="text",
-        help="output format: human-readable lines, a JSON document, "
-             "or GitHub workflow ::error annotations",
-    )
-    p_lint.set_defaults(func=_cmd_lint)
     return parser
 
 

@@ -321,6 +321,8 @@ class AggregateSimulation:
 
         Sustainability requires new colours to arrive dark (Sec 1.2).
         """
+        if count < 0:  # validate before any widening takes effect
+            raise ValueError("count must be non-negative")
         colour = self.weights.add_colour(weight)
         self._dark.append(0)
         self._light.append(0)

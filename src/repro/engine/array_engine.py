@@ -608,15 +608,9 @@ class ArraySimulation:
         """
         if not 0 <= colour < self._k:
             raise ValueError(f"unknown colour {colour}")
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        self._check_growth(count)
         if count == 0:
             return
-        if not self._complete:
-            raise ValueError(
-                "population growth requires the complete graph; explicit "
-                "topologies cannot gain agents"
-            )
         shade = DARK if dark else LIGHT
         self._colours = np.concatenate(
             [self._colours, np.full(count, colour, dtype=np.int64)]
@@ -640,8 +634,7 @@ class ArraySimulation:
             raise TypeError(
                 f"protocol {self.protocol.name!r} has no weight table"
             )
-        if count < 0:  # validate before any widening takes effect
-            raise ValueError("count must be non-negative")
+        self._check_growth(count)  # before any widening takes effect
         colour = weights.add_colour(weight)
         self._grow_colour_slots(weights.k)
         self._kernel.refresh(self._k)
@@ -663,6 +656,15 @@ class ArraySimulation:
                 "dark": self._bincount(self._shades > LIGHT),
                 "light": self._bincount(self._shades == LIGHT),
             }
+
+    def _check_growth(self, count: int) -> None:
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count and not self._complete:
+            raise ValueError(
+                "population growth requires the complete graph; explicit "
+                "topologies cannot gain agents"
+            )
 
     def _grow_colour_slots(self, new_k: int) -> None:
         if new_k < self._k:

@@ -10,10 +10,13 @@ scheduled agent changes state.
 
 The loop amortises random-number generation in blocks and notifies
 observers only on actual state changes, so instrumented runs stay fast.
-Populations may grow between (not during) ``run`` calls, which is how
-the adversary interventions of :mod:`repro.adversary` are applied;
-growth requires the complete graph (an explicit topology cannot gain
-agents, so the next ``run`` raises before any step samples).
+Populations may grow between (not during) ``run`` calls, through the
+count-level ``add_agents`` / ``add_colour`` / ``recolour`` that the
+adversary interventions of :mod:`repro.adversary` call.  Each checks its
+arguments before it changes anything, and growth requires the complete
+graph: an explicit topology cannot gain agents.  Agents added to the
+population directly are caught by the next ``run``, which raises before
+any step samples.
 
 Seeding contract
 ----------------
@@ -64,6 +67,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..core.protocol import Protocol
+from ..core.state import DARK, LIGHT, AgentState
 from ..core.weights import WeightTable
 from ..topology.base import CompleteGraph
 from . import checkpoint as ckpt
@@ -73,6 +77,11 @@ from .rng import make_rng
 
 
 _BLOCK = 4096
+
+_FIXED_TOPOLOGY = (
+    "population growth requires the complete graph; explicit topologies "
+    "cannot gain agents"
+)
 
 
 class Simulation:
@@ -132,6 +141,59 @@ class Simulation:
         return self.population.light_counts()
 
     # ------------------------------------------------------------------
+    # Adversary support (between, never during, ``run`` calls)
+
+    def add_agents(self, colour: int, count: int, dark: bool = True) -> None:
+        """Inject ``count`` fresh agents of an existing colour; the next
+        refill re-anchors the draw buffer to the grown population."""
+        if not 0 <= colour < self._colour_slots():
+            raise ValueError(f"unknown colour {colour}")
+        self._check_growth(count)
+        self._grow(colour, count, dark)
+
+    def add_colour(self, weight: float, count: int, dark: bool = True) -> int:
+        """Introduce a brand-new colour with ``count`` supporters,
+        widening the protocol's weight table; returns the new colour."""
+        weights = getattr(self.protocol, "weights", None)
+        if weights is None:
+            raise TypeError(
+                f"protocol {self.protocol.name!r} has no weight table"
+            )
+        self._check_growth(count)  # before any widening takes effect
+        colour = weights.add_colour(weight)
+        self._grow(colour, count, dark)
+        return colour
+
+    def recolour(self, source: int, target: int) -> None:
+        """Repaint every agent of ``source`` colour as ``target``
+        (shades kept)."""
+        k = self._colour_slots()
+        if not (0 <= source < k and 0 <= target < k):
+            raise ValueError("source and target must be existing colours")
+        population = self.population
+        for agent in range(population.n):
+            state = population.state_of(agent)
+            if state.colour == source:
+                population.set_state(agent, AgentState(target, state.shade))
+
+    def _colour_slots(self) -> int:
+        """Colours agents may take: the population's, and any colour
+        the weight table gained that no agent holds yet."""
+        weights = getattr(self.protocol, "weights", None)
+        return max(self.population.k, 0 if weights is None else weights.k)
+
+    def _check_growth(self, count: int) -> None:
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count and not self._complete:
+            raise ValueError(_FIXED_TOPOLOGY)
+
+    def _grow(self, colour: int, count: int, dark: bool) -> None:
+        shade = DARK if dark else LIGHT
+        for _ in range(count):
+            self.population.add_agent(AgentState(colour, shade))
+
+    # ------------------------------------------------------------------
 
     def step(self) -> bool:
         """Execute one time-step; returns True if a state changed.
@@ -169,10 +231,7 @@ class Simulation:
         rng = self.rng
         complete = self._complete
         if not complete and population.n != self.topology.n:
-            raise ValueError(
-                "population growth requires the complete graph; explicit "
-                "topologies cannot gain agents"
-            )
+            raise ValueError(_FIXED_TOPOLOGY)
         sample = None if complete else self.topology.sample_neighbour
         while remaining > 0:
             if self._buf_pos >= _BLOCK or self._buf_n != population.n:

@@ -35,7 +35,7 @@ from .replication import (
     replicate_colour_counts,
     summarise,
 )
-from .cache import ShardCache, shard_key, spec_fingerprint, verify_cache
+from .cache import ShardCache, shard_key, verify_cache
 from .chain import E8_PROFILES, spec_markov_chain
 from .convergence import (
     E1_PROFILES,
@@ -192,7 +192,6 @@ __all__ = [
     "ProcessExecutor",
     "ShardCache",
     "shard_key",
-    "spec_fingerprint",
     "verify_cache",
     "FaultPlan",
     "InjectedFault",

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .export import _plain_tree, spec_to_payload
+from .export import _plain_tree
 from .pipeline import ScenarioSpec, Shard
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "package_fingerprint",
     "resolve_cache",
     "shard_key",
-    "spec_fingerprint",
     "verify_cache",
 ]
 
@@ -121,14 +120,6 @@ def measurement_fingerprint(measure) -> dict:
         "ref": f"{measure.__module__}:{measure.__qualname__}",
         "source": _module_source_hash(measure.__module__),
     }
-
-
-def spec_fingerprint(spec: ScenarioSpec) -> str:
-    """Stable hash of the spec's serialised form (grid, fixed params,
-    replications, seeding rule): one identity for a whole sweep.  Shard
-    lookups use the finer per-shard :func:`shard_key` instead."""
-    doc = json.dumps(spec_to_payload(spec), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 def _seed_payload(seed: np.random.SeedSequence) -> dict:

@@ -1,6 +1,6 @@
 """Planted RL5 violations: set iteration and unsorted JSON inside the
-hash closure (``spec_fingerprint`` -> ``_payload``).  ``unrelated`` is
-outside the closure, so its unsorted dump must stay silent."""
+hash closure (``shard_key`` -> ``_payload``).  ``unrelated`` is outside
+the closure, so its unsorted dump must stay silent."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ def _payload(params):
     return {key: params[key] for key in set(params)}  # planted: RL501
 
 
-def spec_fingerprint(spec):
+def shard_key(spec):
     doc = json.dumps(_payload(spec), indent=2)  # planted: RL502
     return hashlib.sha256(doc.encode()).hexdigest()
 

@@ -15,7 +15,6 @@ from repro.experiments.cache import (
     _module_source_hash,
     measurement_fingerprint,
     shard_key,
-    spec_fingerprint,
 )
 from repro.experiments.pipeline import ScenarioSpec, Shard, plan
 
@@ -36,11 +35,6 @@ def _spec(fixed):
 
 
 class TestDictOrderInvariance:
-    def test_spec_fingerprint_ignores_fixed_param_order(self):
-        forward = _spec({"x": 1, "y": 2, "z": 3})
-        backward = _spec({"z": 3, "y": 2, "x": 1})
-        assert spec_fingerprint(forward) == spec_fingerprint(backward)
-
     def test_shard_key_ignores_params_insertion_order(self):
         spec = _spec({"x": 1, "y": 2})
         shard = plan(spec).shards[0]
@@ -57,7 +51,7 @@ class TestDictOrderInvariance:
 
 _SUBPROCESS_SCRIPT = textwrap.dedent(
     """
-    from repro.experiments.cache import shard_key, spec_fingerprint
+    from repro.experiments.cache import shard_key
     from repro.experiments.fusion import measure_sweep_final_counts
     from repro.experiments.pipeline import ScenarioSpec, plan
 
@@ -69,7 +63,6 @@ _SUBPROCESS_SCRIPT = textwrap.dedent(
         replications=2,
         base_seed=77,
     )
-    print(spec_fingerprint(spec))
     for shard in plan(spec).shards:
         print(shard_key(spec, shard))
     """
@@ -78,9 +71,9 @@ _SUBPROCESS_SCRIPT = textwrap.dedent(
 
 class TestHashRandomisationInvariance:
     def test_keys_survive_pythonhashseed_changes(self):
-        """The same spec must produce byte-identical fingerprints and
-        shard keys in interpreters with different hash seeds — else a
-        cache directory goes cold on every new process."""
+        """The same spec must produce byte-identical shard keys in
+        interpreters with different hash seeds — else a cache directory
+        goes cold on every new process."""
         src = pathlib.Path(repro.__file__).resolve().parent.parent
         outputs = []
         for hash_seed in ("0", "1", "random"):
@@ -96,7 +89,7 @@ class TestHashRandomisationInvariance:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
-        assert len(outputs[0].split()) == 1 + 4  # fingerprint + 4 shards
+        assert len(outputs[0].split()) == 4  # one key per shard
 
 
 def _load_temp_module(path, name):

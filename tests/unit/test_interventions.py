@@ -15,9 +15,11 @@ from repro.core.weights import WeightTable
 from repro.engine.aggregate import AggregateSimulation
 from repro.engine.array_engine import ArraySimulation
 from repro.engine.batched import BatchedAggregateSimulation
+from repro.engine.hetero import HeterogeneousAggregateBatch
 from repro.engine.population import Population
 from repro.engine.simulator import Simulation
 from repro.experiments.recorder import CountRecorder
+from repro.topology import CycleGraph
 
 
 def build_agent_engine(seed=0):
@@ -49,6 +51,54 @@ def build_array_engine(seed=0):
     return engine, weights
 
 
+def build_hetero_engine(seed=0):
+    weights = WeightTable([1.0, 2.0])
+    engine = HeterogeneousAggregateBatch(
+        [weights, weights], [[6, 6], [6, 6]], rng=seed
+    )
+    return engine, weights
+
+
+def build_cycle_engine(name, seed=0):
+    """An agent engine of 6 + 6 agents on ``CycleGraph(12)``."""
+    weights = WeightTable([1.0, 2.0])
+    protocol = Diversification(weights)
+    colours = [0] * 6 + [1] * 6
+    if name == "simulation":
+        population = Population.from_colours(colours, protocol)
+        engine = Simulation(
+            protocol, population, topology=CycleGraph(12), rng=seed
+        )
+    else:
+        engine = ArraySimulation(
+            protocol, np.array(colours), k=2, topology=CycleGraph(12),
+            rng=seed,
+        )
+    return engine, weights
+
+
+#: Every engine that takes interventions, each holding 6 + 6 agents.
+ENGINE_BUILDERS = {
+    "aggregate": build_aggregate_engine,
+    "row-batched": build_batched_engine,
+    "array": build_array_engine,
+    "simulation": build_agent_engine,
+}
+
+#: The engines above and the row-batched engine with per-row clocks,
+#: which ``run_with_interventions`` does not drive.
+COUNT_API_BUILDERS = {**ENGINE_BUILDERS, "hetero": build_hetero_engine}
+
+#: Interventions that no engine holding colours 0 and 1 may accept.
+BAD_INTERVENTIONS = {
+    "agents-unknown-colour": AddAgents(colour=5, count=2),
+    "agents-negative-count": AddAgents(colour=0, count=-1),
+    "recolour-unknown-source": RecolourColour(source=5, target=0),
+    "recolour-unknown-target": RecolourColour(source=0, target=5),
+    "colour-negative-count": AddColour(weight=2.0, count=-1),
+}
+
+
 class TestAddAgents:
     def test_agent_engine(self):
         simulation, _ = build_agent_engine()
@@ -57,21 +107,18 @@ class TestAddAgents:
         assert simulation.population.dark_counts()[1] == 10
 
     def test_agent_engine_rejects_growth_on_csr_topology(self):
-        """The cycle cannot reach the added agents: the next run raises
-        before any step samples, leaving clock and generator alone."""
-        from repro.topology import CycleGraph
-
-        protocol = Diversification(WeightTable([1.0, 2.0]))
-        population = Population.from_colours([0] * 6 + [1] * 6, protocol)
-        simulation = Simulation(
-            protocol, population, topology=CycleGraph(12), rng=0
-        ).run(50)
+        """The cycle cannot reach added agents: ``apply`` raises before
+        any change, leaving population, clock and generator alone."""
+        simulation, _ = build_cycle_engine("simulation")
+        simulation.run(50)
         state = simulation.rng.bit_generator.state
-        AddAgents(colour=1, count=2).apply(simulation)
         with pytest.raises(ValueError, match="complete graph"):
-            simulation.run(10)
+            AddAgents(colour=1, count=2).apply(simulation)
+        assert simulation.population.n == 12
         assert simulation.time == 50
         assert simulation.rng.bit_generator.state == state
+        simulation.run(10)
+        assert simulation.time == 60
 
     def test_aggregate_engine(self):
         engine, _ = build_aggregate_engine()
@@ -92,6 +139,18 @@ class TestAddColour:
         AddColour(weight=4.0, count=1, dark=True).apply(engine)
         assert weights.k == 3
         assert engine.dark_counts()[2] == 1
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_BUILDERS))
+    def test_a_colour_added_empty_takes_agents(self, name):
+        """A colour added without supporters exists: agents may join
+        it and others be repainted into it."""
+        engine, weights = ENGINE_BUILDERS[name]()
+        AddColour(weight=3.0, count=0).apply(engine)
+        AddAgents(colour=2, count=3).apply(engine)
+        RecolourColour(source=0, target=2).apply(engine)
+        counts = np.asarray(engine.colour_counts())
+        np.testing.assert_array_equal(counts[..., 2], 9)
+        assert weights.k == 3
 
     def test_protocol_without_weights_rejected(self):
         from repro.baselines.voter import VoterModel
@@ -204,8 +263,6 @@ class TestArrayEngineInterventions:
         assert engine.light_counts().sum() == light_total
 
     def test_growth_rejected_on_csr_topology(self):
-        from repro.topology import CycleGraph
-
         weights = WeightTable([1.0, 2.0])
         engine = ArraySimulation(
             Diversification(weights),
@@ -314,13 +371,55 @@ class TestRunWithInterventions:
             run_with_interventions(engine, -1, None)
 
 
-#: Every engine that takes interventions, each holding 6 + 6 agents.
-ENGINE_BUILDERS = {
-    "aggregate": build_aggregate_engine,
-    "row-batched": build_batched_engine,
-    "array": build_array_engine,
-    "simulation": build_agent_engine,
-}
+class TestBadInterventions:
+    @pytest.mark.parametrize("bad", sorted(BAD_INTERVENTIONS))
+    @pytest.mark.parametrize("name", sorted(COUNT_API_BUILDERS))
+    def test_rejected_before_any_change(self, name, bad):
+        engine, weights = COUNT_API_BUILDERS[name]()
+        engine.run(30)
+        before = engine.snapshot()
+        with pytest.raises(ValueError):
+            BAD_INTERVENTIONS[bad].apply(engine)
+        np.testing.assert_equal(engine.snapshot(), before)
+        np.testing.assert_array_equal(weights.as_array(), [1.0, 2.0])
+
+
+class TestGrowthOnACycle:
+    """An explicit topology cannot gain agents: both agent engines
+    reject growth when the agents arrive, before any change."""
+
+    @pytest.mark.parametrize(
+        "intervention", [AddAgents(0, 3), AddColour(3.0, 2)],
+        ids=["agents", "colour"],
+    )
+    @pytest.mark.parametrize("name", ["array", "simulation"])
+    def test_apply_rejects_growth(self, name, intervention):
+        engine, weights = build_cycle_engine(name)
+        engine.run(50)
+        before = engine.snapshot()
+        with pytest.raises(ValueError, match="complete graph"):
+            intervention.apply(engine)
+        np.testing.assert_equal(engine.snapshot(), before)
+        assert weights.k == 2
+
+    @pytest.mark.parametrize("name", ["array", "simulation"])
+    def test_growth_at_the_horizon(self, name):
+        engine, _ = build_cycle_engine(name)
+        schedule = InterventionSchedule([(100, AddAgents(0, 3))])
+        with pytest.raises(ValueError, match="complete graph"):
+            run_with_interventions(engine, 100, schedule)
+        assert engine.time == 100
+        assert engine.colour_counts().sum() == 12
+
+    @pytest.mark.parametrize("name", ["array", "simulation"])
+    def test_growth_in_a_zero_step_run(self, name):
+        engine, _ = build_cycle_engine(name)
+        engine.run(30)
+        before = engine.snapshot()
+        schedule = InterventionSchedule([(30, AddAgents(0, 3))])
+        with pytest.raises(ValueError, match="complete graph"):
+            run_with_interventions(engine, 0, schedule)
+        np.testing.assert_equal(engine.snapshot(), before)
 
 
 class TestZeroStepRun:

@@ -8,8 +8,8 @@ for a reader.  A name counts as read if one of these holds:
 * it appears in such a module as a ``Name`` node or as the attribute
   of an ``Attribute`` node, outside its own definition;
 * it appears there as a string that is an identifier, outside
-  ``__all__`` and type annotations (``perfbench/spans.py`` and lint
-  rule RL5 name functions by string);
+  ``__all__`` and type annotations (``perfbench/spans.py`` names
+  functions by string);
 * its definition is decorated (decorators register what they wrap).
 
 Re-exports (``__all__`` and the imports of ``__init__`` modules) and

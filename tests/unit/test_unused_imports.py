@@ -7,9 +7,9 @@ an ``import`` statement binds must be read somewhere in the module as a
 ``Name`` node, which is also the root of every attribute chain such as
 ``np.asarray``.  ``__init__`` modules are skipped, since their imports
 are re-exports, and so is ``tests/unit/lint_fixtures/``, whose modules
-are linter inputs with planted faults.  An import kept on purpose, such
-as one that registers a side effect, carries ``# noqa: F401`` on its
-line.
+are the source-rule check's inputs with planted faults.  An import kept
+on purpose, such as one that registers a side effect, carries
+``# noqa: F401`` on its line.
 """
 
 import ast
@@ -90,7 +90,7 @@ def test_scan_covers_the_library():
     experiments, not an empty or moved tree."""
     relpaths = {path.relative_to(SRC).as_posix() for path in library_modules()}
     assert {"cli.py", "engine/hetero.py", "experiments/pipeline.py"} <= relpaths
-    assert len(relpaths) >= 60
+    assert len(relpaths) >= 55
 
 
 def test_no_unused_imports():
@@ -102,7 +102,7 @@ def test_no_unused_imports():
 
 def test_scan_covers_the_tests():
     """The test-suite scan sees every tier, the shared fixtures and
-    this module, and leaves the planted linter inputs alone."""
+    this module, and leaves the planted rule inputs alone."""
     relpaths = {path.relative_to(TESTS).as_posix() for path in suite_modules()}
     assert {
         "conftest.py",
